@@ -11,12 +11,11 @@ mean-aggregated variants.
 
 __version__ = "0.1.0"
 
-from .aggregators import Aggregator, aggregate, aggregate_backward
-from .splines import (EdgeActivation, KnotGrid, basis_eval, edge_backward,
-                      edge_forward, make_grid)
+from .aggregators import Aggregator
+from .splines import KnotGrid, make_grid
 from .network import (ConfigError, ForwardTrace, Network, NetworkConfig,
-                      build_network, forward, layer_norm, load_checkpoint,
-                      mean_to_scaled_sum, range_adherence, save_checkpoint)
+                      build_network, forward, load_checkpoint,
+                      mean_to_scaled_sum, save_checkpoint)
 from .training import (AdamState, TrainConfig, TrainResult, TrainingDiverged,
                        adam_init, adam_step, backward, evaluate,
                        softmax_cross_entropy, squared_error_on_index, train)
@@ -28,12 +27,10 @@ from .harness import (ExperimentConfig, derive_seed, run_adherence,
                       run_comparison, run_experiment, run_sweep, write_report)
 
 __all__ = [
-    "Aggregator", "aggregate", "aggregate_backward",
-    "EdgeActivation", "KnotGrid", "basis_eval", "edge_backward",
-    "edge_forward", "make_grid",
+    "Aggregator", "KnotGrid", "make_grid",
     "ConfigError", "ForwardTrace", "Network", "NetworkConfig",
-    "build_network", "forward", "layer_norm", "load_checkpoint",
-    "mean_to_scaled_sum", "range_adherence", "save_checkpoint",
+    "build_network", "forward", "load_checkpoint",
+    "mean_to_scaled_sum", "save_checkpoint",
     "AdamState", "TrainConfig", "TrainResult", "TrainingDiverged",
     "adam_init", "adam_step", "backward", "evaluate",
     "softmax_cross_entropy", "squared_error_on_index", "train",

@@ -41,30 +41,6 @@ class Aggregator(Enum):
 AGGREGATOR_NAMES = tuple(a.value for a in Aggregator)
 
 
-def _check(values) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"values must be a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
-    return v
-
-
-def aggregate(values, kind: Aggregator) -> float:
-    """Reduce a non-empty vector of edge activations to one node value."""
-    v = _check(values)
-    return float(aggregate_batch(v[np.newaxis, np.newaxis, :], kind)[0, 0])
-
-
-def aggregate_backward(values, kind: Aggregator, upstream: float) -> np.ndarray:
-    """Subgradient of aggregate scaled by upstream."""
-    v = _check(values)
-    out = aggregate_batch_backward(
-        v[np.newaxis, np.newaxis, :], kind,
-        np.asarray([[upstream]], dtype=np.float64))
-    return out[0, 0]
-
-
 def aggregate_batch(edge_values: np.ndarray, kind: Aggregator) -> np.ndarray:
     """Reduce the last axis of a (batch, nodes, fan_in) array."""
     e = edge_values

@@ -3,11 +3,11 @@
     kanagg sweep      --dataset m.json [...] [--runs N] [--iterations N] ...
     kanagg compare    --dataset m.json [...] [--variants kan kan-avg ...]
     kanagg adherence  --dataset m.json [...] [--variants ...]
-    kanagg preprocess --dataset m.json [--seed N] [--out DIR]
 
 A JSON file passed via --config supplies defaults; explicit flags win.
-KANAGG_OUT sets the default output directory. Exit code is 0 only when
-every run completed.
+KANAGG_OUT sets the default output directory. Each verb writes report.json,
+runs.jsonl (one record per run, including any dataset warnings) and
+summary.txt there. Exit code is 0 only when every run completed.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import sys
 from pathlib import Path
 
 from .aggregators import AGGREGATOR_NAMES
-from .data import load_table, preprocess, save_cached
-from .harness import (VARIANTS, ExperimentConfig, _manifest_of, run_experiment,
-                      write_report)
+from .harness import VARIANTS, ExperimentConfig, run_experiment, write_report
 
 DEFAULT_OUT = os.environ.get("KANAGG_OUT", "kanagg-out")
 
@@ -77,16 +75,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for mode in ("sweep", "compare", "adherence"):
         _add_run_flags(sub.add_parser(mode))
-    pre = sub.add_parser("preprocess")
-    pre.add_argument("--dataset", action="append", required=True, metavar="MANIFEST")
-    pre.add_argument("--seed", type=int, default=0)
-    pre.add_argument("--strict-replication", action="store_true")
-    pre.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "preprocess":
-        return _preprocess_main(args)
-
     config = _experiment_config(args.command, args)
     payload, records = run_experiment(config)
     out = write_report(payload, records, config.out_dir)
@@ -97,31 +87,6 @@ def main(argv=None) -> int:
         print(f"{failed} run(s) failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _preprocess_main(args) -> int:
-    out = Path(args.out or Path(DEFAULT_OUT) / "preprocessed")
-    out.mkdir(parents=True, exist_ok=True)
-    status = 0
-    for source in args.dataset:
-        manifest = _manifest_of(source)
-        try:
-            raw = load_table(manifest.path, manifest)
-            data = preprocess(raw, manifest, args.seed,
-                              scale_features=not args.strict_replication)
-        except ValueError as exc:
-            print(f"{manifest.name}: FAILED: {exc}", file=sys.stderr)
-            status = 1
-            continue
-        target = out / f"{manifest.name}.npz"
-        save_cached(data, target)
-        sizes = (len(data.train_idx), len(data.val_idx), len(data.test_idx))
-        print(f"{manifest.name}: {data.n_instances} rows -> "
-              f"train/val/test {sizes}, {data.n_features} features, "
-              f"{data.n_classes} classes -> {target}")
-        for w in data.warnings:
-            print(f"  warning: {w}")
-    return status
 
 
 if __name__ == "__main__":

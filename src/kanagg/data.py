@@ -376,42 +376,3 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
         seed=seed,
         scaled=True,
     )
-
-
-def save_cached(dataset: Dataset, path):
-    """Persist a preprocessed dataset (arrays + seed + fitted statistics)."""
-    meta = {
-        "name": dataset.name,
-        "seed": dataset.seed,
-        "scaled": dataset.scaled,
-        "n_classes": dataset.n_classes,
-        "label_names": dataset.label_names,
-        "feature_names": dataset.feature_names,
-        "warnings": dataset.warnings,
-        "stats": {
-            name: {"kind": st.kind, "impute_value": st.impute_value,
-                   "categories": ({str(k): v for k, v in st.categories.items()}
-                                  if st.categories else None),
-                   "reserved_code": st.reserved_code, "lo": st.lo, "hi": st.hi}
-            for name, st in dataset.stats.items()},
-    }
-    np.savez(path, features=dataset.features, labels=dataset.labels,
-             train_idx=dataset.train_idx, val_idx=dataset.val_idx,
-             test_idx=dataset.test_idx, meta=np.array(json.dumps(meta)))
-
-
-def load_cached(path) -> Dataset:
-    with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(str(z["meta"]))
-        stats = {
-            name: FeatureStats(kind=d["kind"], impute_value=d["impute_value"],
-                               categories=d["categories"],
-                               reserved_code=d["reserved_code"],
-                               lo=d["lo"], hi=d["hi"])
-            for name, d in meta["stats"].items()}
-        return Dataset(
-            name=meta["name"], features=z["features"], labels=z["labels"],
-            train_idx=z["train_idx"], val_idx=z["val_idx"], test_idx=z["test_idx"],
-            n_classes=meta["n_classes"], label_names=meta["label_names"],
-            feature_names=meta["feature_names"], stats=stats, seed=meta["seed"],
-            scaled=meta["scaled"], warnings=meta["warnings"])

@@ -138,6 +138,7 @@ def execute_run(spec: RunSpec) -> dict:
         train_seed = derive_seed(spec.base_seed, "train")
         data = load_dataset(spec.source, data_seed,
                             scale_features=not spec.strict_replication)
+        record["warnings"] = data.warnings
         head_width = 1 if spec.strict_replication else data.n_classes
         widths = (data.n_features, spec.hidden_width, head_width)
         net = build_network(NetworkConfig(

@@ -10,13 +10,13 @@ normalized before feeding the next layer's splines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregators import Aggregator, aggregate_batch
-from .splines import (EdgeActivation, KnotGrid, basis_matrix, make_grid,
-                      sigmoid)
+from .splines import KnotGrid, basis_matrix, make_grid, silu
 
 LAYER_NORM_EPS = 1e-5
 CHECKPOINT_FORMAT = "kanagg-checkpoint/1"
@@ -69,11 +69,6 @@ class KANLayer:
     @property
     def n_out(self) -> int:
         return self.coeffs.shape[0]
-
-    def edge(self, q: int, p: int) -> EdgeActivation:
-        """Read-only view of edge (q, p) as a standalone activation."""
-        return EdgeActivation(self.coeffs[q, p], float(self.w_base[q, p]),
-                              float(self.w_spline[q, p]), self.grid)
 
 
 @dataclass
@@ -167,24 +162,23 @@ def build_network(config: NetworkConfig) -> Network:
     return Network(config=config, layers=layers, layer_norms=layer_norms)
 
 
-def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = LAYER_NORM_EPS) -> np.ndarray:
-    """(v - mean) / sqrt(popvar + eps) * gain + bias over the last axis."""
-    if np.asarray(v).size == 0:
-        raise ValueError("layer_norm input must be non-empty")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    v = np.asarray(v, dtype=np.float64)
+def _layer_norm(v: np.ndarray, ln: LayerNormParams):
+    """(v - mean) / sqrt(popvar + eps) * gain + bias over the last axis.
+
+    Returns (out, zhat, inv_std); the backward pass reuses zhat and inv_std.
+    """
     mean = v.mean(axis=-1, keepdims=True)
     var = v.var(axis=-1, keepdims=True)
-    return (v - mean) / np.sqrt(var + eps) * gain + bias
+    inv_std = 1.0 / np.sqrt(var + ln.eps)
+    zhat = (v - mean) * inv_std
+    return zhat * ln.gain + ln.bias, zhat, inv_std
 
 
 def _layer_forward(layer: KANLayer, x: np.ndarray):
     """Edge activations for a batch: returns the backward-pass intermediates."""
     vals, derivs = basis_matrix(x, layer.grid)      # (B, n_in, n_basis)
     spline_vals = np.einsum("bpi,qpi->bqp", vals, layer.coeffs)
-    silu_x = x * sigmoid(x)
+    silu_x = silu(x)
     edge_out = (layer.w_base[np.newaxis] * silu_x[:, np.newaxis, :]
                 + layer.w_spline[np.newaxis] * spline_vals)
     return vals, derivs, silu_x, spline_vals, edge_out
@@ -212,14 +206,9 @@ def forward(net: Network, x, trace: bool = False):
         node = aggregate_batch(edge_out, layer.aggregator)
         ln = net.layer_norms[l] if l < n_layers - 1 else None
         if ln is not None:
-            mean = node.mean(axis=-1, keepdims=True)
-            var = node.var(axis=-1, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + ln.eps)
-            zhat = (node - mean) * inv_std
-            out = zhat * ln.gain + ln.bias
+            out, zhat, inv_std = _layer_norm(node, ln)
         else:
-            zhat = inv_std = None
-            out = node
+            out, zhat, inv_std = node, None, None
         if t is not None:
             t.inputs.append(x)
             t.basis.append(vals)
@@ -264,28 +253,6 @@ def mean_to_scaled_sum(net: Network) -> Network:
     return twin
 
 
-def range_adherence(traces, lo: float, hi: float) -> np.ndarray:
-    """Fraction of hidden-node values inside [lo, hi], pooled over all traces.
-
-    Values are the post-normalization node outputs, i.e. the actual inputs to
-    the next layer's splines. Boundaries are inclusive. Returns one fraction
-    per hidden layer.
-    """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace")
-    n_hidden = len(traces[0].normed_values) - 1
-    if n_hidden < 1:
-        raise ValueError("network has no hidden layers to measure")
-    inside = np.zeros(n_hidden, dtype=np.int64)
-    total = np.zeros(n_hidden, dtype=np.int64)
-    for t in traces:
-        i, n = adherence_counts(t, lo, hi)
-        inside += i
-        total += n
-    return inside / total
-
-
 def adherence_counts(trace: ForwardTrace, lo: float, hi: float):
     """(inside, total) value counts per hidden layer for one trace."""
     hidden = trace.hidden_values()
@@ -322,18 +289,38 @@ def save_checkpoint(net: Network, path):
 
 
 def load_checkpoint(path) -> Network:
+    """Read a save_checkpoint file back; raises ValueError when its layer or
+    layer-norm entries, array shapes or eps do not fit its config."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a kanagg checkpoint: {doc.get('format')!r}")
     net = build_network(NetworkConfig(**doc["config"]))
+    if (len(doc["layers"]) != len(net.layers)
+            or len(doc["layer_norms"]) != len(net.layer_norms)):
+        raise ValueError(
+            f"checkpoint has {len(doc['layers'])} layers and "
+            f"{len(doc['layer_norms'])} layer norms, its config needs "
+            f"{len(net.layers)} and {len(net.layer_norms)}")
     for layer, saved in zip(net.layers, doc["layers"]):
-        layer.coeffs[...] = np.asarray(saved["coeffs"])
-        layer.w_base[...] = np.asarray(saved["w_base"])
-        layer.w_spline[...] = np.asarray(saved["w_spline"])
-    for i, saved in enumerate(doc["layer_norms"]):
+        for name in ("coeffs", "w_base", "w_spline"):
+            _load_array(getattr(layer, name), saved[name], name)
+    for ln, saved in zip(net.layer_norms, doc["layer_norms"]):
+        if (ln is None) != (saved is None):
+            raise ValueError("checkpoint layer norms do not match config.layer_norm")
         if saved is not None:
-            net.layer_norms[i].gain[...] = np.asarray(saved["gain"])
-            net.layer_norms[i].bias[...] = np.asarray(saved["bias"])
-            net.layer_norms[i].eps = saved["eps"]
+            _load_array(ln.gain, saved["gain"], "gain")
+            _load_array(ln.bias, saved["bias"], "bias")
+            eps = saved["eps"]
+            if not (isinstance(eps, (int, float)) and 0 < eps < math.inf):
+                raise ValueError(f"layer-norm eps must be finite and > 0, got {eps!r}")
+            ln.eps = eps
     return net
+
+
+def _load_array(dst: np.ndarray, saved, name: str):
+    src = np.asarray(saved, dtype=np.float64)
+    if src.shape != dst.shape:
+        raise ValueError(f"checkpoint {name} has shape {src.shape}, "
+                         f"its config needs {dst.shape}")
+    dst[...] = src

@@ -1,10 +1,11 @@
-"""Trainable per-edge activation functions.
+"""B-spline basis and silu residual of the per-edge activation functions.
 
 Each edge carries phi(x) = w_base * silu(x) + w_spline * sum_i c_i * B_i(x),
 where B_i are degree-k B-spline basis functions on a fixed uniform knot grid.
 Outside the knot span every B_i vanishes, so only the silu residual remains;
 this is intentional (out-of-range inputs are a regime we want to observe, not
-clamp away).
+clamp away). network.py stores every edge of a layer stacked and evaluates
+them for a whole batch at once.
 """
 
 from __future__ import annotations
@@ -86,13 +87,6 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid) -> tuple[np.ndarray, np.ndarray]
     return b.reshape(shape), db.reshape(shape)
 
 
-def basis_eval(x: float, grid: KnotGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values and first derivatives at a single point."""
-    _require_finite(x, "x")
-    vals, derivs = basis_matrix(np.asarray([x]), grid)
-    return vals[0], derivs[0]
-
-
 def silu(x):
     """x * sigmoid(x), the smooth residual under every spline."""
     return x * sigmoid(x)
@@ -111,42 +105,3 @@ def sigmoid(x):
 def silu_grad(x):
     s = sigmoid(x)
     return s * (1.0 + np.asarray(x) * (1.0 - s))
-
-
-@dataclass
-class EdgeActivation:
-    """One trainable edge function: spline coefficients plus weighted silu residual."""
-
-    coeffs: np.ndarray
-    w_base: float
-    w_spline: float
-    grid: KnotGrid
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.shape != (self.grid.n_basis,):
-            raise ValueError(
-                f"coeffs length {self.coeffs.shape} does not match "
-                f"basis count ({self.grid.n_basis},)")
-
-
-def edge_forward(x: float, edge: EdgeActivation) -> float:
-    """w_base * silu(x) + w_spline * sum_i c_i B_i(x)."""
-    _require_finite(x, "x")
-    vals, _ = basis_eval(x, edge.grid)
-    return float(edge.w_base * silu(x) + edge.w_spline * (edge.coeffs @ vals))
-
-
-def edge_backward(x: float, edge: EdgeActivation, upstream: float):
-    """Partials of edge_forward scaled by upstream.
-
-    Returns (d_x, d_coeffs, d_w_base, d_w_spline).
-    """
-    _require_finite(x, "x")
-    vals, derivs = basis_eval(x, edge.grid)
-    d_x = upstream * (edge.w_base * float(silu_grad(x))
-                      + edge.w_spline * float(edge.coeffs @ derivs))
-    d_coeffs = upstream * edge.w_spline * vals
-    d_w_base = upstream * float(silu(x))
-    d_w_spline = upstream * float(edge.coeffs @ vals)
-    return float(d_x), d_coeffs, float(d_w_base), float(d_w_spline)

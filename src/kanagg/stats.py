@@ -1,10 +1,11 @@
 """Tied ranking across datasets and the Wilcoxon signed-rank test.
 
 Wilcoxon conventions: zero differences are discarded, absolute differences
-get averaged tie ranks, and the two-sided p-value is exact (full enumeration
-of the 2^n sign assignments) up to EXACT_LIMIT effective pairs, switching to
-a normal approximation with tie-corrected variance and continuity correction
-beyond that.
+get averaged tie ranks, and the two-sided p-value is exact up to EXACT_LIMIT
+effective pairs, switching to a normal approximation with tie-corrected
+variance and continuity correction beyond that. The exact p-value counts the
+2^n sign assignments by their rank sum with a dynamic programme over doubled
+rank sums: tie ranks are multiples of 0.5, so doubled sums are integers.
 """
 
 from __future__ import annotations
@@ -38,17 +39,16 @@ def rank_with_ties(scores, higher_is_better: bool = True) -> np.ndarray:
     return ranks
 
 
-def average_rank(per_dataset_ranks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and population std of each row across datasets, plus the ascending
-    ordering by mean. NaN entries (failed runs) are ignored per row."""
+def average_rank(per_dataset_ranks) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of each row across datasets. NaN entries
+    (failed runs) are ignored per row."""
     m = np.asarray(per_dataset_ranks, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a 2-D rank matrix, got shape {m.shape}")
     with np.errstate(invalid="ignore"):
         means = np.nanmean(m, axis=1)
         stds = np.nanstd(m, axis=1)
-    order = np.argsort(means, kind="stable")
-    return means, stds, order
+    return means, stds
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class RankTable:
 
 def make_rank_table(rows, datasets, ranks) -> RankTable:
     ranks = np.asarray(ranks, dtype=np.float64)
-    means, stds, _ = average_rank(ranks)
+    means, stds = average_rank(ranks)
     return RankTable(rows=tuple(rows), datasets=tuple(datasets), ranks=ranks,
                      mean=means, std=stds)
 
@@ -84,10 +84,8 @@ class WilcoxonResult:
         return self.p_value < SIGNIFICANCE_LEVEL
 
 
-def wilcoxon_signed_rank(a, b, paired: bool = True) -> WilcoxonResult:
+def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Two-sided paired Wilcoxon signed-rank test on a - b."""
-    if not paired:
-        raise ValueError("only the paired signed-rank test is provided")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
@@ -110,16 +108,17 @@ def wilcoxon_signed_rank(a, b, paired: bool = True) -> WilcoxonResult:
 
 
 def _exact_p(ranks: np.ndarray, w_plus: float) -> float:
-    """Enumerate all sign assignments; doubled one-sided tail, capped at 1."""
-    n = ranks.size
-    total = 1 << n
-    w = np.zeros(total)
-    ids = np.arange(total, dtype=np.uint32 if n <= 32 else np.uint64)
-    for j in range(n):
-        w[(ids & (1 << j)) != 0] += ranks[j]
-    # tie ranks are multiples of 0.5, exact in floats, so == comparisons are safe
-    p_le = np.count_nonzero(w <= w_plus) / total
-    p_ge = np.count_nonzero(w >= w_plus) / total
+    """Doubled one-sided tail over all sign assignments, capped at 1."""
+    doubled = np.rint(2.0 * ranks).astype(np.int64)
+    # counts[s]: sign assignments whose positive ranks sum to s / 2
+    counts = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled:
+        counts[r:] = counts[r:] + counts[:-r]
+    w = int(round(2.0 * w_plus))
+    total = 1 << ranks.size
+    p_le = int(counts[: w + 1].sum()) / total
+    p_ge = int(counts[w:].sum()) / total
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 

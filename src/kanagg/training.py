@@ -181,7 +181,6 @@ class TrainResult:
     test_accuracy: float
     head: str
     adherence: list | None = None            # per hidden layer, pooled over the run
-    adherence_series: list | None = None     # per iteration, per hidden layer
     iterations: int = 0
 
 
@@ -237,7 +236,6 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
 
     losses = []
     inside = total = None
-    series = [] if cfg.trace_adherence else None
     order = rng.permutation(n_train)
     cursor = 0
     for it in range(cfg.iterations):
@@ -263,7 +261,6 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
             else:
                 inside += i
                 total += n
-            series.append((i / n).tolist())
 
         grads = backward(net, trace, d_logits)
         adam_step(params, grads, state, cfg)
@@ -281,6 +278,5 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
                                data.labels[data.test_idx], data.n_classes),
         head=head,
         adherence=None if inside is None else (inside / total).tolist(),
-        adherence_series=series,
         iterations=cfg.iterations,
     )

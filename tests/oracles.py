@@ -5,6 +5,7 @@ pure-python loops) and shares no code with the implementation under test.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -27,6 +28,98 @@ def naive_basis_vector(x, grid):
     t = grid.knots.tolist()
     return np.array([naive_basis(x, i, grid.degree, t)
                      for i in range(grid.n_basis)])
+
+
+def naive_silu(x):
+    return x / (1.0 + math.exp(-x))
+
+
+def naive_edge(x, coeffs, w_base, w_spline, grid):
+    """One edge at one point: w_base * silu(x) + w_spline * sum_i c_i B_i(x)."""
+    basis = naive_basis_vector(x, grid)
+    return (w_base * naive_silu(x)
+            + w_spline * sum(c * b for c, b in zip(coeffs, basis)))
+
+
+def naive_aggregate(values, kind):
+    """One node function, by name, on a list of floats."""
+    v = [float(x) for x in values]
+    n = len(v)
+    if kind in ("sum", "mean", "var", "std"):
+        total = 0.0
+        for x in v:
+            total += x
+        if kind == "sum":
+            return total
+        mean = total / n
+        if kind == "mean":
+            return mean
+        var = sum((x - mean) ** 2 for x in v) / n
+        return var if kind == "var" else math.sqrt(var)
+    if kind == "median":
+        s = sorted(v)
+        return s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
+    if kind == "norm":
+        return math.sqrt(sum(x * x for x in v))
+    if kind in ("min", "max"):
+        best = v[0]
+        for x in v[1:]:
+            if (x < best) if kind == "min" else (x > best):
+                best = x
+        return best
+    if kind == "multiply":
+        prod = 1.0
+        for x in v:
+            prod *= x
+        return prod
+    raise ValueError(kind)
+
+
+def naive_aggregate_grad(values, kind, upstream):
+    """Subgradient of naive_aggregate scaled by upstream, with the package's
+    conventions at non-smooth points: min/max send everything to the first
+    extremal index, the even-n median splits it halfway between the two
+    middle elements (stable order among ties), std/norm give zero at their
+    singular point."""
+    v = [float(x) for x in values]
+    n = len(v)
+    grad = [0.0] * n
+    if kind == "sum":
+        return [upstream] * n
+    if kind == "mean":
+        return [upstream / n] * n
+    if kind in ("var", "std"):
+        mean = naive_aggregate(v, "mean")
+        if kind == "var":
+            return [2.0 * (x - mean) / n * upstream for x in v]
+        std = naive_aggregate(v, "std")
+        if std == 0.0:
+            return grad
+        return [(x - mean) / (n * std) * upstream for x in v]
+    if kind == "norm":
+        norm = naive_aggregate(v, "norm")
+        if norm == 0.0:
+            return grad
+        return [x / norm * upstream for x in v]
+    if kind in ("min", "max"):
+        grad[v.index(naive_aggregate(v, kind))] = upstream
+        return grad
+    if kind == "median":
+        order = sorted(range(n), key=lambda i: v[i])   # sorted() is stable
+        if n % 2:
+            grad[order[n // 2]] = upstream
+        else:
+            grad[order[n // 2 - 1]] = grad[order[n // 2]] = upstream / 2
+        return grad
+    if kind == "multiply":
+        for i in range(n):
+            prod = 1.0
+            for j in range(n):
+                if j != i:
+                    prod *= v[j]
+            grad[i] = prod * upstream
+        return grad
+    raise ValueError(kind)
 
 
 def reference_adam(params, grad_fn, lr, beta1, beta2, eps, steps):

@@ -5,7 +5,7 @@ import pytest
 
 from kanagg import IngestionError, PreprocessError, load_manifest, load_table, \
     preprocess, synthetic_dataset
-from kanagg.data import ColumnSpec, DatasetManifest, load_cached, save_cached
+from kanagg.data import ColumnSpec, DatasetManifest
 
 
 def manifest_for(columns, **kw):
@@ -247,14 +247,3 @@ class TestManifestAndCache:
         }))
         m = load_manifest(mp)
         assert m.synthetic["kind"] == "gaussian-blobs"
-
-    def test_cache_round_trip(self, tmp_path):
-        d = synthetic_dataset("gaussian-blobs", 4, 80, seed=3)
-        path = tmp_path / "cached.npz"
-        save_cached(d, path)
-        back = load_cached(path)
-        np.testing.assert_array_equal(back.features, d.features)
-        np.testing.assert_array_equal(back.labels, d.labels)
-        np.testing.assert_array_equal(back.train_idx, d.train_idx)
-        assert back.n_classes == d.n_classes
-        assert back.name == d.name

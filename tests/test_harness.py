@@ -123,6 +123,21 @@ class TestComparison:
         assert res["p_value"] == 1.0
         assert len(records) == 3  # shared runs, not duplicated
 
+    def test_significant_result_written_to_report(self, tmp_path):
+        # numpy scalars in the Wilcoxon result made json.dumps fail here
+        config = quick_config(
+            "compare", variants=("kan", "kan-avg"), runs=6,
+            datasets=(blob_manifest(n_classes=3, noise=0.5),))
+        payload, records = run_comparison(config)
+        res = payload["wilcoxon"]["mini-blobs"]["kan vs kan-avg"]
+        assert res["method"] == "exact" and res["p_value"] < 1.0
+        assert type(res["p_value"]) is float and type(res["significant"]) is bool
+        out = write_report(payload, records, tmp_path / "cmp")
+        report = json.loads((out / "report.json").read_text())["payload"]
+        assert report["wilcoxon"] == payload["wilcoxon"]
+        lines = (out / "runs.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == records
+
     def test_three_way_pairs(self):
         config = quick_config("compare", runs=2)
         payload, _ = run_comparison(config)
@@ -259,9 +274,8 @@ class TestCli:
         assert rc == 0
         assert (out / "adherence.tsv").exists()
 
-    def test_preprocess_verb(self, tmp_path, capsys):
-        data = tmp_path / "demo.csv"
-        data.write_text("\n".join(
+    def test_dataset_warnings_in_run_records(self, tmp_path):
+        (tmp_path / "demo.csv").write_text("\n".join(
             f"{'rb'[i % 2]},{i},{'xy'[i % 2]}" for i in range(40)) + "\n")
         manifest = tmp_path / "demo.json"
         manifest.write_text(json.dumps({
@@ -269,14 +283,15 @@ class TestCli:
             "columns": [
                 {"name": "c", "role": "feature", "type": "categorical"},
                 {"name": "v", "role": "feature", "type": "numeric"},
-                {"name": "y", "role": "target", "type": "categorical"}]}))
-        out = tmp_path / "pre"
-        rc = cli_main(["preprocess", "--dataset", str(manifest),
-                       "--seed", "2", "--out", str(out)])
+                {"name": "y", "role": "target", "type": "categorical"}],
+            "expected": {"instances": 50, "classes": 2}}))
+        out = tmp_path / "out"
+        rc = cli_main(["compare", "--dataset", str(manifest),
+                       "--variants", "kan", "--runs", "1",
+                       "--iterations", "5", "--out", str(out)])
         assert rc == 0
-        assert (out / "demo.npz").exists()
-        printed = capsys.readouterr().out
-        assert "train/val/test (24, 8, 8)" in printed
+        run = json.loads((out / "runs.jsonl").read_text().splitlines()[0])
+        assert run["warnings"] == ["expected 50 instances, found 40"]
 
     def test_failed_runs_exit_nonzero(self, tmp_path, capsys):
         manifest = tmp_path / "broken.json"

@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from kanagg import (Aggregator, ConfigError, NetworkConfig, build_network,
-                    forward, layer_norm, load_checkpoint, mean_to_scaled_sum,
-                    range_adherence, save_checkpoint)
+                    forward, load_checkpoint, mean_to_scaled_sum,
+                    save_checkpoint)
 from kanagg.aggregators import AGGREGATOR_NAMES
+from kanagg.network import LayerNormParams, _layer_norm, adherence_counts
+
+from oracles import naive_edge
 
 
 def small_net(aggs=("mean", "mean"), widths=(4, 10, 1), seed=0, **kw):
@@ -55,13 +60,14 @@ class TestForward:
             out = forward(net, np.array([0.3, -0.8, 0.5]))
             np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
-    def test_single_edge_network_is_edge_forward(self):
-        from kanagg import edge_forward
+    def test_single_edge_network_matches_edge_oracle(self):
         net = build_network(NetworkConfig((1, 1), ("sum",), seed=3))
+        layer = net.layers[0]
         x = 0.37
         out = forward(net, np.array([x]))
-        assert out[0] == pytest.approx(edge_forward(x, net.layers[0].edge(0, 0)),
-                                       abs=1e-12)
+        assert out[0] == pytest.approx(
+            naive_edge(x, layer.coeffs[0, 0], layer.w_base[0, 0],
+                       layer.w_spline[0, 0], layer.grid), abs=1e-12)
 
     def test_aggregation_of_one_value_is_identity_for_location_kinds(self):
         for agg in ("sum", "mean", "min", "max", "median"):
@@ -70,6 +76,14 @@ class TestForward:
             ref = forward(build_network(NetworkConfig((1, 1), ("sum",), seed=3)),
                           np.array([0.4]))
             np.testing.assert_allclose(out, ref, atol=1e-12)
+
+    def test_non_finite_input_rejected(self):
+        net = small_net()
+        for bad in (np.nan, np.inf):
+            x = np.zeros((3, 4))
+            x[1, 2] = bad
+            with pytest.raises(ValueError):
+                forward(net, x)
 
     def test_dimension_mismatch(self):
         net = small_net()
@@ -129,19 +143,24 @@ class TestScaledSumEquivalence:
         np.testing.assert_array_equal(twin.layers[1].w_base, net.layers[1].w_base)
 
 
+def normalize(v, gain, bias, eps=1e-5):
+    return _layer_norm(np.asarray(v, dtype=float),
+                       LayerNormParams(gain, bias, eps))[0]
+
+
 class TestLayerNorm:
     def test_constant_vector_maps_to_bias(self):
-        out = layer_norm(np.array([1.0, 1.0, 1.0]), np.ones(3), np.zeros(3))
+        out = normalize([1.0, 1.0, 1.0], np.ones(3), np.zeros(3))
         np.testing.assert_allclose(out, 0.0)
 
     def test_unit_population_std(self):
-        out = layer_norm(np.array([-1.0, 1.0]), np.ones(2), np.zeros(2), eps=1e-5)
+        out = normalize([-1.0, 1.0], np.ones(2), np.zeros(2), eps=1e-5)
         np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-4)
 
     def test_affine_law(self):
         v = np.array([0.2, -1.4, 0.9, 2.2])
-        z = layer_norm(v, np.ones(4), np.zeros(4))
-        out = layer_norm(v, np.full(4, 2.0), np.ones(4))
+        z = normalize(v, np.ones(4), np.zeros(4))
+        out = normalize(v, np.full(4, 2.0), np.ones(4))
         np.testing.assert_allclose(out, 2 * z + 1, atol=1e-12)
 
     def test_applied_to_hidden_only(self):
@@ -154,11 +173,18 @@ class TestLayerNorm:
         assert not np.allclose(trace.normed_values[1].mean(axis=1), 0.0, atol=1e-6)
         np.testing.assert_array_equal(trace.normed_values[1], trace.node_values[1])
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            layer_norm(np.array([]), np.ones(0), np.zeros(0))
-        with pytest.raises(ValueError):
-            layer_norm(np.ones(3), np.ones(3), np.zeros(3), eps=0.0)
+    def test_invalid(self, tmp_path):
+        # a hidden layer is never empty, and eps enters only from checkpoints
+        with pytest.raises(ConfigError):
+            small_net(widths=(3, 0, 2), layer_norm=True)
+        path = tmp_path / "net.json"
+        save_checkpoint(small_net(widths=(3, 4, 2), layer_norm=True), path)
+        doc = json.loads(path.read_text())
+        for eps in (0.0, -1e-5, float("nan"), float("inf")):
+            doc["layer_norms"][0]["eps"] = eps
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="eps"):
+                load_checkpoint(path)
 
 
 class TestRangeAdherence:
@@ -171,23 +197,28 @@ class TestRangeAdherence:
 
     def test_fraction_with_boundaries_inclusive(self):
         trace = self._trace_with_hidden([0.5, -2.0, 0.3, 1.0])
-        np.testing.assert_allclose(range_adherence([trace], -1.0, 1.0), [0.75])
+        inside, total = adherence_counts(trace, -1.0, 1.0)
+        assert inside.tolist() == [3] and total.tolist() == [4]
 
     def test_all_inside(self):
         trace = self._trace_with_hidden([0.1, -0.9, 0.0, 0.2])
-        np.testing.assert_allclose(range_adherence([trace], -1.0, 1.0), [1.0])
+        inside, total = adherence_counts(trace, -1.0, 1.0)
+        assert inside.tolist() == total.tolist() == [4]
 
     def test_pools_across_traces(self):
+        # counts, not fractions, so train can pool a whole run
         t1 = self._trace_with_hidden([0.0, 0.0, 5.0, 0.0])
         t2 = self._trace_with_hidden([5.0, 5.0, 5.0, 0.0])
-        np.testing.assert_allclose(range_adherence([t1, t2], -1, 1), [0.5])
+        (i1, n1), (i2, n2) = (adherence_counts(t, -1, 1) for t in (t1, t2))
+        np.testing.assert_allclose((i1 + i2) / (n1 + n2), [0.5])
 
     def test_monotone_under_widening(self):
         rng = np.random.default_rng(3)
-        traces = [self._trace_with_hidden(rng.normal(0, 1.2, 6)) for _ in range(5)]
-        narrow = range_adherence(traces, -1.0, 1.0)
-        wide = range_adherence(traces, -2.0, 2.0)
-        assert np.all(narrow <= wide)
+        for _ in range(5):
+            trace = self._trace_with_hidden(rng.normal(0, 1.2, 6))
+            narrow, _ = adherence_counts(trace, -1.0, 1.0)
+            wide, _ = adherence_counts(trace, -2.0, 2.0)
+            assert np.all(narrow <= wide)
 
     def test_zero_parameter_network_fully_adherent(self):
         net = small_net(aggs=("sum", "sum"), widths=(3, 5, 2))
@@ -197,15 +228,8 @@ class TestRangeAdherence:
             layer.w_spline[...] = 0.0
         x = np.random.default_rng(0).uniform(-1, 1, (10, 3))
         _, trace = forward(net, x, trace=True)
-        np.testing.assert_allclose(range_adherence([trace], -1, 1), [1.0])
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            range_adherence([], -1, 1)
-        net = build_network(NetworkConfig((2, 2), ("sum",)))
-        _, trace = forward(net, np.zeros((1, 2)), trace=True)
-        with pytest.raises(ValueError):
-            range_adherence([trace], -1, 1)  # no hidden layer
+        inside, total = adherence_counts(trace, -1, 1)
+        assert inside.tolist() == total.tolist() == [50]
 
 
 class TestCheckpoint:
@@ -229,4 +253,24 @@ class TestCheckpoint:
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def _saved_doc(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(small_net(aggs=("sum", "sum"), widths=(3, 4, 2)), path)
+        return path, json.loads(path.read_text())
+
+    def test_rejects_missing_layer(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["layers"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="layers"):
+            load_checkpoint(path)
+
+    def test_rejects_broadcast_coeffs(self, tmp_path):
+        # one edge's coefficients would broadcast into every edge of the layer
+        path, doc = self._saved_doc(tmp_path)
+        doc["layers"][0]["coeffs"] = doc["layers"][0]["coeffs"][0][0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="coeffs"):
             load_checkpoint(path)

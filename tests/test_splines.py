@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from kanagg import (EdgeActivation, basis_eval, edge_backward, edge_forward,
-                    make_grid)
-from kanagg.splines import basis_matrix, silu
+from kanagg import (NetworkConfig, backward, build_network, forward,
+                    load_checkpoint, make_grid, save_checkpoint)
+from kanagg.splines import basis_matrix
 
-from oracles import naive_basis_vector, relative_error
+from oracles import naive_basis_vector, naive_edge, naive_silu, relative_error
 
 
 class TestMakeGrid:
@@ -43,9 +45,9 @@ class TestMakeGrid:
 class TestBasisEval:
     def test_degree_zero_indicator(self):
         g = make_grid(0.0, 1.0, 1, 0)
-        vals, derivs = basis_eval(0.5, g)
-        np.testing.assert_allclose(vals, [1.0])
-        np.testing.assert_allclose(derivs, [0.0])
+        vals, derivs = basis_matrix(np.array([0.5]), g)
+        np.testing.assert_allclose(vals, [[1.0]])
+        np.testing.assert_allclose(derivs, [[0.0]])
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(0)
@@ -58,146 +60,175 @@ class TestBasisEval:
 
     def test_matches_naive_recursion(self):
         g = make_grid(-1.0, 1.0, 3, 3)
-        for x in np.linspace(-1.0, 1.0, 100, endpoint=False):
-            vals, _ = basis_eval(x, g)
-            np.testing.assert_allclose(vals, naive_basis_vector(x, g), atol=1e-10)
+        xs = np.linspace(-1.0, 1.0, 100, endpoint=False)
+        vals, _ = basis_matrix(xs, g)
+        for x, row in zip(xs, vals):
+            np.testing.assert_allclose(row, naive_basis_vector(x, g), atol=1e-10)
 
     def test_matches_naive_outside_range(self):
         g = make_grid(-1.0, 1.0, 3, 3)
-        for x in [-2.5, -1.2, 1.3, 2.9]:
-            vals, _ = basis_eval(x, g)
-            np.testing.assert_allclose(vals, naive_basis_vector(x, g), atol=1e-10)
+        xs = np.array([-2.5, -1.2, 1.3, 2.9])
+        vals, _ = basis_matrix(xs, g)
+        for x, row in zip(xs, vals):
+            np.testing.assert_allclose(row, naive_basis_vector(x, g), atol=1e-10)
 
     def test_local_support(self):
         g = make_grid(-1.0, 1.0, 4, 2)
-        rng = np.random.default_rng(1)
-        for x in rng.uniform(-2.0, 2.0, 50):
-            vals, _ = basis_eval(x, g)
-            for i, v in enumerate(vals):
+        xs = np.random.default_rng(1).uniform(-2.0, 2.0, 50)
+        vals, _ = basis_matrix(xs, g)
+        for x, row in zip(xs, vals):
+            for i, v in enumerate(row):
                 if not (g.knots[i] <= x <= g.knots[i + g.degree + 1]):
                     assert v == 0.0
 
     def test_zero_outside_knot_span(self):
         g = make_grid(-1.0, 1.0, 3, 3)
-        for x in (-3.5, 3.5, 100.0):
-            vals, derivs = basis_eval(x, g)
-            assert np.all(vals == 0.0)
-            assert np.all(derivs == 0.0)
+        vals, derivs = basis_matrix(np.array([-3.5, 3.5, 100.0]), g)
+        assert np.all(vals == 0.0)
+        assert np.all(derivs == 0.0)
 
     def test_derivative_matches_finite_differences(self):
         g = make_grid(-1.0, 1.0, 3, 3)
-        rng = np.random.default_rng(2)
+        xs = np.random.default_rng(2).uniform(-0.95, 0.95, 50)
         h = 1e-6
-        for x in rng.uniform(-0.95, 0.95, 50):
-            _, derivs = basis_eval(x, g)
-            up, _ = basis_eval(x + h, g)
-            dn, _ = basis_eval(x - h, g)
-            np.testing.assert_allclose(derivs, (up - dn) / (2 * h), atol=1e-5)
-
-    def test_non_finite_x_rejected(self):
-        g = make_grid(-1.0, 1.0, 3, 3)
-        with pytest.raises(ValueError):
-            basis_eval(float("nan"), g)
-        with pytest.raises(ValueError):
-            basis_eval(float("inf"), g)
+        _, derivs = basis_matrix(xs, g)
+        up, _ = basis_matrix(xs + h, g)
+        dn, _ = basis_matrix(xs - h, g)
+        np.testing.assert_allclose(derivs, (up - dn) / (2 * h), atol=1e-5)
 
 
-def random_edge(rng, grid):
-    return EdgeActivation(rng.normal(0, 0.5, grid.n_basis),
-                          float(rng.normal()), float(rng.normal()), grid)
+# A [1, 1] sum network computes exactly one edge, phi(x). In a [1, 1, 1] sum
+# network whose first edge is w_base * silu(X0) with zero coefficients, the
+# second edge sees h = phi_1(X0) and backward gives
+#   d loss / d w_base(first edge) = upstream * phi_2'(h) * silu(X0),
+# which exposes the input partial of the second edge.
+X0 = 1.0
+
+
+def single_edge(coeffs, w_base, w_spline):
+    net = build_network(NetworkConfig((1, 1), ("sum",)))
+    layer = net.layers[0]
+    layer.coeffs[0, 0] = coeffs
+    layer.w_base[0, 0] = w_base
+    layer.w_spline[0, 0] = w_spline
+    return net
+
+
+def random_edge(rng, n_basis):
+    return rng.normal(0, 0.5, n_basis), float(rng.normal()), float(rng.normal())
+
+
+def phi(net, x):
+    return float(forward(net, np.array([x]))[0])
+
+
+def edge_gradients(coeffs, w_base, w_spline, x, upstream):
+    """(h, d_x, d_coeffs, d_w_base, d_w_spline) of the edge at h ~= x, each
+    scaled by upstream, from backward of a [1, 1, 1] sum network."""
+    net = build_network(NetworkConfig((1, 1, 1), ("sum", "sum")))
+    first, second = net.layers
+    first.coeffs[...] = 0.0
+    first.w_base[...] = x / naive_silu(X0)
+    second.coeffs[0, 0] = coeffs
+    second.w_base[...] = w_base
+    second.w_spline[...] = w_spline
+    _, trace = forward(net, np.array([[X0]]), trace=True)
+    grads = backward(net, trace, np.array([[upstream]]))
+    d_x = grads[1][0, 0] / naive_silu(X0)
+    return (float(trace.inputs[1][0, 0]), float(d_x), grads[3][0, 0],
+            float(grads[4][0, 0]), float(grads[5][0, 0]))
+
+
+def finite_difference(net, array, index, x, step):
+    """Central difference of phi(x) in one parameter entry of `net`."""
+    orig = array[index]
+    array[index] = orig + step
+    hi = phi(net, x)
+    array[index] = orig - step
+    lo = phi(net, x)
+    array[index] = orig
+    return (hi - lo) / (2 * step)
 
 
 class TestEdgeForward:
     def test_silu_zero_at_origin(self):
-        g = make_grid(-1.0, 1.0, 3, 3)
-        e = EdgeActivation(np.zeros(g.n_basis), 1.0, 1.0, g)
-        assert edge_forward(0.0, e) == 0.0
+        assert phi(single_edge(np.zeros(6), 1.0, 1.0), 0.0) == 0.0
 
     def test_constant_coeffs_reproduce_constant(self):
-        g = make_grid(-1.0, 1.0, 3, 3)
-        e = EdgeActivation(np.full(g.n_basis, 0.7), 0.0, 1.0, g)
+        net = single_edge(np.full(6, 0.7), 0.0, 1.0)
         for x in (-0.9, -0.2, 0.4, 0.99):
-            assert edge_forward(x, e) == pytest.approx(0.7, abs=1e-12)
+            assert phi(net, x) == pytest.approx(0.7, abs=1e-12)
 
     def test_matches_direct_summation(self):
         g = make_grid(-1.0, 1.0, 3, 3)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            e = random_edge(rng, g)
+            edge = random_edge(rng, g.n_basis)
             x = float(rng.uniform(-2, 2))
-            vals, _ = basis_eval(x, g)
-            direct = e.w_base * float(silu(x)) + e.w_spline * float(e.coeffs @ vals)
-            assert edge_forward(x, e) == pytest.approx(direct, abs=1e-12)
+            assert phi(single_edge(*edge), x) == pytest.approx(
+                naive_edge(x, *edge, g), abs=1e-12)
 
     def test_linear_in_each_parameter_block(self):
-        g = make_grid(-1.0, 1.0, 3, 3)
-        rng = np.random.default_rng(4)
-        e = random_edge(rng, g)
+        coeffs, w_base, w_spline = random_edge(np.random.default_rng(4), 6)
         x = 0.37
-        base = edge_forward(x, e)
+        base = phi(single_edge(coeffs, w_base, w_spline), x)
         # scaling (w_base, w_spline) together scales the whole edge output
-        scaled = EdgeActivation(e.coeffs, 2.5 * e.w_base, 2.5 * e.w_spline, g)
-        assert edge_forward(x, scaled) == pytest.approx(2.5 * base, rel=1e-12)
+        scaled = single_edge(coeffs, 2.5 * w_base, 2.5 * w_spline)
+        assert phi(scaled, x) == pytest.approx(2.5 * base, rel=1e-12)
         # at w_base = 0 the output is linear in the coefficients
-        e0 = EdgeActivation(e.coeffs, 0.0, e.w_spline, g)
-        e0_scaled = EdgeActivation(3.0 * e.coeffs, 0.0, e.w_spline, g)
-        assert edge_forward(x, e0_scaled) == pytest.approx(
-            3.0 * edge_forward(x, e0), rel=1e-12)
+        e0 = single_edge(coeffs, 0.0, w_spline)
+        e0_scaled = single_edge(3.0 * coeffs, 0.0, w_spline)
+        assert phi(e0_scaled, x) == pytest.approx(3.0 * phi(e0, x), rel=1e-12)
 
-    def test_coeff_length_validated(self):
-        g = make_grid(-1.0, 1.0, 3, 3)
+    def test_coeff_length_validated(self, tmp_path):
+        # coefficients enter from outside only through checkpoints
+        path = tmp_path / "edge.json"
+        save_checkpoint(single_edge(np.zeros(6), 1.0, 1.0), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["coeffs"] = [[[0.0] * 7]]
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
-            EdgeActivation(np.zeros(g.n_basis + 1), 1.0, 1.0, g)
+            load_checkpoint(path)
 
 
 class TestEdgeBackward:
     def test_zero_upstream(self):
-        g = make_grid(-1.0, 1.0, 3, 3)
-        e = random_edge(np.random.default_rng(5), g)
-        d_x, d_c, d_wb, d_ws = edge_backward(0.3, e, 0.0)
+        edge = random_edge(np.random.default_rng(5), 6)
+        _, d_x, d_c, d_wb, d_ws = edge_gradients(*edge, 0.3, 0.0)
         assert d_x == 0.0 and d_wb == 0.0 and d_ws == 0.0
         assert np.all(d_c == 0.0)
 
     def test_coeff_gradient_is_scaled_basis(self):
         g = make_grid(-1.0, 1.0, 3, 3)
-        e = EdgeActivation(np.random.default_rng(6).normal(size=g.n_basis),
-                           0.0, 1.7, g)
+        coeffs = np.random.default_rng(6).normal(size=g.n_basis)
         up = 2.0
-        _, d_c, _, _ = edge_backward(0.25, e, up)
-        vals, _ = basis_eval(0.25, g)
-        np.testing.assert_allclose(d_c, up * 1.7 * vals, atol=1e-14)
+        h, _, d_c, _, _ = edge_gradients(coeffs, 0.0, 1.7, 0.25, up)
+        np.testing.assert_allclose(d_c, up * 1.7 * naive_basis_vector(h, g),
+                                   atol=1e-14)
 
     def test_matches_finite_differences(self):
         g = make_grid(-1.0, 1.0, 3, 3)
         rng = np.random.default_rng(7)
         step = 1e-5
         for _ in range(200):
-            e = random_edge(rng, g)
+            edge = random_edge(rng, g.n_basis)
             x = float(rng.uniform(-2.0, 2.0))  # includes out-of-range points
             up = float(rng.normal())
             if abs(up) < 1e-3:
                 up = 1.0
-            d_x, d_c, d_wb, d_ws = edge_backward(x, e, up)
+            h, d_x, d_c, d_wb, d_ws = edge_gradients(*edge, x, up)
+            net = single_edge(*edge)
+            layer = net.layers[0]
 
-            fd_x = (edge_forward(x + step, e) - edge_forward(x - step, e)) / (2 * step)
+            fd_x = (phi(net, h + step) - phi(net, h - step)) / (2 * step)
             assert relative_error(d_x, up * fd_x, floor=1e-5) < 1e-4
-
             for i in range(g.n_basis):
-                bumped = e.coeffs.copy()
-                bumped[i] += step
-                hi = edge_forward(x, EdgeActivation(bumped, e.w_base, e.w_spline, g))
-                bumped[i] -= 2 * step
-                lo = edge_forward(x, EdgeActivation(bumped, e.w_base, e.w_spline, g))
-                assert relative_error(d_c[i], up * (hi - lo) / (2 * step),
-                                      floor=1e-5) < 1e-4
-
-            hi = edge_forward(x, EdgeActivation(e.coeffs, e.w_base + step, e.w_spline, g))
-            lo = edge_forward(x, EdgeActivation(e.coeffs, e.w_base - step, e.w_spline, g))
-            assert relative_error(d_wb, up * (hi - lo) / (2 * step), floor=1e-5) < 1e-4
-
-            hi = edge_forward(x, EdgeActivation(e.coeffs, e.w_base, e.w_spline + step, g))
-            lo = edge_forward(x, EdgeActivation(e.coeffs, e.w_base, e.w_spline - step, g))
-            assert relative_error(d_ws, up * (hi - lo) / (2 * step), floor=1e-5) < 1e-4
+                fd = finite_difference(net, layer.coeffs, (0, 0, i), h, step)
+                assert relative_error(d_c[i], up * fd, floor=1e-5) < 1e-4
+            fd = finite_difference(net, layer.w_base, (0, 0), h, step)
+            assert relative_error(d_wb, up * fd, floor=1e-5) < 1e-4
+            fd = finite_difference(net, layer.w_spline, (0, 0), h, step)
+            assert relative_error(d_ws, up * fd, floor=1e-5) < 1e-4
 
     def test_thousand_sample_spot_check(self):
         # one random coefficient plus d_x/d_w_base/d_w_spline per sample,
@@ -206,25 +237,18 @@ class TestEdgeBackward:
         rng = np.random.default_rng(8)
         step = 1e-5
         for i in range(1000):
-            e = random_edge(rng, g)
+            edge = random_edge(rng, g.n_basis)
             x = float(rng.uniform(-1, 1) if i % 2 else rng.uniform(-3, 3))
-            d_x, d_c, d_wb, d_ws = edge_backward(x, e, 1.0)
+            h, d_x, d_c, d_wb, d_ws = edge_gradients(*edge, x, 1.0)
+            net = single_edge(*edge)
+            layer = net.layers[0]
 
-            fd_x = (edge_forward(x + step, e) - edge_forward(x - step, e)) / (2 * step)
+            fd_x = (phi(net, h + step) - phi(net, h - step)) / (2 * step)
             assert relative_error(d_x, fd_x, floor=1e-5) < 1e-4
-
             j = int(rng.integers(g.n_basis))
-            bumped = e.coeffs.copy()
-            bumped[j] += step
-            hi = edge_forward(x, EdgeActivation(bumped, e.w_base, e.w_spline, g))
-            bumped[j] -= 2 * step
-            lo = edge_forward(x, EdgeActivation(bumped, e.w_base, e.w_spline, g))
-            assert relative_error(d_c[j], (hi - lo) / (2 * step), floor=1e-5) < 1e-4
-
-            hi = edge_forward(x, EdgeActivation(e.coeffs, e.w_base + step, e.w_spline, g))
-            lo = edge_forward(x, EdgeActivation(e.coeffs, e.w_base - step, e.w_spline, g))
-            assert relative_error(d_wb, (hi - lo) / (2 * step), floor=1e-5) < 1e-4
-
-            hi = edge_forward(x, EdgeActivation(e.coeffs, e.w_base, e.w_spline + step, g))
-            lo = edge_forward(x, EdgeActivation(e.coeffs, e.w_base, e.w_spline - step, g))
-            assert relative_error(d_ws, (hi - lo) / (2 * step), floor=1e-5) < 1e-4
+            fd = finite_difference(net, layer.coeffs, (0, 0, j), h, step)
+            assert relative_error(d_c[j], fd, floor=1e-5) < 1e-4
+            fd = finite_difference(net, layer.w_base, (0, 0), h, step)
+            assert relative_error(d_wb, fd, floor=1e-5) < 1e-4
+            fd = finite_difference(net, layer.w_spline, (0, 0), h, step)
+            assert relative_error(d_ws, fd, floor=1e-5) < 1e-4

@@ -50,23 +50,25 @@ class TestRankWithTies:
 
 class TestAverageRank:
     def test_single_dataset(self):
-        means, stds, order = average_rank(np.array([[3.0], [1.0], [2.0]]))
+        ranks = np.array([[3.0], [1.0], [2.0]])
+        means, stds = average_rank(ranks)
         np.testing.assert_allclose(means, [3, 1, 2])
         np.testing.assert_allclose(stds, [0, 0, 0])
-        assert order.tolist() == [1, 2, 0]
+        table = make_rank_table(("a", "b", "c"), ("d",), ranks)
+        assert table.sorted_indices().tolist() == [1, 2, 0]
 
     def test_population_std(self):
-        means, stds, _ = average_rank(np.array([[10.0, 20.0]]))
+        means, stds = average_rank(np.array([[10.0, 20.0]]))
         assert means[0] == 15.0
         assert stds[0] == 5.0
 
     def test_always_first_combination(self):
         ranks = np.ones((1, 7))
-        means, stds, _ = average_rank(ranks)
+        means, stds = average_rank(ranks)
         assert means[0] == 1.0 and stds[0] == 0.0
 
     def test_nan_entries_ignored(self):
-        means, _, _ = average_rank(np.array([[1.0, np.nan], [2.0, 2.0]]))
+        means, _ = average_rank(np.array([[1.0, np.nan], [2.0, 2.0]]))
         assert means[0] == 1.0 and means[1] == 2.0
 
     def test_rank_table_structure(self):
@@ -148,6 +150,20 @@ class TestWilcoxon:
             assert res.w_plus == pytest.approx(w_oracle, abs=1e-12), (a, b)
             assert res.p_value == pytest.approx(p_oracle, abs=1e-12), (a, b)
 
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_matches_brute_force_beyond_acceptance_range(self, n):
+        # acceptance criterion 4 stops at n = 12
+        rng = np.random.default_rng(40 + n)
+        for case in range(2):
+            b = rng.normal(size=n)
+            a = b + rng.normal(size=n)
+            if case:   # ties in |d| and zero differences
+                a = b + rng.choice([-1.0, 1.0], n) * rng.integers(0, 4, n) * 0.5
+            res = wilcoxon_signed_rank(a, b)
+            w_oracle, p_oracle = brute_force_wilcoxon(a.tolist(), b.tolist())
+            assert res.w_plus == pytest.approx(w_oracle, abs=1e-12), (a, b)
+            assert res.p_value == pytest.approx(p_oracle, abs=1e-12), (a, b)
+
     def test_matches_scipy_exact_when_clean(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(5)
@@ -175,8 +191,6 @@ class TestWilcoxon:
             wilcoxon_signed_rank([1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([], [])
-        with pytest.raises(ValueError):
-            wilcoxon_signed_rank([1.0], [0.5], paired=False)
 
     @given(st.integers(0, 2 ** 31), st.integers(2, 16))
     @settings(max_examples=30, deadline=None)
