@@ -1,30 +1,41 @@
 """Tabular dataset ingestion and preprocessing.
 
-Pipeline, in order, all statistics fitted on the train split only:
+Ingestion rejects numeric cells that do not parse as finite numbers. The
+pipeline then runs, in order, with all statistics fitted on the train split
+only:
   1. shuffle rows by seed, split 60/20/20 in shuffled order (rounding
      remainder goes to train),
   2. encode categorical features as integer codes in first-appearance order
      over the train split; categories unseen in train get one reserved code,
   3. impute missing numerics with the train mean, missing categoricals with
-     the train mode,
+     the train mode (ties go to the category that appeared first),
   4. affinely scale each feature to [-1, 1] using train min/max (constant
      features map to 0); val/test are transformed with the train statistics,
      so they may fall slightly outside the range.
 
 Scaling exists because the spline grids live on [-1, 1]; it can be disabled
 for strict replication of the upstream recipe, which never mentions scaling.
+Synthetic datasets go through the same split and scaling code (`_split`,
+`_scale_column`) as file-backed ones.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 TRAIN_FRACTION, VAL_FRACTION, TEST_FRACTION = 0.6, 0.2, 0.2
+# a manifest's "synthetic" spec: the keyword arguments it may pass to
+# synthetic_dataset, with their types; synthetic_dataset owns the defaults
+SYNTHETIC_TYPES = {"kind": str, "n_features": int, "n_instances": int,
+                   "n_classes": int, "separation": (int, float), "noise": (int, float)}
+SYNTHETIC_REQUIRED = ("kind", "n_features", "n_instances")
 
 
 class IngestionError(ValueError):
@@ -68,6 +79,7 @@ class DatasetManifest:
 
     def validate(self):
         if self.synthetic is not None:
+            self._validate_synthetic()
             return
         self.target_column()
         if not self.feature_columns():
@@ -77,6 +89,20 @@ class DatasetManifest:
             raise IngestionError(
                 f"manifest {self.name!r} declares {len(self.feature_columns())} "
                 f"feature columns but expects {self.expected_features}")
+
+    def _validate_synthetic(self):
+        spec = self.synthetic
+        problems = {
+            "missing keys": [k for k in SYNTHETIC_REQUIRED if k not in spec],
+            "unknown keys": sorted(set(spec) - set(SYNTHETIC_TYPES)),
+            "keys of the wrong type": sorted(
+                k for k, v in spec.items() if k in SYNTHETIC_TYPES
+                and (isinstance(v, bool) or not isinstance(v, SYNTHETIC_TYPES[k]))),
+        }
+        for problem, keys in problems.items():
+            if keys:
+                raise IngestionError(
+                    f"manifest {self.name!r}: synthetic spec has {problem} {keys}")
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -105,7 +131,6 @@ def load_manifest(path) -> DatasetManifest:
 class RawTable:
     """Typed columns with missing cells as None; shape checked against the manifest."""
 
-    manifest: DatasetManifest
     columns: dict            # column name -> list of float | str | None
     n_rows: int
     n_missing: int
@@ -146,17 +171,19 @@ def load_table(path, manifest: DatasetManifest) -> RawTable:
                     continue
                 if spec.role == "feature" and spec.type == "numeric":
                     try:
-                        columns[spec.name].append(float(cell))
-                    except ValueError as exc:
+                        value = float(cell)
+                    except ValueError:
+                        value = math.nan      # reported with the non-finite cells
+                    if not math.isfinite(value):
                         raise IngestionError(
                             f"{path}: row {row_no}, column {spec.name!r}: "
-                            f"cannot parse {cell!r} as numeric") from exc
+                            f"cannot parse {cell!r} as a finite number")
+                    columns[spec.name].append(value)
                 else:
                     columns[spec.name].append(cell)
     if n_rows == 0:
         raise IngestionError(f"{path}: no data rows")
-    return RawTable(manifest=manifest, columns=columns, n_rows=n_rows,
-                    n_missing=n_missing)
+    return RawTable(columns=columns, n_rows=n_rows, n_missing=n_missing)
 
 
 @dataclass
@@ -178,10 +205,7 @@ class Dataset:
     val_idx: np.ndarray
     test_idx: np.ndarray
     n_classes: int
-    label_names: list
-    feature_names: list
     stats: dict = field(default_factory=dict)   # feature name -> FeatureStats
-    seed: int = 0
     scaled: bool = True
     warnings: list = field(default_factory=list)
 
@@ -194,12 +218,23 @@ class Dataset:
         return self.features.shape[0]
 
 
-def _split_sizes(n: int):
-    # rounding (not flooring) keeps every split within one row of its
-    # fraction; the remainder lands in train
+def _split(n: int, rng):
+    """Shuffled (train, val, test) row indices, 60/20/20. Rounding (not
+    flooring) keeps every split within one row of its fraction; the
+    remainder lands in train."""
+    perm = rng.permutation(n)
     n_val = round(n * VAL_FRACTION)
-    n_test = round(n * TEST_FRACTION)
-    return n - n_val - n_test, n_val, n_test
+    n_train = n - n_val - round(n * TEST_FRACTION)
+    return perm[:n_train], perm[n_train: n_train + n_val], perm[n_train + n_val:]
+
+
+def _scale_column(matrix: np.ndarray, j: int, train_rows) -> tuple[float, float]:
+    """Map column j in place affinely onto [-1, 1] by its train min/max (a
+    constant column maps to 0); returns that (min, max)."""
+    lo = float(matrix[train_rows, j].min())
+    hi = float(matrix[train_rows, j].max())
+    matrix[:, j] = (matrix[:, j] - lo) / (hi - lo) * 2.0 - 1.0 if hi > lo else 0.0
+    return lo, hi
 
 
 def _encode_labels(values, name):
@@ -215,18 +250,7 @@ def _encode_labels(values, name):
     except (TypeError, ValueError):
         vocab = sorted(str(v) for v in distinct)
     code = {v: i for i, v in enumerate(vocab)}
-    return np.array([code[v] for v in values], dtype=np.int64), [str(v) for v in vocab]
-
-
-def _mode(values):
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.items(), key=lambda kv: kv[1])[1]
-    for v in values:             # first-appearance order breaks ties
-        if counts[v] == best:
-            return v
-    raise AssertionError("unreachable")
+    return np.array([code[v] for v in values], dtype=np.int64), len(vocab)
 
 
 def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
@@ -234,58 +258,47 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
     """Shuffle, split, encode, impute, and scale one raw table."""
     manifest.validate()
     n = raw.n_rows
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_train, n_val, n_test = _split_sizes(n)
-    train_rows = perm[:n_train]
-    train_set = set(train_rows.tolist())
+    train_rows, val_rows, test_rows = _split(n, np.random.default_rng(seed))
+    train_list = train_rows.tolist()
 
-    labels, label_names = _encode_labels(raw.columns[manifest.target_column().name],
-                                         manifest.name)
+    labels, n_classes = _encode_labels(raw.columns[manifest.target_column().name],
+                                       manifest.name)
     warnings = []
     if manifest.expected_instances is not None and manifest.expected_instances != n:
         warnings.append(f"expected {manifest.expected_instances} instances, found {n}")
     if (manifest.expected_classes is not None
-            and manifest.expected_classes != len(label_names)):
+            and manifest.expected_classes != n_classes):
         warnings.append(f"expected {manifest.expected_classes} classes, "
-                        f"found {len(label_names)}")
+                        f"found {n_classes}")
 
     feature_specs = manifest.feature_columns()
     matrix = np.empty((n, len(feature_specs)), dtype=np.float64)
     stats = {}
     for j, spec in enumerate(feature_specs):
         col = raw.columns[spec.name]
-        observed_train = [col[i] for i in train_rows if col[i] is not None]
+        observed_train = [col[i] for i in train_list if col[i] is not None]
         if not observed_train:
             raise PreprocessError(
                 f"{manifest.name}: feature {spec.name!r} has no observed values "
                 f"in the train split")
         if spec.type == "categorical":
-            codes = {}
-            for i in train_rows:         # first appearance in shuffled train order
-                v = col[i]
-                if v is not None and v not in codes:
-                    codes[v] = len(codes)
-            impute = _mode(observed_train)
+            # codes in first appearance in shuffled train order; max keeps the
+            # first of equally frequent categories, so the mode's ties go to
+            # the earliest one
+            codes = {v: k for k, v in enumerate(dict.fromkeys(observed_train))}
+            counts = Counter(observed_train)
+            impute = max(codes, key=counts.__getitem__)
             reserved = len(codes)
             st = FeatureStats(kind="categorical", impute_value=impute,
                               categories=codes, reserved_code=reserved)
-            for i in range(n):
-                v = col[i] if col[i] is not None else impute
-                matrix[i, j] = codes.get(v, reserved)
+            matrix[:, j] = [codes.get(impute if v is None else v, reserved)
+                            for v in col]
         else:
             impute = float(np.mean(observed_train))
             st = FeatureStats(kind="numeric", impute_value=impute)
-            for i in range(n):
-                matrix[i, j] = col[i] if col[i] is not None else impute
+            matrix[:, j] = [impute if v is None else v for v in col]
         if scale_features:
-            lo = float(matrix[train_rows, j].min())
-            hi = float(matrix[train_rows, j].max())
-            st.lo, st.hi = lo, hi
-            if hi > lo:
-                matrix[:, j] = (matrix[:, j] - lo) / (hi - lo) * 2.0 - 1.0
-            else:
-                matrix[:, j] = 0.0
+            st.lo, st.hi = _scale_column(matrix, j, train_rows)
         stats[spec.name] = st
 
     return Dataset(
@@ -293,13 +306,10 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
         features=matrix,
         labels=labels,
         train_idx=train_rows,
-        val_idx=perm[n_train: n_train + n_val],
-        test_idx=perm[n_train + n_val:],
-        n_classes=len(label_names),
-        label_names=label_names,
-        feature_names=[c.name for c in feature_specs],
+        val_idx=val_rows,
+        test_idx=test_rows,
+        n_classes=n_classes,
         stats=stats,
-        seed=seed,
         scaled=scale_features,
         warnings=warnings,
     )
@@ -352,27 +362,16 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
 
-    n = n_instances
-    perm = rng.permutation(n)
-    n_train, n_val, n_test = _split_sizes(n)
-    train_rows = perm[:n_train]
-    stats = {}
-    scaled = x.copy()
+    train_rows, val_rows, test_rows = _split(n_instances, rng)
     for j in range(n_features):
-        lo, hi = float(x[train_rows, j].min()), float(x[train_rows, j].max())
-        stats[f"f{j}"] = FeatureStats(kind="numeric", lo=lo, hi=hi)
-        scaled[:, j] = ((x[:, j] - lo) / (hi - lo) * 2.0 - 1.0) if hi > lo else 0.0
+        _scale_column(x, j, train_rows)
     return Dataset(
         name=name or f"synthetic-{kind}-{n_features}f",
-        features=scaled,
+        features=x,
         labels=y,
         train_idx=train_rows,
-        val_idx=perm[n_train: n_train + n_val],
-        test_idx=perm[n_train + n_val:],
+        val_idx=val_rows,
+        test_idx=test_rows,
         n_classes=int(n_classes),
-        label_names=[str(c) for c in range(int(n_classes))],
-        feature_names=[f"f{j}" for j in range(n_features)],
-        stats=stats,
-        seed=seed,
         scaled=True,
     )

@@ -3,8 +3,10 @@
 Every run is an independent (dataset, combination, run-index) training job
 with seeds derived by hashing those coordinates together with the global
 seed, so runs are reproducible in isolation and embarrassingly parallel.
-Reports are pure aggregations over the per-run records that get persisted
-alongside them.
+Each dataset manifest is loaded and validated once per experiment, before
+any run starts; every run carries its manifest and materializes the dataset
+from it. Reports are pure aggregations over the per-run records that get
+persisted alongside them.
 """
 
 from __future__ import annotations
@@ -79,24 +81,21 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
 
 
-def _manifest_of(source) -> DatasetManifest:
-    if isinstance(source, DatasetManifest):
-        return source
-    return load_manifest(source)
+def _resolve_manifests(config: ExperimentConfig) -> list[DatasetManifest]:
+    """config.datasets as validated manifests; each path is loaded once."""
+    manifests = [s if isinstance(s, DatasetManifest) else load_manifest(s)
+                 for s in config.datasets]
+    for manifest in manifests:
+        manifest.validate()
+    return manifests
 
 
-def load_dataset(source, data_seed: int, scale_features: bool = True) -> Dataset:
+def load_dataset(manifest: DatasetManifest, data_seed: int,
+                 scale_features: bool = True) -> Dataset:
     """Materialize one dataset (file-backed or synthetic) for one run."""
-    manifest = _manifest_of(source)
     if manifest.synthetic is not None:
-        spec = manifest.synthetic
-        return synthetic_dataset(
-            kind=spec["kind"], n_features=int(spec["n_features"]),
-            n_instances=int(spec["n_instances"]), seed=data_seed,
-            n_classes=int(spec.get("n_classes", 3)),
-            separation=float(spec.get("separation", 0.35)),
-            noise=float(spec.get("noise", 0.12)),
-            name=manifest.name)
+        return synthetic_dataset(seed=data_seed, name=manifest.name,
+                                 **manifest.synthetic)
     raw = load_table(manifest.path, manifest)
     return preprocess(raw, manifest, data_seed, scale_features=scale_features)
 
@@ -106,8 +105,7 @@ class RunSpec:
     """Everything one worker needs; picklable for process pools."""
 
     run_id: str
-    source: object               # manifest path or DatasetManifest
-    dataset_name: str
+    manifest: DatasetManifest
     label: str                   # "agg1|agg2" combo or variant name
     aggregators: tuple           # per layer transition
     layer_norm: bool
@@ -125,7 +123,7 @@ def execute_run(spec: RunSpec) -> dict:
     """Train one network; never raises, failures become failed records."""
     record = {
         "run_id": spec.run_id,
-        "dataset": spec.dataset_name,
+        "dataset": spec.manifest.name,
         "label": spec.label,
         "run_index": spec.run_index,
         "seed": spec.base_seed,
@@ -136,7 +134,7 @@ def execute_run(spec: RunSpec) -> dict:
         data_seed = derive_seed(spec.base_seed, "data")
         net_seed = derive_seed(spec.base_seed, "net")
         train_seed = derive_seed(spec.base_seed, "train")
-        data = load_dataset(spec.source, data_seed,
+        data = load_dataset(spec.manifest, data_seed,
                             scale_features=not spec.strict_replication)
         record["warnings"] = data.warnings
         head_width = 1 if spec.strict_replication else data.n_classes
@@ -171,13 +169,11 @@ def execute_run(spec: RunSpec) -> dict:
     return record
 
 
-def _build_specs(config: ExperimentConfig) -> list[RunSpec]:
-    config.validate()
+def _build_specs(config: ExperimentConfig, manifests) -> list[RunSpec]:
     specs = []
     runs = config.runs_per_config()
     adherence = config.mode == "adherence"
-    for source in config.datasets:
-        manifest = _manifest_of(source)
+    for manifest in manifests:
         if config.mode == "sweep":
             labels = [a1 + COMBO_SEP + a2
                       for a1, a2 in product(config.aggregators, repeat=2)]
@@ -195,8 +191,7 @@ def _build_specs(config: ExperimentConfig) -> list[RunSpec]:
             for i in range(runs):
                 specs.append(RunSpec(
                     run_id=f"{manifest.name}{COMBO_SEP}{label}{COMBO_SEP}{i}",
-                    source=source,
-                    dataset_name=manifest.name,
+                    manifest=manifest,
                     label=label,
                     aggregators=aggs,
                     layer_norm=layer_norm,
@@ -212,19 +207,23 @@ def _build_specs(config: ExperimentConfig) -> list[RunSpec]:
     return specs
 
 
-def _execute_all(specs, parallelism: int) -> list[dict]:
+def _execute_all(config: ExperimentConfig):
+    """Run every spec of the experiment; returns (dataset names, records)."""
+    config.validate()
+    manifests = _resolve_manifests(config)
+    specs = _build_specs(config, manifests)
     # wall-clock timing stays out of the records so runs.jsonl is reproducible
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    if config.parallelism > 1:
+        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             records = list(pool.map(execute_run, specs, chunksize=1))
     else:
         records = [execute_run(s) for s in specs]
-    return sorted(records, key=lambda r: r["run_id"])
+    return [m.name for m in manifests], sorted(records, key=lambda r: r["run_id"])
 
 
-def _config_payload(config: ExperimentConfig) -> dict:
+def _config_payload(config: ExperimentConfig, datasets) -> dict:
     d = asdict(config)
-    d["datasets"] = [_manifest_of(s).name for s in config.datasets]
+    d["datasets"] = datasets
     d.pop("out_dir")
     d.pop("parallelism")
     d["runs"] = config.runs_per_config()
@@ -247,8 +246,8 @@ def _decisions(config: ExperimentConfig) -> dict:
     }
 
 
-def _base_payload(config: ExperimentConfig, records) -> dict:
-    cfg = _config_payload(config)
+def _base_payload(config: ExperimentConfig, datasets, records) -> dict:
+    cfg = _config_payload(config, datasets)
     return {
         "mode": config.mode,
         "config": cfg,
@@ -272,12 +271,10 @@ def _grouped_accuracies(records):
 
 def run_sweep(config: ExperimentConfig):
     """Train every (combination, dataset, seed) and rank combinations."""
-    specs = _build_specs(config)
-    records = _execute_all(specs, config.parallelism)
+    datasets, records = _execute_all(config)
     acc = _grouped_accuracies(records)
     combos = [a1 + COMBO_SEP + a2
               for a1, a2 in product(config.aggregators, repeat=2)]
-    datasets = [_manifest_of(s).name for s in config.datasets]
 
     mean_acc = {ds: {} for ds in datasets}
     rank_matrix = np.full((len(combos), len(datasets)), np.nan)
@@ -298,7 +295,7 @@ def run_sweep(config: ExperimentConfig):
     table = make_rank_table([tuple(c.split(COMBO_SEP)) for c in combos],
                             datasets, rank_matrix)
     order = table.sorted_indices()
-    payload = _base_payload(config, records)
+    payload = _base_payload(config, datasets, records)
     payload.update(
         combinations=combos,
         datasets=datasets,
@@ -318,10 +315,8 @@ def run_sweep(config: ExperimentConfig):
 
 def run_comparison(config: ExperimentConfig):
     """KAN / KAN+LayerNorm / KAN-AVG comparison with pairwise Wilcoxon tests."""
-    specs = _build_specs(config)
-    records = _execute_all(specs, config.parallelism)
+    datasets, records = _execute_all(config)
     acc = _grouped_accuracies(records)
-    datasets = [_manifest_of(s).name for s in config.datasets]
     variants = list(config.variants)
     runs = config.runs_per_config()
 
@@ -362,7 +357,7 @@ def run_comparison(config: ExperimentConfig):
                     winner, loser = (va, vb) if ma > mb else (vb, va)
                     summary[ds][winner].setdefault(
                         "significantly_better_than", []).append(loser)
-    payload = _base_payload(config, records)
+    payload = _base_payload(config, datasets, records)
     payload.update(datasets=datasets, variants=variants,
                    accuracy=summary, wilcoxon=tests)
     return payload, records
@@ -370,8 +365,7 @@ def run_comparison(config: ExperimentConfig):
 
 def run_adherence(config: ExperimentConfig):
     """Pooled in-range fractions of hidden-layer values, per dataset/variant."""
-    specs = _build_specs(config)
-    records = _execute_all(specs, config.parallelism)
+    names, records = _execute_all(config)
     by_key = {}
     features = {}
     for r in records:
@@ -393,7 +387,7 @@ def run_adherence(config: ExperimentConfig):
             table[ds]["variants"][v] = mean_layers.tolist()
             for layer, frac in enumerate(mean_layers.tolist()):
                 rows.append((ds, features[ds], v, layer, frac))
-    payload = _base_payload(config, records)
+    payload = _base_payload(config, names, records)
     payload.update(datasets=datasets, variants=list(config.variants),
                    adherence=table,
                    plot_rows=[list(r) for r in rows])

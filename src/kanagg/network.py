@@ -185,15 +185,12 @@ def _layer_forward(layer: KANLayer, x: np.ndarray):
 
 
 def forward(net: Network, x, trace: bool = False):
-    """Run the network on one sample (1-D) or a batch (2-D).
+    """Run the network on a (batch, n_in) array.
 
-    Returns logits, or (logits, ForwardTrace) when trace=True. Tracing does
-    not change the computation, only what is retained.
+    Returns (batch, n_out) logits, or (logits, ForwardTrace) when trace=True.
+    Tracing does not change the computation, only what is retained.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[np.newaxis, :]
     if x.ndim != 2 or x.shape[1] != net.n_in:
         raise ValueError(f"input shape {x.shape} does not match n_in={net.n_in}")
     if not np.all(np.isfinite(x)):
@@ -221,9 +218,7 @@ def forward(net: Network, x, trace: bool = False):
             t.ln_zhat.append(zhat)
             t.ln_inv_std.append(inv_std)
         x = out
-
-    logits = x[0] if single else x
-    return (logits, t) if trace else logits
+    return (x, t) if trace else x
 
 
 def mean_to_scaled_sum(net: Network) -> Network:

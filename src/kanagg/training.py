@@ -73,18 +73,12 @@ def adam_step(params, grads, state: AdamState, cfg: TrainConfig):
 
 
 def softmax_cross_entropy(logits, label):
-    """Stabilized -log softmax(logits)[label]; returns (loss, d_logits).
-
-    Accepts one sample (1-D logits, int label) or a batch (2-D logits, label
-    vector); batch losses are per-sample, not averaged.
-    """
+    """Stabilized -log softmax(logits)[label] of (batch, C) logits and a
+    label vector; returns per-sample (losses, d_logits), not averaged."""
     z = np.asarray(logits, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[np.newaxis, :]
-    labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
+    labels = np.asarray(label, dtype=np.int64)
+    if z.ndim != 2 or not np.all(np.isfinite(z)):
+        raise ValueError("logits must be a finite (batch, classes) array")
     if np.any(labels < 0) or np.any(labels >= z.shape[1]):
         raise ValueError(f"label out of range for {z.shape[1]} logits")
     shifted = z - z.max(axis=1, keepdims=True)
@@ -94,26 +88,16 @@ def softmax_cross_entropy(logits, label):
     losses = np.log(expz.sum(axis=1)) - shifted[rows, labels]
     d = softmax.copy()
     d[rows, labels] -= 1.0
-    if single:
-        return float(losses[0]), d[0]
     return losses, d
 
 
 def squared_error_on_index(logits, label):
-    """Strict-replication loss for the 1-logit head: (logit - label)^2."""
+    """Strict-replication loss for (batch, 1) logits: (logit - label)^2."""
     z = np.asarray(logits, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[np.newaxis, :]
-    if z.shape[1] != 1:
-        raise ValueError("scalar-index loss needs exactly one logit")
-    labels = np.atleast_1d(np.asarray(label, dtype=np.float64))
-    diff = z[:, 0] - labels
-    losses = diff * diff
-    d = (2.0 * diff)[:, np.newaxis]
-    if single:
-        return float(losses[0]), d[0]
-    return losses, d
+    if z.ndim != 2 or z.shape[1] != 1:
+        raise ValueError("scalar-index loss needs (batch, 1) logits")
+    diff = z[:, 0] - np.asarray(label, dtype=np.float64)
+    return diff * diff, (2.0 * diff)[:, np.newaxis]
 
 
 def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
@@ -126,8 +110,6 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
     if trace.network is not net:
         raise ValueError("trace was produced by a different network")
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    if d_logits.ndim == 1:
-        d_logits = d_logits[np.newaxis, :]
     batch = trace.batch_size
     if d_logits.shape != (batch, net.n_out):
         raise ValueError(
@@ -203,14 +185,12 @@ def predict(net: Network, features, n_classes: int):
     return logits.argmax(axis=1)
 
 
-def evaluate(net: Network, features, labels, n_classes: int | None = None) -> float:
+def evaluate(net: Network, features, labels, n_classes: int) -> float:
     """Fraction of samples whose prediction equals the label."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.shape[0] == 0:
         raise ValueError("evaluation set is empty")
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
     return float((predict(net, features, n_classes) == labels).mean())
 
 

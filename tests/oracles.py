@@ -122,6 +122,37 @@ def naive_aggregate_grad(values, kind, upstream):
     raise ValueError(kind)
 
 
+def naive_encode_categorical(column, train_rows):
+    """Categorical encoding by plain loops; returns (codes, mode, encoded).
+
+    Codes number the categories in order of first appearance over
+    `train_rows` (in the order given). The mode is the most frequent train
+    category; of equally frequent ones it is the one that appeared first.
+    Missing cells (None) take the mode, and categories never seen in train
+    take the reserved code len(codes).
+    """
+    codes = {}
+    counts = {}
+    for i in train_rows:
+        v = column[i]
+        if v is None:
+            continue
+        if v not in codes:
+            codes[v] = len(codes)
+            counts[v] = 0
+        counts[v] += 1
+    mode = None
+    for v in codes:
+        if mode is None or counts[v] > counts[mode]:
+            mode = v
+    encoded = []
+    for v in column:
+        if v is None:
+            v = mode
+        encoded.append(codes[v] if v in codes else len(codes))
+    return codes, mode, encoded
+
+
 def reference_adam(params, grad_fn, lr, beta1, beta2, eps, steps):
     """Plain-python Adam trajectory over a list of scalar parameters."""
     params = [float(p) for p in params]

@@ -5,7 +5,9 @@ import pytest
 
 from kanagg import IngestionError, PreprocessError, load_manifest, load_table, \
     preprocess, synthetic_dataset
-from kanagg.data import ColumnSpec, DatasetManifest
+from kanagg.data import ColumnSpec, DatasetManifest, RawTable
+
+from oracles import naive_encode_categorical
 
 
 def manifest_for(columns, **kw):
@@ -17,6 +19,11 @@ MIXED = manifest_for([
     ColumnSpec("size", "feature", "numeric"),
     ColumnSpec("label", "target", "categorical"),
 ])
+CATEGORICAL = manifest_for([
+    ColumnSpec("color", "feature", "categorical"),
+    ColumnSpec("label", "target", "categorical"),
+])
+BLOBS = {"kind": "gaussian-blobs", "n_features": 4, "n_instances": 100}
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -55,6 +62,13 @@ class TestLoadTable:
         p = write(tmp_path, "red,1.0,a\nblue,oops,b\n")
         with pytest.raises(IngestionError, match="row 2, column 'size'"):
             load_table(p, MIXED)
+
+    def test_non_finite_numeric_rejected(self, tmp_path):
+        # float() parses these; a NaN min/max would silently zero the column
+        for cell in ("nan", "inf", "-Infinity"):
+            p = write(tmp_path, f"red,1.0,a\nblue,{cell},b\n")
+            with pytest.raises(IngestionError, match="row 2, column 'size'"):
+                load_table(p, MIXED)
 
     def test_whitespace_delimiter_and_header(self, tmp_path):
         m = manifest_for(MIXED.columns, delimiter="whitespace", has_header=True)
@@ -179,6 +193,51 @@ class TestPreprocess:
         with pytest.raises(PreprocessError, match="no observed values"):
             preprocess(raw, MIXED, seed=0)
 
+    def test_categorical_encoding_matches_oracle(self):
+        rng = np.random.default_rng(11)
+        ties = 0
+        for seed in range(60):
+            n = int(rng.integers(10, 40))
+            pool = ["a", "b", "c", "d"][:int(rng.integers(2, 5))]
+            color = [None if rng.random() < 0.2 else str(rng.choice(pool))
+                     for _ in range(n)]
+            label = ["x", "y"] * (n // 2) + ["x"] * (n % 2)
+            raw = RawTable(columns={"color": color, "label": label}, n_rows=n,
+                           n_missing=color.count(None))
+            first = preprocess(raw, CATEGORICAL, seed=seed, scale_features=False)
+            # same seed and row count give the same split: unseen categories
+            # can now be placed outside the train split
+            for k, i in enumerate(np.concatenate([first.val_idx, first.test_idx])[:2]):
+                color[int(i)] = f"unseen{k}"
+            data = preprocess(raw, CATEGORICAL, seed=seed, scale_features=False)
+            codes, mode, encoded = naive_encode_categorical(
+                color, data.train_idx.tolist())
+            st = data.stats["color"]
+            assert st.categories == codes
+            assert st.impute_value == mode
+            assert st.reserved_code == len(codes)
+            np.testing.assert_array_equal(data.features[:, 0], encoded)
+            train_counts = [sum(color[i] == v for i in data.train_idx) for v in codes]
+            ties += train_counts.count(max(train_counts)) > 1
+        assert ties >= 5
+
+    def test_mode_ties_go_to_first_category_in_shuffled_train_order(self):
+        n = 20
+        train = preprocess(RawTable({"color": ["a"] * n, "label": ["x", "y"] * 10},
+                                    n, 0), CATEGORICAL, seed=3).train_idx.tolist()
+        # alternate b, a, b, a, ... in shuffled train order: 6 each, a tie;
+        # "b" comes first there, "a" first in file order and alphabetically
+        color = [None] * n
+        for k, i in enumerate(train):
+            color[i] = "ba"[k % 2]
+        assert color[min(train)] == "a" and len(train) % 2 == 0
+        raw = RawTable({"color": color, "label": ["x", "y"] * 10}, n, n - len(train))
+        data = preprocess(raw, CATEGORICAL, seed=3, scale_features=False)
+        assert data.stats["color"].impute_value == "b"
+        assert data.stats["color"].categories == {"b": 0, "a": 1}
+        missing = [i for i in range(n) if color[i] is None]
+        np.testing.assert_array_equal(data.features[missing, 0], 0.0)
+
     def test_expected_count_warnings(self, tmp_path):
         m = manifest_for(MIXED.columns, expected_instances=99, expected_classes=3)
         raw = load_table(write(tmp_path, "red,1,a\nblue,2,b\nred,3,a\n"), m)
@@ -247,3 +306,32 @@ class TestManifestAndCache:
         }))
         m = load_manifest(mp)
         assert m.synthetic["kind"] == "gaussian-blobs"
+
+
+class TestSyntheticSpec:
+    """Malformed synthetic specs are rejected whether the manifest comes from
+    a file or is built in code."""
+
+    @staticmethod
+    def check_rejected(tmp_path, spec, match):
+        mp = tmp_path / "synth.json"
+        mp.write_text(json.dumps({"name": "s", "synthetic": spec}))
+        with pytest.raises(IngestionError, match=match):
+            load_manifest(mp)
+        with pytest.raises(IngestionError, match=match):
+            DatasetManifest(name="s", synthetic=spec).validate()
+
+    def test_missing_required_key(self, tmp_path):
+        for key in BLOBS:
+            spec = {k: v for k, v in BLOBS.items() if k != key}
+            self.check_rejected(tmp_path, spec, rf"missing keys \['{key}'\]")
+
+    def test_unknown_key(self, tmp_path):
+        self.check_rejected(tmp_path, {**BLOBS, "nosie": 0.3},
+                            r"unknown keys \['nosie'\]")
+
+    def test_non_integer_sizes(self, tmp_path):
+        for key, value in (("n_features", 4.0), ("n_instances", "100"),
+                           ("n_instances", True), ("n_classes", 2.5)):
+            self.check_rejected(tmp_path, {**BLOBS, key: value},
+                                rf"wrong type \['{key}'\]")

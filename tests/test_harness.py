@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from kanagg import ExperimentConfig, derive_seed, run_adherence, run_comparison, \
-    run_sweep, write_report
+from kanagg import ExperimentConfig, IngestionError, derive_seed, load_manifest, \
+    run_adherence, run_comparison, run_sweep, write_report
 from kanagg.cli import main as cli_main
 from kanagg.data import ColumnSpec, DatasetManifest
 
@@ -46,8 +46,8 @@ class TestSweep:
 
     def test_full_nine_gives_81(self):
         config = quick_config("sweep")
-        from kanagg.harness import _build_specs
-        specs = _build_specs(config)
+        from kanagg.harness import _build_specs, _resolve_manifests
+        specs = _build_specs(config, _resolve_manifests(config))
         assert len(specs) == 81
 
     def test_ranks_are_valid_tied_permutation(self):
@@ -219,6 +219,41 @@ class TestDeterminismAndFailures:
         assert len(ok_ranks) == 4                      # healthy dataset unaffected
         for row in payload["rank_table"]:
             assert row["per_dataset"]["gone"] is None
+
+    def test_malformed_synthetic_manifest_rejected_before_any_run(self, monkeypatch):
+        # a missing n_features used to abort the sweep with a KeyError
+        from kanagg import harness
+        monkeypatch.setattr(harness, "execute_run",
+                            lambda spec: pytest.fail("a run started"))
+        for spec in ({"kind": "gaussian-blobs", "n_instances": 100},
+                     {"kind": "gaussian-blobs", "n_features": 4,
+                      "n_instances": 100, "nosie": 0.3}):
+            config = quick_config("sweep", datasets=(
+                blob_manifest(), DatasetManifest(name="bad", synthetic=spec)))
+            with pytest.raises(IngestionError, match="'bad'"):
+                run_sweep(config)
+
+    def test_each_manifest_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        from kanagg import harness
+        calls = []
+
+        def counting_load_manifest(path):
+            calls.append(path)
+            return load_manifest(path)
+
+        monkeypatch.setattr(harness, "load_manifest", counting_load_manifest)
+        paths = []
+        for name, n_features in (("ds-a", 3), ("ds-b", 4)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"name": name, "synthetic": {
+                "kind": "gaussian-blobs", "n_features": n_features,
+                "n_instances": 40, "n_classes": 2}}))
+            paths.append(str(path))
+        payload, records = run_sweep(quick_config(
+            "sweep", datasets=tuple(paths), iterations=1))
+        assert len(records) == 2 * 81 and not payload["failures"]
+        assert payload["datasets"] == ["ds-a", "ds-b"]
+        assert calls == paths
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -57,24 +57,24 @@ class TestForward:
             for layer in net.layers:
                 layer.coeffs[...] = 0.0
                 layer.w_base[...] = 0.0
-            out = forward(net, np.array([0.3, -0.8, 0.5]))
+            out = forward(net, np.array([[0.3, -0.8, 0.5]]))
             np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_single_edge_network_matches_edge_oracle(self):
         net = build_network(NetworkConfig((1, 1), ("sum",), seed=3))
         layer = net.layers[0]
         x = 0.37
-        out = forward(net, np.array([x]))
-        assert out[0] == pytest.approx(
+        out = forward(net, np.array([[x]]))
+        assert out[0, 0] == pytest.approx(
             naive_edge(x, layer.coeffs[0, 0], layer.w_base[0, 0],
                        layer.w_spline[0, 0], layer.grid), abs=1e-12)
 
     def test_aggregation_of_one_value_is_identity_for_location_kinds(self):
         for agg in ("sum", "mean", "min", "max", "median"):
             net = build_network(NetworkConfig((1, 1), (agg,), seed=3))
-            out = forward(net, np.array([0.4]))
+            out = forward(net, np.array([[0.4]]))
             ref = forward(build_network(NetworkConfig((1, 1), ("sum",), seed=3)),
-                          np.array([0.4]))
+                          np.array([[0.4]]))
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_non_finite_input_rejected(self):
@@ -89,6 +89,8 @@ class TestForward:
         net = small_net()
         with pytest.raises(ValueError):
             forward(net, np.zeros(5))
+        with pytest.raises(ValueError):   # one sample is a (1, n_in) batch
+            forward(net, np.zeros(4))
         with pytest.raises(ValueError):
             forward(net, np.zeros((2, 3)))
 

@@ -119,7 +119,7 @@ def random_edge(rng, n_basis):
 
 
 def phi(net, x):
-    return float(forward(net, np.array([x]))[0])
+    return float(forward(net, np.array([[x]]))[0, 0])
 
 
 def edge_gradients(coeffs, w_base, w_spline, x, upstream):

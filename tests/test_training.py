@@ -15,44 +15,50 @@ from oracles import naive_basis_vector, naive_silu, reference_adam, \
 
 class TestSoftmaxCrossEntropy:
     def test_two_equal_logits(self):
-        loss, d = softmax_cross_entropy(np.array([0.0, 0.0]), 0)
-        assert loss == pytest.approx(math.log(2), abs=1e-12)
-        np.testing.assert_allclose(d, [-0.5, 0.5])
+        loss, d = softmax_cross_entropy(np.array([[0.0, 0.0]]), [0])
+        assert loss[0] == pytest.approx(math.log(2), abs=1e-12)
+        np.testing.assert_allclose(d, [[-0.5, 0.5]])
 
     def test_uniform_logits_any_width(self):
         for c in (2, 5, 9):
-            loss, d = softmax_cross_entropy(np.full(c, 1.3), c - 1)
-            assert loss == pytest.approx(math.log(c), abs=1e-12)
+            loss, d = softmax_cross_entropy(np.full((1, c), 1.3), [c - 1])
+            assert loss[0] == pytest.approx(math.log(c), abs=1e-12)
             assert d.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_stable_under_large_logits(self):
-        loss, _ = softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
-        assert loss == pytest.approx(0.0, abs=1e-12)
+        loss, _ = softmax_cross_entropy(np.array([[1000.0, 0.0]]), [0])
+        assert loss[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         step = 1e-6
         for _ in range(50):
-            z = rng.normal(0, 2, 4)
-            label = int(rng.integers(0, 4))
+            z = rng.normal(0, 2, (1, 4))
+            label = [int(rng.integers(0, 4))]
             _, d = softmax_cross_entropy(z, label)
             for i in range(4):
-                zp = z.copy(); zp[i] += step
-                zm = z.copy(); zm[i] -= step
-                fd = (softmax_cross_entropy(zp, label)[0]
-                      - softmax_cross_entropy(zm, label)[0]) / (2 * step)
-                assert abs(d[i] - fd) < 1e-6
+                zp = z.copy(); zp[0, i] += step
+                zm = z.copy(); zm[0, i] -= step
+                fd = (softmax_cross_entropy(zp, label)[0][0]
+                      - softmax_cross_entropy(zm, label)[0][0]) / (2 * step)
+                assert abs(d[0, i] - fd) < 1e-6
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros(3), 3)
+            softmax_cross_entropy(np.zeros((1, 3)), [3])
         with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros(3), -1)
+            softmax_cross_entropy(np.zeros((1, 3)), [-1])
+
+    def test_one_sample_is_a_batch_of_one(self):
+        with pytest.raises(ValueError):
+            softmax_cross_entropy(np.zeros(3), 0)
+        with pytest.raises(ValueError):
+            squared_error_on_index(np.zeros(1), 0)
 
     def test_scalar_head_loss(self):
-        loss, d = squared_error_on_index(np.array([2.5]), 3)
-        assert loss == pytest.approx(0.25)
-        np.testing.assert_allclose(d, [-1.0])
+        loss, d = squared_error_on_index(np.array([[2.5]]), [3])
+        assert loss[0] == pytest.approx(0.25)
+        np.testing.assert_allclose(d, [[-1.0]])
 
 
 class TestBackward:
@@ -71,7 +77,7 @@ class TestBackward:
         net = build_network(NetworkConfig((1, 1), ("sum",), seed=5))
         layer = net.layers[0]
         x = 0.62
-        _, trace = forward(net, np.array([x]), trace=True)
+        _, trace = forward(net, np.array([[x]]), trace=True)
         grads = backward(net, trace, np.array([[1.0]]))
         basis = naive_basis_vector(x, layer.grid)
         np.testing.assert_allclose(grads[0][0, 0], layer.w_spline[0, 0] * basis,
