@@ -36,6 +36,8 @@ TRAIN_FRACTION, VAL_FRACTION, TEST_FRACTION = 0.6, 0.2, 0.2
 SYNTHETIC_TYPES = {"kind": str, "n_features": int, "n_instances": int,
                    "n_classes": int, "separation": (int, float), "noise": (int, float)}
 SYNTHETIC_REQUIRED = ("kind", "n_features", "n_instances")
+COLUMN_ROLES = ("feature", "target", "ignore")
+COLUMN_TYPES = ("numeric", "categorical")
 
 
 class IngestionError(ValueError):
@@ -48,13 +50,25 @@ class PreprocessError(ValueError):
 
 @dataclass(frozen=True)
 class ColumnSpec:
+    """One column of a file-backed dataset; checks its role and type when built."""
+
     name: str
     role: str = "feature"    # feature | target | ignore
     type: str = "numeric"    # numeric | categorical
 
+    def __post_init__(self):
+        for attr, allowed in (("role", COLUMN_ROLES), ("type", COLUMN_TYPES)):
+            value = getattr(self, attr)
+            if value not in allowed:
+                raise IngestionError(f"column {self.name!r}: {attr} {value!r} "
+                                     f"is not one of {'/'.join(allowed)}")
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
+    """A dataset description that is valid by construction: building one
+    checks its name, its synthetic spec or its columns and expectations."""
+
     name: str
     path: str | None = None
     columns: tuple = ()
@@ -65,6 +79,22 @@ class DatasetManifest:
     expected_features: int | None = None
     expected_classes: int | None = None
     synthetic: dict | None = None  # {"kind", "n_features", "n_instances", ...}
+
+    def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise IngestionError(
+                f"manifest name must be a non-empty string, got {self.name!r}")
+        if self.synthetic is not None:
+            self._validate_synthetic()
+            return
+        self.target_column()
+        n_features = len(self.feature_columns())
+        if not n_features:
+            raise IngestionError(f"manifest {self.name!r} declares no feature columns")
+        if self.expected_features is not None and self.expected_features != n_features:
+            raise IngestionError(
+                f"manifest {self.name!r} declares {n_features} "
+                f"feature columns but expects {self.expected_features}")
 
     def feature_columns(self):
         return [c for c in self.columns if c.role == "feature"]
@@ -77,21 +107,11 @@ class DatasetManifest:
                 f"found {len(targets)}")
         return targets[0]
 
-    def validate(self):
-        if self.synthetic is not None:
-            self._validate_synthetic()
-            return
-        self.target_column()
-        if not self.feature_columns():
-            raise IngestionError(f"manifest {self.name!r} declares no feature columns")
-        if (self.expected_features is not None
-                and self.expected_features != len(self.feature_columns())):
-            raise IngestionError(
-                f"manifest {self.name!r} declares {len(self.feature_columns())} "
-                f"feature columns but expects {self.expected_features}")
-
     def _validate_synthetic(self):
         spec = self.synthetic
+        if not isinstance(spec, dict):
+            raise IngestionError(f"manifest {self.name!r}: synthetic spec must be "
+                                 f"an object, got {type(spec).__name__}")
         problems = {
             "missing keys": [k for k in SYNTHETIC_REQUIRED if k not in spec],
             "unknown keys": sorted(set(spec) - set(SYNTHETIC_TYPES)),
@@ -106,25 +126,29 @@ class DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Read a JSON manifest; unreadable or malformed content of any shape is
+    an IngestionError that names the file."""
     path = Path(path)
-    with open(path) as f:
-        doc = json.load(f)
-    expected = doc.pop("expected", {})
-    columns = tuple(ColumnSpec(**c) for c in doc.pop("columns", []))
-    manifest = DatasetManifest(
-        name=doc["name"],
-        path=str((path.parent / doc["path"]).resolve()) if doc.get("path") else None,
-        columns=columns,
-        delimiter=doc.get("delimiter", ","),
-        missing_values=tuple(doc.get("missing_values", ["?"])),
-        has_header=bool(doc.get("has_header", False)),
-        expected_instances=expected.get("instances"),
-        expected_features=expected.get("features"),
-        expected_classes=expected.get("classes"),
-        synthetic=doc.get("synthetic"),
-    )
-    manifest.validate()
-    return manifest
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise IngestionError(f"top level is a {type(doc).__name__}, not an object")
+        expected = doc.get("expected", {})
+        return DatasetManifest(
+            name=doc.get("name"),
+            path=str((path.parent / doc["path"]).resolve()) if doc.get("path") else None,
+            columns=tuple(ColumnSpec(**c) for c in doc.get("columns", [])),
+            delimiter=doc.get("delimiter", ","),
+            missing_values=tuple(doc.get("missing_values", ["?"])),
+            has_header=bool(doc.get("has_header", False)),
+            expected_instances=expected.get("instances"),
+            expected_features=expected.get("features"),
+            expected_classes=expected.get("classes"),
+            synthetic=doc.get("synthetic"),
+        )
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise IngestionError(f"manifest {path}: {exc}") from exc
 
 
 @dataclass
@@ -138,7 +162,6 @@ class RawTable:
 
 def load_table(path, manifest: DatasetManifest) -> RawTable:
     """Parse a delimited text file per the manifest's column specs."""
-    manifest.validate()
     sentinels = set(manifest.missing_values)
     specs = list(manifest.columns)
     columns = {c.name: [] for c in specs}
@@ -188,7 +211,6 @@ def load_table(path, manifest: DatasetManifest) -> RawTable:
 
 @dataclass
 class FeatureStats:
-    kind: str                      # numeric | categorical
     impute_value: object = None
     categories: dict | None = None  # category -> code, fitted on train
     reserved_code: int | None = None
@@ -198,7 +220,6 @@ class FeatureStats:
 
 @dataclass
 class Dataset:
-    name: str
     features: np.ndarray           # (instances, features) float64
     labels: np.ndarray             # (instances,) int64 in [0, n_classes)
     train_idx: np.ndarray
@@ -256,7 +277,6 @@ def _encode_labels(values, name):
 def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
                scale_features: bool = True) -> Dataset:
     """Shuffle, split, encode, impute, and scale one raw table."""
-    manifest.validate()
     n = raw.n_rows
     train_rows, val_rows, test_rows = _split(n, np.random.default_rng(seed))
     train_list = train_rows.tolist()
@@ -289,20 +309,19 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
             counts = Counter(observed_train)
             impute = max(codes, key=counts.__getitem__)
             reserved = len(codes)
-            st = FeatureStats(kind="categorical", impute_value=impute,
-                              categories=codes, reserved_code=reserved)
+            st = FeatureStats(impute_value=impute, categories=codes,
+                              reserved_code=reserved)
             matrix[:, j] = [codes.get(impute if v is None else v, reserved)
                             for v in col]
         else:
             impute = float(np.mean(observed_train))
-            st = FeatureStats(kind="numeric", impute_value=impute)
+            st = FeatureStats(impute_value=impute)
             matrix[:, j] = [impute if v is None else v for v in col]
         if scale_features:
             st.lo, st.hi = _scale_column(matrix, j, train_rows)
         stats[spec.name] = st
 
     return Dataset(
-        name=manifest.name,
         features=matrix,
         labels=labels,
         train_idx=train_rows,
@@ -317,7 +336,7 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
 
 def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
                       n_classes: int = 3, separation: float = 0.35,
-                      noise: float = 0.12, name: str | None = None) -> Dataset:
+                      noise: float = 0.12) -> Dataset:
     """Deterministic labeled data for desk-scale experiments.
 
     "xor": class = xor of the signs of the first two features; a thin band
@@ -366,7 +385,6 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
     for j in range(n_features):
         _scale_column(x, j, train_rows)
     return Dataset(
-        name=name or f"synthetic-{kind}-{n_features}f",
         features=x,
         labels=y,
         train_idx=train_rows,

@@ -3,10 +3,11 @@
 Every run is an independent (dataset, combination, run-index) training job
 with seeds derived by hashing those coordinates together with the global
 seed, so runs are reproducible in isolation and embarrassingly parallel.
-Each dataset manifest is loaded and validated once per experiment, before
-any run starts; every run carries its manifest and materializes the dataset
-from it. Reports are pure aggregations over the per-run records that get
-persisted alongside them.
+Each dataset manifest is loaded once per experiment, before any run starts
+(a manifest checks itself when it is built); every run carries its manifest
+and materializes the dataset from it. Every run records the share of each
+hidden layer's values that stayed on the spline grid. Reports are pure
+aggregations over the per-run records that get persisted alongside them.
 """
 
 from __future__ import annotations
@@ -82,20 +83,16 @@ def derive_seed(*parts) -> int:
 
 
 def _resolve_manifests(config: ExperimentConfig) -> list[DatasetManifest]:
-    """config.datasets as validated manifests; each path is loaded once."""
-    manifests = [s if isinstance(s, DatasetManifest) else load_manifest(s)
-                 for s in config.datasets]
-    for manifest in manifests:
-        manifest.validate()
-    return manifests
+    """config.datasets as manifests; each path is loaded once."""
+    return [s if isinstance(s, DatasetManifest) else load_manifest(s)
+            for s in config.datasets]
 
 
 def load_dataset(manifest: DatasetManifest, data_seed: int,
                  scale_features: bool = True) -> Dataset:
     """Materialize one dataset (file-backed or synthetic) for one run."""
     if manifest.synthetic is not None:
-        return synthetic_dataset(seed=data_seed, name=manifest.name,
-                                 **manifest.synthetic)
+        return synthetic_dataset(seed=data_seed, **manifest.synthetic)
     raw = load_table(manifest.path, manifest)
     return preprocess(raw, manifest, data_seed, scale_features=scale_features)
 
@@ -116,7 +113,6 @@ class RunSpec:
     batch_size: int
     learning_rate: float
     strict_replication: bool
-    trace_adherence: bool
 
 
 def execute_run(spec: RunSpec) -> dict:
@@ -147,8 +143,7 @@ def execute_run(spec: RunSpec) -> dict:
         ))
         result = train(net, data, TrainConfig(
             iterations=spec.iterations, batch_size=spec.batch_size,
-            learning_rate=spec.learning_rate, seed=train_seed,
-            trace_adherence=spec.trace_adherence))
+            learning_rate=spec.learning_rate, seed=train_seed))
         record.update(
             widths=list(widths),
             n_features=data.n_features,
@@ -169,17 +164,20 @@ def execute_run(spec: RunSpec) -> dict:
     return record
 
 
+def _labels(config: ExperimentConfig) -> list[str]:
+    """The run labels of one dataset: every "agg1|agg2" pair in a sweep, else
+    the variants (a variant listed twice shares its runs, so a variant can be
+    compared with itself)."""
+    if config.mode == "sweep":
+        return [a1 + COMBO_SEP + a2 for a1, a2 in product(config.aggregators, repeat=2)]
+    return list(dict.fromkeys(config.variants))
+
+
 def _build_specs(config: ExperimentConfig, manifests) -> list[RunSpec]:
     specs = []
     runs = config.runs_per_config()
-    adherence = config.mode == "adherence"
+    labels = _labels(config)
     for manifest in manifests:
-        if config.mode == "sweep":
-            labels = [a1 + COMBO_SEP + a2
-                      for a1, a2 in product(config.aggregators, repeat=2)]
-        else:
-            # a variant listed twice shares its runs (self-comparison support)
-            labels = list(dict.fromkeys(config.variants))
         for label in labels:
             if config.mode == "sweep":
                 aggs = tuple(label.split(COMBO_SEP))
@@ -202,7 +200,6 @@ def _build_specs(config: ExperimentConfig, manifests) -> list[RunSpec]:
                     batch_size=config.batch_size,
                     learning_rate=config.learning_rate,
                     strict_replication=config.strict_replication,
-                    trace_adherence=adherence,
                 ))
     return specs
 
@@ -273,8 +270,7 @@ def run_sweep(config: ExperimentConfig):
     """Train every (combination, dataset, seed) and rank combinations."""
     datasets, records = _execute_all(config)
     acc = _grouped_accuracies(records)
-    combos = [a1 + COMBO_SEP + a2
-              for a1, a2 in product(config.aggregators, repeat=2)]
+    combos = _labels(config)
 
     mean_acc = {ds: {} for ds in datasets}
     rank_matrix = np.full((len(combos), len(datasets)), np.nan)
@@ -369,7 +365,7 @@ def run_adherence(config: ExperimentConfig):
     by_key = {}
     features = {}
     for r in records:
-        if r["status"] != "ok" or r.get("adherence") is None:
+        if r["status"] != "ok":
             continue
         by_key.setdefault((r["dataset"], r["label"]), []).append(r["adherence"])
         features[r["dataset"]] = r["n_features"]

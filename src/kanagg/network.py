@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregators import Aggregator, aggregate_batch
-from .splines import KnotGrid, basis_matrix, make_grid, silu
+from .splines import KnotGrid, basis_matrix, make_grid, sigmoid
 
 LAYER_NORM_EPS = 1e-5
 CHECKPOINT_FORMAT = "kanagg-checkpoint/1"
@@ -105,34 +105,32 @@ class Network:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer intermediates of one traced forward pass.
+    """Per-layer intermediates of one traced forward pass: what backward and
+    adherence_counts read, one array per layer l in each list.
 
-    edge_outputs[l]  (B, n_out, n_in)  pre-aggregation edge activations
-    node_values[l]   (B, n_out)        post-aggregation
-    normed_values[l] (B, n_out)        post-layer-norm (inputs to next splines;
-                                       equals node_values when norm is off)
-    The remaining fields cache what the backward pass reuses.
+    inputs[l]                  (B, n_in)    spline inputs: the network input,
+                                            then hidden values after any norm
+    basis[l], basis_deriv[l]   (B, n_in, n_basis)  B-spline values, derivatives
+    sigmoid[l], silu_x[l]      (B, n_in)    sigmoid and silu of inputs[l]
+    spline_vals[l], edge_outputs[l]  (B, n_out, n_in)  spline parts, edge outputs
+    ln_zhat[l], ln_inv_std[l]  layer-norm intermediates; None without a norm
+    The logits are forward's return value.
     """
 
     network: Network
     inputs: list = field(default_factory=list)
     basis: list = field(default_factory=list)
     basis_deriv: list = field(default_factory=list)
+    sigmoid: list = field(default_factory=list)
     silu_x: list = field(default_factory=list)
     spline_vals: list = field(default_factory=list)
     edge_outputs: list = field(default_factory=list)
-    node_values: list = field(default_factory=list)
-    normed_values: list = field(default_factory=list)
     ln_zhat: list = field(default_factory=list)
     ln_inv_std: list = field(default_factory=list)
 
     @property
     def batch_size(self) -> int:
         return self.inputs[0].shape[0]
-
-    def hidden_values(self) -> list[np.ndarray]:
-        """Post-normalization hidden node values, one array per hidden layer."""
-        return self.normed_values[:-1]
 
 
 def build_network(config: NetworkConfig) -> Network:
@@ -178,10 +176,11 @@ def _layer_forward(layer: KANLayer, x: np.ndarray):
     """Edge activations for a batch: returns the backward-pass intermediates."""
     vals, derivs = basis_matrix(x, layer.grid)      # (B, n_in, n_basis)
     spline_vals = np.einsum("bpi,qpi->bqp", vals, layer.coeffs)
-    silu_x = silu(x)
+    sig = sigmoid(x)
+    silu_x = x * sig
     edge_out = (layer.w_base[np.newaxis] * silu_x[:, np.newaxis, :]
                 + layer.w_spline[np.newaxis] * spline_vals)
-    return vals, derivs, silu_x, spline_vals, edge_out
+    return vals, derivs, sig, silu_x, spline_vals, edge_out
 
 
 def forward(net: Network, x, trace: bool = False):
@@ -199,25 +198,23 @@ def forward(net: Network, x, trace: bool = False):
     t = ForwardTrace(network=net) if trace else None
     n_layers = len(net.layers)
     for l, layer in enumerate(net.layers):
-        vals, derivs, silu_x, spline_vals, edge_out = _layer_forward(layer, x)
+        vals, derivs, sig, silu_x, spline_vals, edge_out = _layer_forward(layer, x)
         node = aggregate_batch(edge_out, layer.aggregator)
         ln = net.layer_norms[l] if l < n_layers - 1 else None
-        if ln is not None:
-            out, zhat, inv_std = _layer_norm(node, ln)
-        else:
-            out, zhat, inv_std = node, None, None
+        out, zhat, inv_std = (node, None, None) if ln is None else _layer_norm(node, ln)
         if t is not None:
             t.inputs.append(x)
             t.basis.append(vals)
             t.basis_deriv.append(derivs)
+            t.sigmoid.append(sig)
             t.silu_x.append(silu_x)
             t.spline_vals.append(spline_vals)
             t.edge_outputs.append(edge_out)
-            t.node_values.append(node)
-            t.normed_values.append(out)
             t.ln_zhat.append(zhat)
             t.ln_inv_std.append(inv_std)
         x = out
+        # free this layer's arrays before the next layer allocates its own
+        del vals, derivs, sig, silu_x, spline_vals, edge_out, node
     return (x, t) if trace else x
 
 
@@ -250,7 +247,7 @@ def mean_to_scaled_sum(net: Network) -> Network:
 
 def adherence_counts(trace: ForwardTrace, lo: float, hi: float):
     """(inside, total) value counts per hidden layer for one trace."""
-    hidden = trace.hidden_values()
+    hidden = trace.inputs[1:]
     inside = np.array([int(((v >= lo) & (v <= hi)).sum()) for v in hidden])
     total = np.array([v.size for v in hidden])
     return inside, total

@@ -87,12 +87,9 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid) -> tuple[np.ndarray, np.ndarray]
     return b.reshape(shape), db.reshape(shape)
 
 
-def silu(x):
-    """x * sigmoid(x), the smooth residual under every spline."""
-    return x * sigmoid(x)
-
-
 def sigmoid(x):
+    """Overflow-free logistic function; silu(x) = x * sigmoid(x) is the smooth
+    residual under every spline."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
@@ -101,7 +98,3 @@ def sigmoid(x):
     out[~pos] = ex / (1.0 + ex)
     return out
 
-
-def silu_grad(x):
-    s = sigmoid(x)
-    return s * (1.0 + np.asarray(x) * (1.0 - s))

@@ -14,8 +14,9 @@ import numpy as np
 
 from .aggregators import aggregate_batch_backward
 from .network import ConfigError, ForwardTrace, Network, forward, adherence_counts
-from .splines import silu_grad
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 HEAD_SOFTMAX = "softmax"          # widths [.., C], cross-entropy over C logits
 HEAD_SCALAR_INDEX = "scalar-index"  # widths [.., 1], squared error on the label index
 
@@ -33,11 +34,7 @@ class TrainConfig:
     iterations: int = 2000
     batch_size: int = 32
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    trace_adherence: bool = False
 
     def validate(self):
         # lr = 0 is legal: it must leave parameters bit-identical
@@ -60,7 +57,7 @@ def adam_init(params) -> AdamState:
 def adam_step(params, grads, state: AdamState, cfg: TrainConfig):
     """Standard Adam update with bias correction; params updated in place."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -68,7 +65,7 @@ def adam_step(params, grads, state: AdamState, cfg: TrainConfig):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 
@@ -134,7 +131,6 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
             d_node = d_out
         d_edge = aggregate_batch_backward(trace.edge_outputs[l], layer.aggregator,
                                           d_node)
-        x = trace.inputs[l]
         d_w_base = np.einsum("bqp,bp->qp", d_edge, trace.silu_x[l])
         d_w_spline = np.einsum("bqp,bqp->qp", d_edge, trace.spline_vals[l])
         d_coeffs = np.einsum("bqp,bpi->qpi", d_edge, trace.basis[l]) \
@@ -142,7 +138,9 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
         layer_grads[l] = (d_coeffs, d_w_base, d_w_spline)
         if l > 0:
             dspline = np.einsum("bpi,qpi->bqp", trace.basis_deriv[l], layer.coeffs)
-            d_x = (d_edge * (layer.w_base[np.newaxis] * silu_grad(x)[:, np.newaxis, :]
+            s = trace.sigmoid[l]
+            silu_grad = s * (1.0 + trace.inputs[l] * (1.0 - s))
+            d_x = (d_edge * (layer.w_base[np.newaxis] * silu_grad[:, np.newaxis, :]
                              + layer.w_spline[np.newaxis] * dspline)).sum(axis=1)
             d_out = d_x
 
@@ -162,8 +160,7 @@ class TrainResult:
     val_accuracy: float
     test_accuracy: float
     head: str
-    adherence: list | None = None            # per hidden layer, pooled over the run
-    iterations: int = 0
+    adherence: list      # in-range share per hidden layer, pooled over the run
 
 
 def _head_mode(net: Network, n_classes: int) -> str:
@@ -197,8 +194,10 @@ def evaluate(net: Network, features, labels, n_classes: int) -> float:
 def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     """Train in place for cfg.iterations mini-batch Adam steps.
 
-    Deterministic given (network init, cfg.seed, data). Raises
-    TrainingDiverged as soon as the batch loss stops being finite.
+    Deterministic given (network init, cfg.seed, data). Every step also
+    counts the hidden values inside the grid range, pooled into
+    TrainResult.adherence. Raises TrainingDiverged as soon as the batch loss
+    stops being finite.
     """
     cfg.validate()
     if data.n_features != net.n_in:
@@ -215,7 +214,7 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     state = adam_init(params)
 
     losses = []
-    inside = total = None
+    inside = total = 0      # become per-hidden-layer count arrays at step one
     order = rng.permutation(n_train)
     cursor = 0
     for it in range(cfg.iterations):
@@ -234,13 +233,9 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
             raise TrainingDiverged(it, f"non-finite loss at iteration {it}")
         losses.append(loss)
 
-        if cfg.trace_adherence and len(net.layers) > 1:
-            i, n = adherence_counts(trace, net.config.range_lo, net.config.range_hi)
-            if inside is None:
-                inside, total = i.copy(), n.copy()
-            else:
-                inside += i
-                total += n
+        i, n = adherence_counts(trace, net.config.range_lo, net.config.range_hi)
+        inside = inside + i
+        total = total + n
 
         grads = backward(net, trace, d_logits)
         adam_step(params, grads, state, cfg)
@@ -257,6 +252,5 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
         test_accuracy=evaluate(net, data.features[data.test_idx],
                                data.labels[data.test_idx], data.n_classes),
         head=head,
-        adherence=None if inside is None else (inside / total).tolist(),
-        iterations=cfg.iterations,
+        adherence=(inside / total).tolist(),
     )

@@ -47,11 +47,10 @@ class TestLoadTable:
         with pytest.raises(IngestionError, match="row 2"):
             load_table(bad, MIXED)
 
-    def test_feature_count_expectation(self, tmp_path):
-        m = manifest_for(MIXED.columns, expected_features=3)
-        p = write(tmp_path, "red,1.0,a\n")
+    def test_feature_count_expectation(self):
+        # checked when the manifest is built, before any file is read
         with pytest.raises(IngestionError, match="expects 3"):
-            load_table(p, m)
+            manifest_for(MIXED.columns, expected_features=3)
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path, "")
@@ -319,7 +318,7 @@ class TestSyntheticSpec:
         with pytest.raises(IngestionError, match=match):
             load_manifest(mp)
         with pytest.raises(IngestionError, match=match):
-            DatasetManifest(name="s", synthetic=spec).validate()
+            DatasetManifest(name="s", synthetic=spec)
 
     def test_missing_required_key(self, tmp_path):
         for key in BLOBS:
@@ -330,8 +329,58 @@ class TestSyntheticSpec:
         self.check_rejected(tmp_path, {**BLOBS, "nosie": 0.3},
                             r"unknown keys \['nosie'\]")
 
+    def test_spec_not_an_object(self, tmp_path):
+        for spec in ([["kind", "xor"]], "gaussian-blobs"):
+            self.check_rejected(tmp_path, spec, "synthetic spec must be an object")
+
     def test_non_integer_sizes(self, tmp_path):
         for key, value in (("n_features", 4.0), ("n_instances", "100"),
                            ("n_instances", True), ("n_classes", 2.5)):
             self.check_rejected(tmp_path, {**BLOBS, key: value},
                                 rf"wrong type \['{key}'\]")
+
+
+COLUMNS = [{"name": "a", "role": "feature", "type": "numeric"},
+           {"name": "y", "role": "target", "type": "categorical"}]
+
+
+class TestManifestChecks:
+    """A manifest is checked once, when it is built; a malformed file is an
+    IngestionError that names the file."""
+
+    @pytest.mark.parametrize("doc", [
+        [{"name": "m", "synthetic": BLOBS}],                      # top level a list
+        {"path": "m.csv", "columns": COLUMNS},                   # no name
+        {"name": "m", "path": "m.csv",
+         "columns": [{"name": "a", "typ": "numeric"}, COLUMNS[1]]},  # typo'd key
+        {"name": "m", "synthetic": [["kind", "xor"]]},           # spec a list
+        {"name": "m", "synthetic": "gaussian-blobs"},            # spec a string
+    ], ids=["top-level-list", "missing-name", "unknown-column-key",
+            "synthetic-list", "synthetic-string"])
+    def test_malformed_file_names_it(self, tmp_path, doc):
+        mp = tmp_path / "broken-manifest.json"
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(IngestionError, match="broken-manifest.json"):
+            load_manifest(mp)
+
+    def test_unknown_column_role_rejected(self, tmp_path):
+        # "featuer" used to drop the column from the features without a word
+        mp = tmp_path / "roles.json"
+        mp.write_text(json.dumps({"name": "m", "path": "m.csv", "columns": [
+            COLUMNS[0], {"name": "b", "role": "featuer"}, COLUMNS[1]]}))
+        with pytest.raises(IngestionError,
+                           match=r"roles\.json: column 'b': role 'featuer'"):
+            load_manifest(mp)
+        with pytest.raises(IngestionError, match="column 'b': role 'featuer'"):
+            ColumnSpec("b", "featuer")
+
+    def test_unknown_column_type_rejected(self, tmp_path):
+        # "numerc" used to abort the experiment with a numpy TypeError
+        mp = tmp_path / "types.json"
+        mp.write_text(json.dumps({"name": "m", "path": "m.csv", "columns": [
+            {"name": "a", "type": "numerc"}, COLUMNS[1]]}))
+        with pytest.raises(IngestionError,
+                           match=r"types\.json: column 'a': type 'numerc'"):
+            load_manifest(mp)
+        with pytest.raises(IngestionError, match="column 'a': type 'numerc'"):
+            ColumnSpec("a", "feature", "numerc")

@@ -95,6 +95,19 @@ class TestSweep:
             assert row["std_rank"] == pytest.approx(np.std(pair), abs=1e-6)
 
 
+def test_sweep_and_compare_records_carry_adherence():
+    sweep = run_sweep(quick_config("sweep", aggregators=("sum", "mean"),
+                                   iterations=5))[1]
+    compare = run_comparison(quick_config("compare", variants=("kan", "kan-avg"),
+                                          runs=2, iterations=5))[1]
+    for r in sweep + compare:
+        assert r["status"] == "ok"
+        assert len(r["adherence"]) == 1 and 0.0 <= r["adherence"][0] <= 1.0
+    # five steps into training on these blobs, the mean keeps every hidden
+    # value on the grid
+    assert all(r["adherence"] == [1.0] for r in compare if r["label"] == "kan-avg")
+
+
 class TestComparison:
     def test_structure_two_variants(self):
         config = quick_config("compare", variants=("kan", "kan-avg"), runs=3)
@@ -220,18 +233,23 @@ class TestDeterminismAndFailures:
         for row in payload["rank_table"]:
             assert row["per_dataset"]["gone"] is None
 
-    def test_malformed_synthetic_manifest_rejected_before_any_run(self, monkeypatch):
-        # a missing n_features used to abort the sweep with a KeyError
+    def test_malformed_synthetic_manifest_rejected_before_any_run(
+            self, tmp_path, monkeypatch):
+        # a missing n_features used to abort the sweep with a KeyError; a
+        # code-built manifest cannot be malformed, so the bad one is a file
         from kanagg import harness
         monkeypatch.setattr(harness, "execute_run",
                             lambda spec: pytest.fail("a run started"))
+        bad = tmp_path / "bad.json"
         for spec in ({"kind": "gaussian-blobs", "n_instances": 100},
                      {"kind": "gaussian-blobs", "n_features": 4,
                       "n_instances": 100, "nosie": 0.3}):
-            config = quick_config("sweep", datasets=(
-                blob_manifest(), DatasetManifest(name="bad", synthetic=spec)))
-            with pytest.raises(IngestionError, match="'bad'"):
+            bad.write_text(json.dumps({"name": "bad", "synthetic": spec}))
+            config = quick_config("sweep", datasets=(blob_manifest(), str(bad)))
+            with pytest.raises(IngestionError, match=r"bad\.json: manifest 'bad'"):
                 run_sweep(config)
+            with pytest.raises(IngestionError, match="'bad'"):
+                DatasetManifest(name="bad", synthetic=spec)
 
     def test_each_manifest_loaded_once_per_sweep(self, tmp_path, monkeypatch):
         from kanagg import harness

@@ -101,7 +101,8 @@ class TestForward:
         traced, trace = forward(net, x, trace=True)
         np.testing.assert_array_equal(plain, traced)
         assert trace.edge_outputs[0].shape == (5, 6, 3)
-        assert trace.node_values[1].shape == (5, 2)
+        assert [v.shape for v in trace.inputs] == [(5, 3), (5, 6)]
+        assert [v.shape for v in trace.sigmoid] == [(5, 3), (5, 6)]
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(9)
@@ -168,12 +169,12 @@ class TestLayerNorm:
     def test_applied_to_hidden_only(self):
         net = small_net(aggs=("sum", "sum"), widths=(3, 5, 2), layer_norm=True)
         x = np.random.default_rng(1).uniform(-1, 1, (4, 3))
-        _, trace = forward(net, x, trace=True)
-        hidden = trace.normed_values[0]
+        logits, trace = forward(net, x, trace=True)
+        hidden = trace.inputs[1]    # the next layer's spline inputs
         np.testing.assert_allclose(hidden.mean(axis=1), 0.0, atol=1e-9)
-        # final logits are raw: not normalized
-        assert not np.allclose(trace.normed_values[1].mean(axis=1), 0.0, atol=1e-6)
-        np.testing.assert_array_equal(trace.normed_values[1], trace.node_values[1])
+        # final logits are raw: the output layer's aggregation, not normalized
+        assert not np.allclose(logits.mean(axis=1), 0.0, atol=1e-6)
+        np.testing.assert_array_equal(logits, trace.edge_outputs[1].sum(axis=2))
 
     def test_invalid(self, tmp_path):
         # a hidden layer is never empty, and eps enters only from checkpoints
@@ -194,7 +195,7 @@ class TestRangeAdherence:
         net = small_net(widths=(2, len(values), 2))
         x = np.zeros((1, 2))
         _, trace = forward(net, x, trace=True)
-        trace.normed_values[0] = np.asarray([values], dtype=float)
+        trace.inputs[1] = np.asarray([values], dtype=float)
         return trace
 
     def test_fraction_with_boundaries_inclusive(self):

@@ -8,6 +8,7 @@ from kanagg import (ConfigError, NetworkConfig, TrainConfig, TrainingDiverged,
                     forward, softmax_cross_entropy, squared_error_on_index,
                     synthetic_dataset, train)
 from kanagg.aggregators import AGGREGATOR_NAMES
+from kanagg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 from oracles import naive_basis_vector, naive_silu, reference_adam, \
     relative_error
@@ -165,8 +166,8 @@ class TestAdam:
         def grad_fn(params):
             return [2 * (params[0] - 1), 4 * params[1]]
 
-        expected = reference_adam([4.0, -3.0], grad_fn, 0.05, cfg.beta1,
-                                  cfg.beta2, cfg.eps, steps=10)
+        expected = reference_adam([4.0, -3.0], grad_fn, 0.05, ADAM_BETA1,
+                                  ADAM_BETA2, ADAM_EPS, steps=10)
         p = [np.array([4.0]), np.array([-3.0])]
         state = adam_init(p)
         for step in range(10):
@@ -228,16 +229,29 @@ class TestTrain:
         assert res.head == "scalar-index"
         assert res.test_accuracy >= 0.5  # weak head, but must beat chance on blobs
 
-    def test_adherence_collection_toggle(self):
+    def test_adherence_pooled_over_every_step(self):
+        # every run records adherence; lr 0 keeps the parameters fixed, so a
+        # replay of train's batch order with plain counts gives the same pool
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
-        net = build_network(NetworkConfig((4, 6, 3), ("mean", "mean"), seed=1))
-        res = train(net, data, TrainConfig(iterations=20, seed=0))
-        assert res.adherence is None
-        net2 = build_network(NetworkConfig((4, 6, 3), ("mean", "mean"), seed=1))
-        res2 = train(net2, data, TrainConfig(iterations=20, seed=0,
-                                             trace_adherence=True))
-        assert len(res2.adherence) == 1
-        assert 0.0 <= res2.adherence[0] <= 1.0
+        cfg = TrainConfig(iterations=20, batch_size=16, learning_rate=0.0, seed=0)
+        net = build_network(NetworkConfig((4, 6, 5, 3), ("sum", "sum", "sum"),
+                                          seed=1))
+        res = train(net, data, cfg)
+        x = data.features[data.train_idx]
+        rng = np.random.default_rng(cfg.seed)
+        order, cursor = rng.permutation(len(x)), 0
+        inside, total = [0, 0], [0, 0]
+        for _ in range(cfg.iterations):   # 72 train rows: batches of 16 and 8
+            if cursor >= len(x):
+                order, cursor = rng.permutation(len(x)), 0
+            batch = x[order[cursor: cursor + cfg.batch_size]]
+            cursor += cfg.batch_size
+            _, trace = forward(net, batch, trace=True)
+            for layer, hidden in enumerate(trace.inputs[1:]):
+                inside[layer] += int(((hidden >= -1.0) & (hidden <= 1.0)).sum())
+                total[layer] += hidden.size
+        assert res.adherence == [i / n for i, n in zip(inside, total)]
+        assert 0.0 < min(res.adherence) and max(res.adherence) < 1.0
 
     def test_dimension_mismatch_rejected(self):
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
