@@ -7,7 +7,9 @@
 A JSON file passed via --config supplies defaults; explicit flags win.
 KANAGG_OUT sets the default output directory. Each verb writes report.json,
 runs.jsonl (one record per run, including any dataset warnings) and
-summary.txt there. Exit code is 0 only when every run completed.
+summary.txt there. Exit code is 0 only when every run completed, 1 when a
+run failed, and 2 when the config, a flag value or a manifest is invalid (one
+`kanagg: error: ...` line on stderr).
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
     for key in ("datasets", "variants", "aggregators"):
         if key in settings and settings[key] is not None:
             settings[key] = tuple(settings[key])
-    config = ExperimentConfig(**settings)
-    config.validate()
-    return config
+    try:
+        return ExperimentConfig(**settings)
+    except TypeError as exc:    # an unknown config-file key, or no dataset
+        raise ValueError(f"invalid experiment settings: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -77,8 +80,13 @@ def main(argv=None) -> int:
         _add_run_flags(sub.add_parser(mode))
 
     args = parser.parse_args(argv)
-    config = _experiment_config(args.command, args)
-    payload, records = run_experiment(config)
+    try:
+        config = _experiment_config(args.command, args)
+        payload, records = run_experiment(config)
+    except (OSError, ValueError) as exc:
+        # a bad config file, flag value or manifest: one line, not a traceback
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     out = write_report(payload, records, config.out_dir)
     print((out / "summary.txt").read_text(), end="")
     print(f"report written to {out}")

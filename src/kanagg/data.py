@@ -38,6 +38,10 @@ SYNTHETIC_TYPES = {"kind": str, "n_features": int, "n_instances": int,
 SYNTHETIC_REQUIRED = ("kind", "n_features", "n_instances")
 COLUMN_ROLES = ("feature", "target", "ignore")
 COLUMN_TYPES = ("numeric", "categorical")
+# the keys a manifest file may hold at its top level and under "expected"
+MANIFEST_KEYS = ("name", "path", "columns", "delimiter", "missing_values",
+                 "has_header", "expected", "synthetic")
+EXPECTED_KEYS = ("instances", "features", "classes")
 
 
 class IngestionError(ValueError):
@@ -135,6 +139,15 @@ def load_manifest(path) -> DatasetManifest:
         if not isinstance(doc, dict):
             raise IngestionError(f"top level is a {type(doc).__name__}, not an object")
         expected = doc.get("expected", {})
+        if not isinstance(expected, dict):
+            raise IngestionError(f"expected is a {type(expected).__name__}, "
+                                 f"not an object")
+        for where, keys, allowed in (("", doc, MANIFEST_KEYS),
+                                     ("expected ", expected, EXPECTED_KEYS)):
+            unknown = sorted(set(keys) - set(allowed))
+            if unknown:
+                raise IngestionError(f"unknown {where}keys {unknown}; "
+                                     f"allowed: {', '.join(allowed)}")
         return DatasetManifest(
             name=doc.get("name"),
             path=str((path.parent / doc["path"]).resolve()) if doc.get("path") else None,

@@ -5,6 +5,11 @@ transition. Layer l holds an (n_out x n_in) matrix of edge activations that
 all share one knot grid, plus that layer's aggregator. When layer_norm is
 enabled, hidden node vectors (never the raw inputs or the final logits) are
 normalized before feeding the next layer's splines.
+
+A layer's spline part is one dense (batch x n_basis) by (n_basis x n_out)
+matrix product per input, on the compact-support basis of splines.py.
+Untraced forward passes (evaluation and prediction) run in fixed blocks of
+rows; traced passes keep every intermediate that backward reads.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .aggregators import Aggregator, aggregate_batch
 from .splines import KnotGrid, basis_matrix, make_grid, sigmoid
 
 LAYER_NORM_EPS = 1e-5
+FORWARD_BLOCK_ROWS = 1024   # rows per block of an untraced forward pass
 CHECKPOINT_FORMAT = "kanagg-checkpoint/1"
 
 
@@ -172,33 +178,30 @@ def _layer_norm(v: np.ndarray, ln: LayerNormParams):
     return zhat * ln.gain + ln.bias, zhat, inv_std
 
 
-def _layer_forward(layer: KANLayer, x: np.ndarray):
-    """Edge activations for a batch: returns the backward-pass intermediates."""
-    vals, derivs = basis_matrix(x, layer.grid)      # (B, n_in, n_basis)
-    spline_vals = np.einsum("bpi,qpi->bqp", vals, layer.coeffs)
+def per_input_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[x, y, p] = sum_z a[x, p, z] * b[y, p, z]: one matrix product per
+    input p, as np.matmul on transposed views."""
+    return np.matmul(a.transpose(1, 0, 2), b.transpose(1, 2, 0)).transpose(1, 2, 0)
+
+
+def _layer_forward(layer: KANLayer, x: np.ndarray, derivs: bool):
+    """Edge activations for a batch: returns the backward-pass intermediates
+    (basis derivatives None unless asked for)."""
+    vals, dvals = basis_matrix(x, layer.grid, derivs)   # (B, n_in, n_basis)
+    spline_vals = per_input_matmul(vals, layer.coeffs)  # (B, n_out, n_in)
     sig = sigmoid(x)
     silu_x = x * sig
     edge_out = (layer.w_base[np.newaxis] * silu_x[:, np.newaxis, :]
                 + layer.w_spline[np.newaxis] * spline_vals)
-    return vals, derivs, sig, silu_x, spline_vals, edge_out
+    return vals, dvals, sig, silu_x, spline_vals, edge_out
 
 
-def forward(net: Network, x, trace: bool = False):
-    """Run the network on a (batch, n_in) array.
-
-    Returns (batch, n_out) logits, or (logits, ForwardTrace) when trace=True.
-    Tracing does not change the computation, only what is retained.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.n_in:
-        raise ValueError(f"input shape {x.shape} does not match n_in={net.n_in}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite")
-
-    t = ForwardTrace(network=net) if trace else None
+def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None):
+    """All layers on a block of rows; fills the trace when one is given."""
     n_layers = len(net.layers)
     for l, layer in enumerate(net.layers):
-        vals, derivs, sig, silu_x, spline_vals, edge_out = _layer_forward(layer, x)
+        vals, derivs, sig, silu_x, spline_vals, edge_out = _layer_forward(
+            layer, x, derivs=t is not None)
         node = aggregate_batch(edge_out, layer.aggregator)
         ln = net.layer_norms[l] if l < n_layers - 1 else None
         out, zhat, inv_std = (node, None, None) if ln is None else _layer_norm(node, ln)
@@ -215,7 +218,31 @@ def forward(net: Network, x, trace: bool = False):
         x = out
         # free this layer's arrays before the next layer allocates its own
         del vals, derivs, sig, silu_x, spline_vals, edge_out, node
-    return (x, t) if trace else x
+    return x
+
+
+def forward(net: Network, x, trace: bool = False):
+    """Run the network on a (batch, n_in) array.
+
+    Returns (batch, n_out) logits, or (logits, ForwardTrace) when trace=True.
+    Every step is row-wise, so the untraced pass runs FORWARD_BLOCK_ROWS rows
+    at a time, which bounds its memory by the block, not the batch; the
+    traced pass keeps the whole batch's intermediates for backward.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.n_in:
+        raise ValueError(f"input shape {x.shape} does not match n_in={net.n_in}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input must be finite")
+
+    if trace:
+        t = ForwardTrace(network=net)
+        return _forward_rows(net, x, t), t
+    logits = np.empty((x.shape[0], net.n_out))
+    for start in range(0, x.shape[0], FORWARD_BLOCK_ROWS):
+        rows = slice(start, start + FORWARD_BLOCK_ROWS)
+        logits[rows] = _forward_rows(net, x[rows], None)
+    return logits
 
 
 def mean_to_scaled_sum(net: Network) -> Network:

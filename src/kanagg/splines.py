@@ -4,8 +4,10 @@ Each edge carries phi(x) = w_base * silu(x) + w_spline * sum_i c_i * B_i(x),
 where B_i are degree-k B-spline basis functions on a fixed uniform knot grid.
 Outside the knot span every B_i vanishes, so only the silu residual remains;
 this is intentional (out-of-range inputs are a regime we want to observe, not
-clamp away). network.py stores every edge of a layer stacked and evaluates
-them for a whole batch at once.
+clamp away). On the uniform grid only k+1 basis functions are non-zero at a
+point, so basis_matrix finds each point's knot span and runs de Boor's
+recursion on those k+1 values alone. network.py stores every edge of a layer
+stacked and evaluates them for a whole batch at once.
 """
 
 from __future__ import annotations
@@ -58,43 +60,82 @@ def make_grid(range_lo: float = -1.0, range_hi: float = 1.0,
     return KnotGrid(float(range_lo), float(range_hi), int(grid_size), int(degree), knots)
 
 
-def basis_matrix(x: np.ndarray, grid: KnotGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate all basis functions and their first derivatives at many points.
+def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
+    """Evaluate all basis functions, and optionally their first derivatives,
+    at many points.
 
-    x may have any shape; returns (values, derivs) with shape x.shape + (n_basis,).
-    Cox-de Boor recursion on the half-open intervals [t_i, t_{i+1}); all basis
-    values are exactly zero outside the extended knot span.
+    x may have any shape; returns (values, derivs) with shape x.shape +
+    (n_basis,), derivs None when not asked for. Each point lies in one
+    half-open knot interval [t_s, t_{s+1}), where only the k+1 basis
+    functions s-k..s are non-zero: the span comes from one floor, those k+1
+    values from de Boor's recursion, and they are scattered into the dense
+    result. Points outside the extended knot span, and non-finite points,
+    give all-zero rows.
     """
     x = np.asarray(x, dtype=np.float64)
     t = grid.knots
     k = grid.degree
-    flat = x.reshape(-1, 1)
-    # degree 0: indicator of the half-open knot interval
-    b = ((flat >= t[:-1]) & (flat < t[1:])).astype(np.float64)
-    b_prev = b
+    n_spans = len(t) - 1
+    flat = x.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (flat - t[0]) / grid.spacing
+        # fmin/fmax send nan to the last span and clamp +-inf; such points
+        # are marked invalid below
+        s = np.fmax(np.fmin(np.floor(u), n_spans - 1), 0).astype(np.intp)
+    # settle the span against the stored knots, so that a point one ulp from
+    # a knot falls in the interval whose bounds it satisfies; a point past
+    # either end may step off the spans and is clamped back
+    s -= flat < t[s]
+    s += flat >= t[s + 1]
+    np.minimum(np.maximum(s, 0, out=s), n_spans - 1, out=s)
+    valid = (t[0] <= flat) & (flat < t[-1])
+    # position inside the span in units of the knot spacing, 0 when invalid
+    f = np.where(valid, u - s, 0.0)
+
+    # de Boor on the uniform grid: at degree d, row r of b holds B_{s-k+r}
+    # for r = k-d..k, and B_{s-k+r} = ((f + k-r) B_{s-k+r}^{d-1}
+    # + (r+d+1-k - f) B_{s-k+r+1}^{d-1}) / d
+    b = valid.astype(np.float64)[np.newaxis]
+    low = None
     for d in range(1, k + 1):
-        left = (flat - t[: -d - 1]) / (t[d:-1] - t[: -d - 1])
-        right = (t[d + 1:] - flat) / (t[d + 1:] - t[1:-d])
-        b_prev = b
-        b = left * b[:, :-1] + right * b[:, 1:]
-    if k == 0:
-        db = np.zeros_like(b)
-    else:
-        # derivative of the final step from the degree k-1 values
-        db = k * (b_prev[:, :-1] / (t[k:-1] - t[: -k - 1])
-                  - b_prev[:, 1:] / (t[k + 1:] - t[1:-k]))
+        low = b
+        c = np.arange(d, dtype=np.float64)[:, np.newaxis]
+        prev = b / d
+        b = np.zeros((d + 1, f.size))
+        b[1:] = (f + c[::-1]) * prev
+        b[:-1] += (c + 1.0 - f) * prev
     shape = x.shape + (grid.n_basis,)
-    return b.reshape(shape), db.reshape(shape)
+    values = _scatter(b, s, grid).reshape(shape)
+    if not derivs:
+        return values, None
+    # d/dx B_{s-k+r} = (B_{s-k+r}^{k-1} - B_{s-k+r+1}^{k-1}) / h; 0 for k = 0
+    db = np.zeros_like(b)
+    if low is not None:
+        db[1:] = low
+        db[:-1] -= low
+        db /= grid.spacing
+    return values, _scatter(db, s, grid).reshape(shape)
+
+
+def _scatter(local, s, grid):
+    """Place the k+1 local values of each point (the columns of `local`) at
+    basis columns s-k..s of a dense (points, n_basis) array; columns past
+    either end are dropped."""
+    k, n = grid.degree, grid.n_basis
+    width = n + 2 * k
+    dense = np.zeros((s.size, width))
+    flat = dense.reshape(-1)
+    start = np.arange(s.size) * width + s
+    for r in range(k + 1):
+        flat[start + r] = local[r]
+    return dense[:, k: k + n]
 
 
 def sigmoid(x):
     """Overflow-free logistic function; silu(x) = x * sigmoid(x) is the smooth
     residual under every spline."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
+    # e = exp(-|x|); minimum keeps a nan's sign, as exp(x) of a nan does
+    e = np.exp(np.minimum(x, -x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)

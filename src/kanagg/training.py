@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregators import aggregate_batch_backward
-from .network import ConfigError, ForwardTrace, Network, forward, adherence_counts
+from .network import (ConfigError, ForwardTrace, Network, adherence_counts, forward,
+                      per_input_matmul)
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -133,11 +134,13 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
                                           d_node)
         d_w_base = np.einsum("bqp,bp->qp", d_edge, trace.silu_x[l])
         d_w_spline = np.einsum("bqp,bqp->qp", d_edge, trace.spline_vals[l])
-        d_coeffs = np.einsum("bqp,bpi->qpi", d_edge, trace.basis[l]) \
-            * layer.w_spline[:, :, np.newaxis]
+        # sum_b d_edge[b, q, p] * basis[b, p, i], as (q, i, p) then (q, p, i)
+        d_coeffs = per_input_matmul(d_edge.transpose(1, 2, 0),
+                                    trace.basis[l].transpose(2, 1, 0))
+        d_coeffs = d_coeffs.transpose(0, 2, 1) * layer.w_spline[:, :, np.newaxis]
         layer_grads[l] = (d_coeffs, d_w_base, d_w_spline)
         if l > 0:
-            dspline = np.einsum("bpi,qpi->bqp", trace.basis_deriv[l], layer.coeffs)
+            dspline = per_input_matmul(trace.basis_deriv[l], layer.coeffs)
             s = trace.sigmoid[l]
             silu_grad = s * (1.0 + trace.inputs[l] * (1.0 - s))
             d_x = (d_edge * (layer.w_base[np.newaxis] * silu_grad[:, np.newaxis, :]

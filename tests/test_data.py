@@ -384,3 +384,19 @@ class TestManifestChecks:
             load_manifest(mp)
         with pytest.raises(IngestionError, match="column 'a': type 'numerc'"):
             ColumnSpec("a", "feature", "numerc")
+
+    @pytest.mark.parametrize("doc, unknown", [
+        ({"name": "m", "delimter": ";", "path": "m.csv", "columns": COLUMNS},
+         r"unknown keys \['delimter'\]"),
+        ({"name": "m", "path": "m.csv", "columns": COLUMNS,
+          "expected": {"features": 1, "clases": 2}},
+         r"unknown expected keys \['clases'\]"),
+        ({"name": "m", "path": "m.csv", "columns": COLUMNS, "expected": [1, 2]},
+         "expected is a list, not an object"),
+    ], ids=["top-level", "expected", "expected-not-object"])
+    def test_unknown_keys_rejected(self, tmp_path, doc, unknown):
+        # a misspelt key used to load with its default and no error
+        mp = tmp_path / "keys.json"
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(IngestionError, match=r"keys\.json: " + unknown):
+            load_manifest(mp)

@@ -374,3 +374,48 @@ class TestCli:
         run = [json.loads(l) for l in
                (out / "runs.jsonl").read_text().splitlines()][0]
         assert run["widths"][-1] == 1
+
+    def test_malformed_manifest_is_one_line_error(self, tmp_path, capsys):
+        manifest = tmp_path / "typo.json"
+        manifest.write_text(json.dumps({
+            "name": "typo", "delimter": ";",
+            "synthetic": {"kind": "xor", "n_features": 2, "n_instances": 60}}))
+        out = tmp_path / "out"
+        rc = cli_main(["sweep", "--dataset", str(manifest), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("kanagg: error: manifest ")
+        assert "typo.json" in err and "delimter" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["bad-flag-value", "unknown-config-key",
+                                      "missing-manifest"])
+    def test_invalid_settings_are_one_line_errors(self, tmp_path, capsys, case):
+        manifest = self._write_synth_manifest(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"datasets": [str(manifest)], "runz": 3}))
+        argv, message = {
+            "bad-flag-value": (["--dataset", str(manifest), "--runs", "0"],
+                               "runs must be >= 1"),
+            "unknown-config-key": (["--config", str(cfg)],
+                                   "unexpected keyword argument 'runz'"),
+            "missing-manifest": (["--dataset", str(tmp_path / "missing.json")],
+                                 "missing.json"),
+        }[case]
+        rc = cli_main(["compare", *argv, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("kanagg: error: ")
+        assert message in err
+
+    def test_config_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = ExperimentConfig.validate
+        monkeypatch.setattr(ExperimentConfig, "validate",
+                            lambda self: calls.append(1) or validate(self))
+        manifest = self._write_synth_manifest(tmp_path)
+        rc = cli_main(["compare", "--dataset", str(manifest), "--variants", "kan",
+                       "--runs", "1", "--iterations", "2",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0 and len(calls) == 1

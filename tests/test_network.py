@@ -7,7 +7,9 @@ from kanagg import (Aggregator, ConfigError, NetworkConfig, build_network,
                     forward, load_checkpoint, mean_to_scaled_sum,
                     save_checkpoint)
 from kanagg.aggregators import AGGREGATOR_NAMES
-from kanagg.network import LayerNormParams, _layer_norm, adherence_counts
+from kanagg.network import (FORWARD_BLOCK_ROWS, LayerNormParams, _layer_norm,
+                            adherence_counts)
+from kanagg.training import predict
 
 from oracles import naive_edge
 
@@ -118,6 +120,32 @@ class TestForward:
             net.layers[1].w_base = net.layers[1].w_base[:, perm]
             net.layers[1].w_spline = net.layers[1].w_spline[:, perm]
             np.testing.assert_allclose(forward(net, x), base, atol=1e-12)
+
+
+class TestBlockedForward:
+    """Untraced forward runs in blocks of FORWARD_BLOCK_ROWS rows; traced
+    forward does not, and the two agree on every row."""
+
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    @pytest.mark.parametrize("agg", ["sum", "mean", "median", "multiply"])
+    def test_blocked_equals_traced(self, agg, layer_norm):
+        net = small_net(aggs=(agg, agg), widths=(5, 6, 3), seed=31,
+                        layer_norm=layer_norm)
+        x = np.random.default_rng(32).uniform(-1.5, 1.5, (2500, 5))
+        b = FORWARD_BLOCK_ROWS
+        for n in (1, b - 1, b, b + 1, 2500):
+            blocked = forward(net, x[:n])
+            traced, _ = forward(net, x[:n], trace=True)
+            assert blocked.shape == (n, 3)
+            np.testing.assert_allclose(blocked, traced, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("agg", ["sum", "mean", "median", "multiply"])
+    def test_predict_same_in_one_call_or_row_by_row(self, agg):
+        net = small_net(aggs=(agg, agg), widths=(5, 6, 3), seed=33, layer_norm=True)
+        x = np.random.default_rng(34).uniform(-1.5, 1.5, (FORWARD_BLOCK_ROWS + 40, 5))
+        together = predict(net, x, 3)
+        one_by_one = np.concatenate([predict(net, row[np.newaxis], 3) for row in x])
+        np.testing.assert_array_equal(together, one_by_one)
 
 
 class TestScaledSumEquivalence:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanagg import (NetworkConfig, backward, build_network, forward,
                     load_checkpoint, make_grid, save_checkpoint)
@@ -95,6 +97,69 @@ class TestBasisEval:
         up, _ = basis_matrix(xs + h, g)
         dn, _ = basis_matrix(xs - h, g)
         np.testing.assert_allclose(derivs, (up - dn) / (2 * h), atol=1e-5)
+
+
+@st.composite
+def grids(draw):
+    """A knot grid with G in 1..10, k in 0..3 and a random [lo, hi]."""
+    lo = draw(st.floats(-10.0, 10.0))
+    width = draw(st.floats(0.01, 20.0))
+    return make_grid(lo, lo + width, draw(st.integers(1, 10)),
+                     draw(st.sampled_from((0, 1, 2, 3))))
+
+
+class TestBasisProperties:
+    """basis_matrix against the recursive oracle on random grids."""
+
+    @given(grids(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_values_match_oracle(self, grid, data):
+        # every knot and both its ulp neighbours, where a span taken from
+        # floor alone can land one interval off, plus points past both ends
+        t = grid.knots
+        span = t[-1] - t[0]
+        beyond = data.draw(st.lists(st.one_of(
+            st.floats(t[0] - span, t[0], exclude_max=True),
+            st.floats(t[-1], t[-1] + span)), min_size=1, max_size=4))
+        inside = data.draw(st.lists(
+            st.floats(t[0], t[-1], exclude_max=True), max_size=4))
+        xs = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                             beyond, inside])
+        vals, derivs = basis_matrix(xs, grid)
+        assert vals.shape == derivs.shape == (xs.size, grid.n_basis)
+        for x, row in zip(xs, vals):
+            np.testing.assert_allclose(row, naive_basis_vector(x, grid),
+                                       rtol=0, atol=1e-10, err_msg=f"x={x!r}")
+
+    @given(grids(), st.lists(st.sampled_from((np.nan, np.inf, -np.inf)),
+                             min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_points_give_zero_rows(self, grid, bad):
+        t = grid.knots
+        good = (t[:-1] + t[1:]) / 2
+        xs = np.concatenate([good, bad])
+        vals, derivs = basis_matrix(xs, grid)
+        assert np.all(vals[good.size:] == 0.0) and np.all(derivs[good.size:] == 0.0)
+        ref_vals, ref_derivs = basis_matrix(good, grid)
+        assert np.array_equal(vals[:good.size], ref_vals)
+        assert np.array_equal(derivs[:good.size], ref_derivs)
+
+    @given(grids(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_derivatives_match_oracle_differences(self, grid, data):
+        # points at least 1% of a knot spacing from every knot
+        t, h = grid.knots, grid.spacing
+        spans = data.draw(st.lists(st.integers(0, t.size - 2), min_size=1, max_size=6))
+        fracs = data.draw(st.lists(st.floats(0.01, 0.99), min_size=len(spans),
+                                   max_size=len(spans)))
+        xs = t[spans] + h * np.array(fracs)
+        _, derivs = basis_matrix(xs, grid)
+        step = 1e-5 * h
+        for x, row in zip(xs, derivs):
+            central = (naive_basis_vector(x + step, grid)
+                       - naive_basis_vector(x - step, grid)) / (2 * step)
+            np.testing.assert_allclose(row, central, rtol=0, atol=1e-6 / h,
+                                       err_msg=f"x={x!r}")
 
 
 # A [1, 1] sum network computes exactly one edge, phi(x). In a [1, 1, 1] sum
