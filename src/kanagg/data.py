@@ -1,8 +1,13 @@
 """Tabular dataset ingestion and preprocessing.
 
-Ingestion rejects numeric cells that do not parse as finite numbers. The
-pipeline then runs, in order, with all statistics fitted on the train split
-only:
+`load_table` parses a file once into a `RawTable` of typed, read-only
+column arrays: numeric features as float64 with NaN for a missing cell,
+every other column as int64 codes (first appearance in the file, -1 for a
+missing cell) into its tuple of distinct cells. It rejects numeric cells
+that do not parse as finite numbers. The harness keeps the last parsed table
+of each process, so the runs of one dataset share one parse; `preprocess`
+only reads the table and does every step below with array operations, in
+order, with all statistics fitted on the train split only:
   1. shuffle rows by seed, split 60/20/20 in shuffled order (rounding
      remainder goes to train),
   2. encode categorical features as integer codes in first-appearance order
@@ -24,7 +29,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,21 +168,37 @@ def load_manifest(path) -> DatasetManifest:
         raise IngestionError(f"manifest {path}: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class RawTable:
-    """Typed columns with missing cells as None; shape checked against the manifest."""
+    """One parsed file as typed, read-only column arrays.
 
-    columns: dict            # column name -> list of float | str | None
+    A numeric feature column is float64 with NaN for a missing cell (no valid
+    cell is NaN: ingestion rejects non-finite numbers). Every other column is
+    int64 codes into `values[name]`, its distinct cells numbered by first
+    appearance in the file, with -1 for a missing cell.
+    """
+
+    columns: dict            # column name -> np.ndarray, float64 or int64 codes
+    values: dict             # coded column name -> tuple of its distinct cells
     n_rows: int
-    n_missing: int
+
+    @property
+    def n_missing(self) -> int:
+        """Missing cells over every column, counted from the arrays."""
+        return sum(int(np.count_nonzero(np.isnan(c) if c.dtype.kind == "f" else c < 0))
+                   for c in self.columns.values())
 
 
 def load_table(path, manifest: DatasetManifest) -> RawTable:
-    """Parse a delimited text file per the manifest's column specs."""
+    """Parse a delimited text file per the manifest's column specs into
+    typed columns. Blank lines are skipped; with `has_header` the first
+    non-blank line is the header. Errors name the row by its file line."""
     sentinels = set(manifest.missing_values)
     specs = list(manifest.columns)
-    columns = {c.name: [] for c in specs}
-    n_missing = 0
+    numeric = [c.role == "feature" and c.type == "numeric" for c in specs]
+    cells = [[] for _ in specs]      # a float per numeric column, else a code
+    index = [{} for _ in specs]      # coded column: distinct cell -> code
+    header = manifest.has_header
     n_rows = 0
     try:
         f = open(path, newline="")
@@ -186,40 +206,49 @@ def load_table(path, manifest: DatasetManifest) -> RawTable:
         raise IngestionError(f"cannot open {path}: {exc}") from exc
     with f:
         if manifest.delimiter == "whitespace":
-            rows = (line.split() for line in f if line.strip())
+            rows = ((line_no, line.split()) for line_no, line in enumerate(f, start=1))
         else:
-            rows = csv.reader(f, delimiter=manifest.delimiter)
-        for row_no, row in enumerate(rows, start=1):
+            reader = csv.reader(f, delimiter=manifest.delimiter)
+            rows = ((reader.line_num, row) for row in reader)
+        for row_no, row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if manifest.has_header and row_no == 1:
+            if header:
+                header = False
                 continue
             if len(row) != len(specs):
                 raise IngestionError(
                     f"{path}: row {row_no} has {len(row)} fields, manifest "
                     f"{manifest.name!r} declares {len(specs)} columns")
             n_rows += 1
-            for spec, cell in zip(specs, row):
+            for j, cell in enumerate(row):
                 cell = cell.strip()
-                if cell in sentinels or cell == "":
-                    columns[spec.name].append(None)
-                    n_missing += 1
+                missing = cell in sentinels or cell == ""
+                if not numeric[j]:
+                    code = -1 if missing else index[j].setdefault(cell, len(index[j]))
+                    cells[j].append(code)
                     continue
-                if spec.role == "feature" and spec.type == "numeric":
+                value = math.nan
+                if not missing:
                     try:
                         value = float(cell)
                     except ValueError:
-                        value = math.nan      # reported with the non-finite cells
+                        pass                  # reported with the non-finite cells
                     if not math.isfinite(value):
                         raise IngestionError(
-                            f"{path}: row {row_no}, column {spec.name!r}: "
+                            f"{path}: row {row_no}, column {specs[j].name!r}: "
                             f"cannot parse {cell!r} as a finite number")
-                    columns[spec.name].append(value)
-                else:
-                    columns[spec.name].append(cell)
+                cells[j].append(value)
     if n_rows == 0:
         raise IngestionError(f"{path}: no data rows")
-    return RawTable(columns=columns, n_rows=n_rows, n_missing=n_missing)
+    columns, values = {}, {}
+    for spec, col, distinct, is_numeric in zip(specs, cells, index, numeric):
+        array = np.array(col, dtype=np.float64 if is_numeric else np.int64)
+        array.flags.writeable = False     # one table serves every run that reads it
+        columns[spec.name] = array
+        if not is_numeric:
+            values[spec.name] = tuple(distinct)
+    return RawTable(columns=columns, values=values, n_rows=n_rows)
 
 
 @dataclass
@@ -271,30 +300,48 @@ def _scale_column(matrix: np.ndarray, j: int, train_rows) -> tuple[float, float]
     return lo, hi
 
 
-def _encode_labels(values, name):
-    observed = [v for v in values if v is not None]
-    if len(observed) != len(values):
+def _encode_labels(codes: np.ndarray, values: tuple, name):
+    """Class indices from a coded target column. The vocabulary is in numeric
+    order when every label parses as a number (labels that parse to the same
+    number, such as "1" and "1.0", in string order), else in string order."""
+    if np.any(codes < 0):
         raise PreprocessError(f"{name}: target column has missing values")
-    distinct = set(observed)
-    if len(distinct) < 2:
+    if len(values) < 2:
         raise PreprocessError(f"{name}: target has a single class")
-    # stable vocabulary: numeric order when every label parses as a number
     try:
-        vocab = sorted(distinct, key=float)
-    except (TypeError, ValueError):
-        vocab = sorted(str(v) for v in distinct)
-    code = {v: i for i, v in enumerate(vocab)}
-    return np.array([code[v] for v in values], dtype=np.int64), len(vocab)
+        vocab = sorted(values, key=lambda v: (float(v), v))
+    except ValueError:
+        vocab = sorted(values)
+    rank = {v: i for i, v in enumerate(vocab)}
+    return np.array([rank[v] for v in values], dtype=np.int64)[codes], len(vocab)
+
+
+def _encode_categorical(codes: np.ndarray, missing: np.ndarray, values: tuple,
+                        train_codes: np.ndarray):
+    """Re-code one coded column by first appearance in `train_codes` (the
+    observed train cells in shuffled order); missing cells take the train
+    mode, of equally frequent categories the one that appeared first, and
+    categories unseen in train the reserved code."""
+    distinct, first_at = np.unique(train_codes, return_index=True)
+    order = distinct[np.argsort(first_at)]
+    mode = int(np.argmax(np.bincount(train_codes, minlength=len(values))[order]))
+    recode = np.full(len(values), len(order), dtype=np.int64)
+    recode[order] = np.arange(len(order))
+    stats = FeatureStats(impute_value=values[order[mode]],
+                         categories={values[c]: k for k, c in enumerate(order.tolist())},
+                         reserved_code=len(order))
+    return stats, np.where(missing, mode, recode[codes])
 
 
 def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
                scale_features: bool = True) -> Dataset:
-    """Shuffle, split, encode, impute, and scale one raw table."""
+    """Shuffle, split, encode, impute, and scale one raw table; the table
+    itself is only read."""
     n = raw.n_rows
     train_rows, val_rows, test_rows = _split(n, np.random.default_rng(seed))
-    train_list = train_rows.tolist()
 
-    labels, n_classes = _encode_labels(raw.columns[manifest.target_column().name],
+    target = manifest.target_column().name
+    labels, n_classes = _encode_labels(raw.columns[target], raw.values[target],
                                        manifest.name)
     warnings = []
     if manifest.expected_instances is not None and manifest.expected_instances != n:
@@ -309,27 +356,19 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
     stats = {}
     for j, spec in enumerate(feature_specs):
         col = raw.columns[spec.name]
-        observed_train = [col[i] for i in train_list if col[i] is not None]
-        if not observed_train:
+        missing = col < 0 if spec.type == "categorical" else np.isnan(col)
+        # the observed train cells, in shuffled order
+        train = col[train_rows[~missing[train_rows]]]
+        if not train.size:
             raise PreprocessError(
                 f"{manifest.name}: feature {spec.name!r} has no observed values "
                 f"in the train split")
         if spec.type == "categorical":
-            # codes in first appearance in shuffled train order; max keeps the
-            # first of equally frequent categories, so the mode's ties go to
-            # the earliest one
-            codes = {v: k for k, v in enumerate(dict.fromkeys(observed_train))}
-            counts = Counter(observed_train)
-            impute = max(codes, key=counts.__getitem__)
-            reserved = len(codes)
-            st = FeatureStats(impute_value=impute, categories=codes,
-                              reserved_code=reserved)
-            matrix[:, j] = [codes.get(impute if v is None else v, reserved)
-                            for v in col]
+            st, matrix[:, j] = _encode_categorical(col, missing, raw.values[spec.name],
+                                                   train)
         else:
-            impute = float(np.mean(observed_train))
-            st = FeatureStats(impute_value=impute)
-            matrix[:, j] = [impute if v is None else v for v in col]
+            st = FeatureStats(impute_value=float(np.mean(train)))
+            matrix[:, j] = np.where(missing, st.impute_value, col)
         if scale_features:
             st.lo, st.hi = _scale_column(matrix, j, train_rows)
         stats[spec.name] = st

@@ -5,15 +5,19 @@ with seeds derived by hashing those coordinates together with the global
 seed, so runs are reproducible in isolation and embarrassingly parallel.
 Each dataset manifest is loaded once per experiment, before any run starts
 (a manifest checks itself when it is built); every run carries its manifest
-and materializes the dataset from it. Every run records the share of each
-hidden layer's values that stayed on the spline grid. Reports are pure
-aggregations over the per-run records that get persisted alongside them.
+and materializes the dataset from it. A process keeps the last file it
+parsed, keyed on the manifest and the file's size and modification time, so
+it parses each dataset file once; each run splits and preprocesses that table
+with its own seed. Every run records the share of each hidden layer's values
+that stayed on the spline grid. Reports are pure aggregations over the
+per-run records that get persisted alongside them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -24,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .aggregators import AGGREGATOR_NAMES
-from .data import Dataset, DatasetManifest, load_manifest, load_table, preprocess, \
-    synthetic_dataset
+from .data import Dataset, DatasetManifest, RawTable, load_manifest, load_table, \
+    preprocess, synthetic_dataset
 from .network import NetworkConfig, build_network
 from .stats import make_rank_table, rank_with_ties, wilcoxon_signed_rank
 from .training import TrainConfig, TrainingDiverged, train
@@ -88,13 +92,33 @@ def _resolve_manifests(config: ExperimentConfig) -> list[DatasetManifest]:
             for s in config.datasets]
 
 
+# the last file parsed in this process: ((manifest, size, mtime_ns), RawTable).
+# Specs run dataset by dataset, so one entry parses each file once per process.
+_last_parse = None
+
+
+def _parsed_table(manifest: DatasetManifest) -> RawTable:
+    """The manifest's file as a RawTable, parsed again only when the manifest,
+    the file's size or its modification time changed."""
+    global _last_parse
+    try:
+        st = os.stat(manifest.path)
+    except OSError:        # load_table raises the IngestionError that names it
+        return load_table(manifest.path, manifest)
+    key = (manifest, st.st_size, st.st_mtime_ns)
+    if _last_parse is None or _last_parse[0] != key:
+        _last_parse = None                # free the old table before parsing
+        _last_parse = (key, load_table(manifest.path, manifest))
+    return _last_parse[1]
+
+
 def load_dataset(manifest: DatasetManifest, data_seed: int,
                  scale_features: bool = True) -> Dataset:
     """Materialize one dataset (file-backed or synthetic) for one run."""
     if manifest.synthetic is not None:
         return synthetic_dataset(seed=data_seed, **manifest.synthetic)
-    raw = load_table(manifest.path, manifest)
-    return preprocess(raw, manifest, data_seed, scale_features=scale_features)
+    return preprocess(_parsed_table(manifest), manifest, data_seed,
+                      scale_features=scale_features)
 
 
 @dataclass(frozen=True)

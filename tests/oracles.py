@@ -153,6 +153,59 @@ def naive_encode_categorical(column, train_rows):
     return codes, mode, encoded
 
 
+def naive_split(n, seed):
+    """(train, val, test) row lists: a seeded permutation cut 60/20/20, with
+    val and test rounded and the remainder in train."""
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    n_val = round(n * 0.2)
+    n_train = n - n_val - round(n * 0.2)
+    return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
+
+
+def naive_preprocess(cells, manifest, seed, scale_features=True):
+    """The per-cell preprocessing recipe on plain lists (None for a missing
+    cell); returns (splits, features, labels, n_classes, stats).
+
+    The train mean is np.mean over the observed train values in shuffled
+    order, so it has numpy's summation order; everything else is per-cell
+    Python. stats maps each feature to (impute_value, categories,
+    reserved_code, lo, hi). A feature with no observed train value raises
+    ValueError.
+    """
+    splits = naive_split(len(cells[manifest.target_column().name]), seed)
+    train = splits[0]
+    target = cells[manifest.target_column().name]
+    try:
+        vocab = sorted(set(target), key=lambda v: (float(v), v))
+    except ValueError:
+        vocab = sorted(set(target))
+    labels = [vocab.index(v) for v in target]
+
+    columns, stats = [], {}
+    for spec in manifest.feature_columns():
+        col = cells[spec.name]
+        if all(col[i] is None for i in train):
+            raise ValueError(f"feature {spec.name!r} has no observed train value")
+        if spec.type == "categorical":
+            codes, impute, encoded = naive_encode_categorical(col, train)
+            encoded = [float(c) for c in encoded]
+            reserved = len(codes)
+        else:
+            codes = reserved = None
+            impute = float(np.mean([col[i] for i in train if col[i] is not None]))
+            encoded = [impute if v is None else v for v in col]
+        lo = hi = None
+        if scale_features:
+            lo = min(encoded[i] for i in train)
+            hi = max(encoded[i] for i in train)
+            encoded = [(v - lo) / (hi - lo) * 2.0 - 1.0 if hi > lo else 0.0
+                       for v in encoded]
+        columns.append(encoded)
+        stats[spec.name] = (impute, codes, reserved, lo, hi)
+    features = [[col[i] for col in columns] for i in range(len(target))]
+    return splits, features, labels, len(vocab), stats
+
+
 def reference_adam(params, grad_fn, lr, beta1, beta2, eps, steps):
     """Plain-python Adam trajectory over a list of scalar parameters."""
     params = [float(p) for p in params]

@@ -244,15 +244,17 @@ def test_criterion_9_preprocessing(tmp_path):
         for got, want in zip(sizes, (0.6 * n, 0.2 * n, 0.2 * n)):
             assert abs(got - want) <= 1.0
 
-    path = tmp_path / "leak.csv"
-    path.write_text("\n".join(
-        f"{'abc'[i % 3]},{i * 1.13},{'xy'[i % 2]}" for i in range(80)) + "\n")
-    raw = load_table(path, manifest)
-    before = preprocess(raw, manifest, seed=11)
-    for i in before.test_idx:
-        raw.columns["num"][int(i)] = -9999.0
-        raw.columns["cat"][int(i)] = "mutant"
-    after = preprocess(raw, manifest, seed=11)
+    def leak_table(mutated):
+        # rows in `mutated` get a new numeric value and a new category
+        path = tmp_path / "leak.csv"
+        path.write_text("".join(
+            f"{'mutant' if i in mutated else 'abc'[i % 3]},"
+            f"{-9999.0 if i in mutated else i * 1.13},{'xy'[i % 2]}\n"
+            for i in range(80)))
+        return load_table(path, manifest)
+
+    before = preprocess(leak_table(()), manifest, seed=11)
+    after = preprocess(leak_table(set(before.test_idx.tolist())), manifest, seed=11)
     np.testing.assert_array_equal(before.features[before.train_idx],
                                   after.features[after.train_idx])
 

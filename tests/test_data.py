@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanagg import IngestionError, PreprocessError, load_manifest, load_table, \
     preprocess, synthetic_dataset
 from kanagg.data import ColumnSpec, DatasetManifest, RawTable
 
-from oracles import naive_encode_categorical
+from oracles import naive_encode_categorical, naive_preprocess
 
 
 def manifest_for(columns, **kw):
@@ -24,6 +29,15 @@ CATEGORICAL = manifest_for([
     ColumnSpec("label", "target", "categorical"),
 ])
 BLOBS = {"kind": "gaussian-blobs", "n_features": 4, "n_instances": 100}
+BOTH_DELIMITERS = pytest.mark.parametrize(
+    "delimiter, sep", [(",", ","), ("whitespace", " ")], ids=["csv", "whitespace"])
+TWO_OF_EACH = manifest_for([
+    ColumnSpec("c1", "feature", "categorical"),
+    ColumnSpec("x1", "feature", "numeric"),
+    ColumnSpec("c2", "feature", "categorical"),
+    ColumnSpec("x2", "feature", "numeric"),
+    ColumnSpec("label", "target", "categorical"),
+])
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -32,13 +46,83 @@ def write(tmp_path, text, name="data.csv"):
     return p
 
 
+def table_from_cells(manifest, **cells):
+    """A RawTable from plain column lists (None for a missing cell), coded as
+    load_table codes a file."""
+    columns, values = {}, {}
+    for spec in manifest.columns:
+        col = cells[spec.name]
+        if spec.role == "feature" and spec.type == "numeric":
+            columns[spec.name] = np.array([np.nan if v is None else v for v in col])
+        else:
+            index = {}
+            columns[spec.name] = np.array(
+                [-1 if v is None else index.setdefault(v, len(index)) for v in col],
+                dtype=np.int64)
+            values[spec.name] = tuple(index)
+    return RawTable(columns=columns, values=values, n_rows=len(col))
+
+
+def cells_of(raw, name):
+    """One column of a RawTable as a plain list, None for a missing cell."""
+    col = raw.columns[name].tolist()
+    if name in raw.values:
+        return [None if c < 0 else raw.values[name][c] for c in col]
+    return [None if np.isnan(v) else v for v in col]
+
+
+def count_missing(raw):
+    return sum(cells_of(raw, name).count(None) for name in raw.columns)
+
+
+@st.composite
+def small_tables(draw):
+    """Column lists for TWO_OF_EACH: few rows and small pools, so missing
+    cells, mode ties, categories unseen in train, constant columns and
+    features never observed in train all occur."""
+    n = draw(st.integers(5, 24))
+
+    def column(pool):
+        return draw(st.lists(st.sampled_from([None, *pool]), min_size=n, max_size=n))
+
+    cells = {}
+    for name in ("c1", "c2"):
+        cells[name] = column(draw(st.lists(st.sampled_from("abcdef"), min_size=1,
+                                           max_size=4, unique=True)))
+    for name in ("x1", "x2"):
+        cells[name] = column(draw(st.lists(st.floats(-1e6, 1e6), min_size=1,
+                                           max_size=5)))
+    cells["label"] = draw(st.lists(st.sampled_from(["0", "1", "1.0", "b"]),
+                                   min_size=n, max_size=n))
+    return cells
+
+
 class TestLoadTable:
     def test_missing_sentinel_recorded(self, tmp_path):
         p = write(tmp_path, "red,1.0,a\nblue,?,b\nred,3.0,a\n")
         raw = load_table(p, MIXED)
         assert raw.n_rows == 3
-        assert raw.n_missing == 1
-        assert raw.columns["size"][1] is None
+        assert count_missing(raw) == 1
+        assert raw.columns["size"].dtype == np.float64
+        np.testing.assert_array_equal(raw.columns["size"], [1.0, np.nan, 3.0])
+        # other columns: int64 codes by first appearance in the file
+        assert raw.columns["color"].dtype == np.int64
+        assert raw.columns["color"].tolist() == [0, 1, 0]
+        assert raw.values["color"] == ("red", "blue")
+        assert raw.values["label"] == ("a", "b")
+
+    def test_missing_coded_cell_is_minus_one(self, tmp_path):
+        raw = load_table(write(tmp_path, "red,1.0,a\n?,2.0,b\n,3.0,a\n"), MIXED)
+        assert raw.columns["color"].tolist() == [0, -1, -1]
+        assert raw.values["color"] == ("red",)
+        assert count_missing(raw) == 2
+
+    def test_columns_are_read_only(self, tmp_path):
+        # one parsed table serves every run of its dataset in a process
+        raw = load_table(write(tmp_path, "red,1.0,a\nblue,2.0,b\n"), MIXED)
+        for col in raw.columns.values():
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 0
 
     def test_column_count_enforced(self, tmp_path):
         ok = write(tmp_path, "red,1.0,a\nblue,2.0,b\n")
@@ -74,7 +158,31 @@ class TestLoadTable:
         p = write(tmp_path, "color size label\nred 1.0 a\nblue  2.0\tb\n")
         raw = load_table(p, m)
         assert raw.n_rows == 2
-        assert raw.columns["size"] == [1.0, 2.0]
+        assert raw.columns["size"].tolist() == [1.0, 2.0]
+
+    @BOTH_DELIMITERS
+    def test_header_is_first_non_blank_line(self, tmp_path, delimiter, sep):
+        # a blank first line used to make the header a data row in csv mode
+        m = manifest_for(MIXED.columns, delimiter=delimiter, has_header=True)
+        text = "\n\n" + "\n".join(sep.join(r) for r in (
+            ("color", "size", "label"), ("red", "1.0", "a"), ("blue", "2.0", "b")))
+        raw = load_table(write(tmp_path, text + "\n"), m)
+        assert raw.n_rows == 2
+        assert raw.columns["size"].tolist() == [1.0, 2.0]
+        assert raw.values["label"] == ("a", "b")
+
+    @BOTH_DELIMITERS
+    def test_errors_name_the_file_line(self, tmp_path, delimiter, sep):
+        # whitespace mode used to count non-blank lines only
+        m = manifest_for(MIXED.columns, delimiter=delimiter, has_header=True)
+        lines = ["", "color size label", "", "red 1.0 a", "", "blue oops b"]
+        text = "\n".join(line.replace(" ", sep) for line in lines) + "\n"
+        with pytest.raises(IngestionError, match="row 6, column 'size'"):
+            load_table(write(tmp_path, text), m)
+        lines[5] = "blue 2.0"
+        text = "\n".join(line.replace(" ", sep) for line in lines) + "\n"
+        with pytest.raises(IngestionError, match="row 6 has 2 fields"):
+            load_table(write(tmp_path, text), m)
 
     def test_missing_file(self):
         with pytest.raises(IngestionError):
@@ -88,10 +196,11 @@ class TestPreprocess:
         raw = load_table(write(tmp_path, rows + "\n"), MIXED)
         data = preprocess(raw, MIXED, seed=1, scale_features=False)
         col = data.features[:, 0]
+        color = cells_of(raw, "color")
         codes = {}
         for i in data.train_idx:   # first appearance in shuffled train order
-            codes.setdefault(raw.columns["color"][i], col[i])
-        assert codes[raw.columns["color"][data.train_idx[0]]] == 0.0
+            codes.setdefault(color[i], col[i])
+        assert codes[color[data.train_idx[0]]] == 0.0
         assert sorted(codes.values()) == [0.0, 1.0]
 
     def test_split_sizes_60_20_20(self, tmp_path):
@@ -134,8 +243,8 @@ class TestPreprocess:
         data = preprocess(raw, MIXED, seed=2, scale_features=False)
         assert np.all(np.isfinite(data.features))
         st = data.stats["size"]
-        observed_train = [raw.columns["size"][i] for i in data.train_idx
-                          if raw.columns["size"][i] is not None]
+        size = cells_of(raw, "size")
+        observed_train = [size[i] for i in data.train_idx if size[i] is not None]
         assert st.impute_value == pytest.approx(np.mean(observed_train))
         assert data.stats["color"].impute_value in ("red", "blue")
 
@@ -149,22 +258,23 @@ class TestPreprocess:
             data = preprocess(raw, MIXED, seed=seed, scale_features=False)
             n_cats = len(data.stats["color"].categories)
             assert data.stats["color"].reserved_code == n_cats
-        # direct check: mutate a val/test row to an unknown category
+        # direct check: rewrite a val/test row with an unknown category
         raw = load_table(write(tmp_path, "\n".join(rows) + "\n"), MIXED)
         data = preprocess(raw, MIXED, seed=1, scale_features=False)
         outside = int(data.test_idx[0])
-        raw.columns["color"][outside] = "zeta"
+        rows[outside] = "zeta," + rows[outside].split(",", 1)[1]
+        raw = load_table(write(tmp_path, "\n".join(rows) + "\n"), MIXED)
         data2 = preprocess(raw, MIXED, seed=1, scale_features=False)
         assert data2.features[outside, 0] == data2.stats["color"].reserved_code
 
     def test_no_train_test_leakage(self, tmp_path):
-        rows = "\n".join(f"{'rgb'[i % 3]},{i * 1.7},{'ab'[i % 2]}"
-                         for i in range(50))
-        raw = load_table(write(tmp_path, rows + "\n"), MIXED)
+        rows = [f"{'rgb'[i % 3]},{i * 1.7},{'ab'[i % 2]}" for i in range(50)]
+        raw = load_table(write(tmp_path, "\n".join(rows) + "\n"), MIXED)
         before = preprocess(raw, MIXED, seed=7)
-        # mutate every test row's numeric value; train transforms must not move
+        # rewrite every test row's numeric value; train transforms must not move
         for i in before.test_idx:
-            raw.columns["size"][int(i)] = 1e6
+            rows[i] = f"{'rgb'[i % 3]},1e6,{'ab'[i % 2]}"
+        raw = load_table(write(tmp_path, "\n".join(rows) + "\n"), MIXED)
         after = preprocess(raw, MIXED, seed=7)
         np.testing.assert_array_equal(before.features[before.train_idx],
                                       after.features[after.train_idx])
@@ -201,13 +311,13 @@ class TestPreprocess:
             color = [None if rng.random() < 0.2 else str(rng.choice(pool))
                      for _ in range(n)]
             label = ["x", "y"] * (n // 2) + ["x"] * (n % 2)
-            raw = RawTable(columns={"color": color, "label": label}, n_rows=n,
-                           n_missing=color.count(None))
+            raw = table_from_cells(CATEGORICAL, color=color, label=label)
             first = preprocess(raw, CATEGORICAL, seed=seed, scale_features=False)
             # same seed and row count give the same split: unseen categories
             # can now be placed outside the train split
             for k, i in enumerate(np.concatenate([first.val_idx, first.test_idx])[:2]):
                 color[int(i)] = f"unseen{k}"
+            raw = table_from_cells(CATEGORICAL, color=color, label=label)
             data = preprocess(raw, CATEGORICAL, seed=seed, scale_features=False)
             codes, mode, encoded = naive_encode_categorical(
                 color, data.train_idx.tolist())
@@ -222,20 +332,72 @@ class TestPreprocess:
 
     def test_mode_ties_go_to_first_category_in_shuffled_train_order(self):
         n = 20
-        train = preprocess(RawTable({"color": ["a"] * n, "label": ["x", "y"] * 10},
-                                    n, 0), CATEGORICAL, seed=3).train_idx.tolist()
+        train = preprocess(table_from_cells(CATEGORICAL, color=["a"] * n,
+                                            label=["x", "y"] * 10),
+                           CATEGORICAL, seed=3).train_idx.tolist()
         # alternate b, a, b, a, ... in shuffled train order: 6 each, a tie;
         # "b" comes first there, "a" first in file order and alphabetically
         color = [None] * n
         for k, i in enumerate(train):
             color[i] = "ba"[k % 2]
         assert color[min(train)] == "a" and len(train) % 2 == 0
-        raw = RawTable({"color": color, "label": ["x", "y"] * 10}, n, n - len(train))
+        raw = table_from_cells(CATEGORICAL, color=color, label=["x", "y"] * 10)
         data = preprocess(raw, CATEGORICAL, seed=3, scale_features=False)
         assert data.stats["color"].impute_value == "b"
         assert data.stats["color"].categories == {"b": 0, "a": 1}
         missing = [i for i in range(n) if color[i] is None]
         np.testing.assert_array_equal(data.features[missing, 0], 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=small_tables(), seed=st.integers(0, 2 ** 32 - 1), scale=st.booleans())
+    def test_matches_per_cell_oracle(self, cells, seed, scale):
+        raw = table_from_cells(TWO_OF_EACH, **cells)
+        if len(set(cells["label"])) < 2:
+            with pytest.raises(PreprocessError, match="single class"):
+                preprocess(raw, TWO_OF_EACH, seed, scale_features=scale)
+            return
+        try:
+            splits, features, labels, n_classes, stats = naive_preprocess(
+                cells, TWO_OF_EACH, seed, scale_features=scale)
+        except ValueError:
+            with pytest.raises(PreprocessError, match="no observed values"):
+                preprocess(raw, TWO_OF_EACH, seed, scale_features=scale)
+            return
+        data = preprocess(raw, TWO_OF_EACH, seed, scale_features=scale)
+        assert [data.train_idx.tolist(), data.val_idx.tolist(),
+                data.test_idx.tolist()] == list(splits)
+        expected = np.array(features, dtype=np.float64)
+        assert data.features.shape == expected.shape
+        assert data.features.tobytes() == expected.tobytes()      # bit for bit
+        assert data.labels.tolist() == labels
+        assert data.n_classes == n_classes
+        for name, (impute, codes, reserved, lo, hi) in stats.items():
+            got = data.stats[name]
+            assert (got.impute_value, got.reserved_code, got.lo, got.hi) \
+                == (impute, reserved, lo, hi)
+            assert (None if got.categories is None else list(got.categories.items())) \
+                == (None if codes is None else list(codes.items()))
+
+    def test_label_order_does_not_depend_on_hash_seed(self, tmp_path):
+        # labels that parse to the same number used to keep set iteration
+        # order, which PYTHONHASHSEED changes from one invocation to the next
+        labels = ["1", "1.0", "01", "1.00", "+1", "1e0", "2"]
+        write(tmp_path, "".join(f"red,{i},{labels[i % 7]}\n" for i in range(28)))
+        manifest = tmp_path / "labels.json"
+        manifest.write_text(json.dumps({"name": "labels", "path": "data.csv", "columns": [
+            {"name": c.name, "role": c.role, "type": c.type} for c in MIXED.columns]}))
+        code = ("import sys; from kanagg import load_manifest, load_table, preprocess; "
+                "m = load_manifest(sys.argv[1]); "
+                "print(preprocess(load_table(m.path, m), m, seed=0).labels.tolist())")
+        src = os.path.dirname(os.path.dirname(sys.modules["kanagg"].__file__))
+        outputs = {subprocess.run(
+            [sys.executable, "-c", code, str(manifest)], check=True,
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src},
+        ).stdout for hash_seed in (1, 2, 3, 4)}
+        # numeric order, ties in string order: +1 01 1 1.0 1.00 1e0 2
+        rank = {"+1": 0, "01": 1, "1": 2, "1.0": 3, "1.00": 4, "1e0": 5, "2": 6}
+        assert outputs == {f"{[rank[labels[i % 7]] for i in range(28)]}\n"}
 
     def test_expected_count_warnings(self, tmp_path):
         m = manifest_for(MIXED.columns, expected_instances=99, expected_classes=3)
@@ -294,7 +456,7 @@ class TestManifestAndCache:
         m = load_manifest(mp)
         assert m.name == "demo"
         raw = load_table(m.path, m)
-        assert raw.n_missing == 1
+        assert count_missing(raw) == 1
 
     def test_synthetic_manifest(self, tmp_path):
         mp = tmp_path / "synth.json"

@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from kanagg import ExperimentConfig, IngestionError, derive_seed, load_manifest, \
-    run_adherence, run_comparison, run_sweep, write_report
+    load_table, run_adherence, run_comparison, run_sweep, write_report
 from kanagg.cli import main as cli_main
 from kanagg.data import ColumnSpec, DatasetManifest
 
@@ -227,6 +228,9 @@ class TestDeterminismAndFailures:
                               datasets=(blob_manifest(), broken))
         payload, records = run_sweep(config)
         assert len(payload["failures"]) == 4          # every combo on "gone"
+        assert all(f["error"].startswith(
+            "IngestionError: cannot open /nonexistent/gone.csv: [Errno 2]")
+            for f in payload["failures"])
         assert payload["ranks"]["gone"] == {}
         ok_ranks = payload["ranks"][blob_manifest().name]
         assert len(ok_ranks) == 4                      # healthy dataset unaffected
@@ -272,6 +276,61 @@ class TestDeterminismAndFailures:
         assert len(records) == 2 * 81 and not payload["failures"]
         assert payload["datasets"] == ["ds-a", "ds-b"]
         assert calls == paths
+
+    @staticmethod
+    def counting_parses(monkeypatch):
+        """Empty this process's parse memo and count harness.load_table calls."""
+        from kanagg import harness
+        calls = []
+
+        def counting_load_table(path, manifest):
+            calls.append(path)
+            return load_table(path, manifest)
+
+        monkeypatch.setattr(harness, "_last_parse", None)
+        monkeypatch.setattr(harness, "load_table", counting_load_table)
+        return calls
+
+    @staticmethod
+    def write_file_dataset(tmp_path, n_rows, labels="xy", mtime_ns=None):
+        path = tmp_path / "demo.csv"
+        path.write_text("".join(f"{'rb'[i % 2]},{i},{labels[i % len(labels)]}\n"
+                                for i in range(n_rows)))
+        if mtime_ns is not None:
+            os.utime(path, ns=(mtime_ns, mtime_ns))
+        return DatasetManifest(
+            name="demo", path=str(path), expected_instances=40, expected_classes=2,
+            columns=(ColumnSpec("c", "feature", "categorical"),
+                     ColumnSpec("v", "feature", "numeric"),
+                     ColumnSpec("y", "target", "categorical")))
+
+    def test_file_parsed_once_per_process(self, tmp_path, monkeypatch):
+        calls = self.counting_parses(monkeypatch)
+        manifest = self.write_file_dataset(tmp_path, 40)
+        payload, records = run_adherence(quick_config(
+            "adherence", datasets=(manifest,), iterations=3))
+        assert len(records) == 3 and not payload["failures"]
+        assert calls == [manifest.path]
+
+    def test_rewritten_file_parsed_again(self, tmp_path, monkeypatch):
+        calls = self.counting_parses(monkeypatch)
+        mtime = 1_700_000_000 * 10 ** 9
+        manifest = self.write_file_dataset(tmp_path, 40, mtime_ns=mtime)
+        config = quick_config("adherence", datasets=(manifest,), variants=("kan",),
+                              iterations=3)
+
+        def warnings():
+            payload, records = run_adherence(config)
+            return records[0]["warnings"]
+
+        assert warnings() == [] and warnings() == [] and len(calls) == 1
+        # a new size with the same mtime, then the same size with a new mtime
+        self.write_file_dataset(tmp_path, 50, mtime_ns=mtime)
+        assert warnings() == ["expected 40 instances, found 50"]
+        self.write_file_dataset(tmp_path, 50, labels="xyz", mtime_ns=mtime + 10 ** 9)
+        assert warnings() == ["expected 40 instances, found 50",
+                              "expected 2 classes, found 3"]
+        assert len(calls) == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
