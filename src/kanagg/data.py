@@ -388,7 +388,7 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
 
 def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
                       n_classes: int = 3, separation: float = 0.35,
-                      noise: float = 0.12) -> Dataset:
+                      noise: float = 0.12, scale_features: bool = True) -> Dataset:
     """Deterministic labeled data for desk-scale experiments.
 
     "xor": class = xor of the signs of the first two features; a thin band
@@ -397,7 +397,8 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
     class-specific sign pattern scaled by `separation`, so every feature
     carries signal. The defaults give well-separated clusters; small
     separation with large noise gives a weak-signal task whose optimum keeps
-    activations moderate.
+    activations moderate. As in preprocess, each feature is mapped onto
+    [-1, 1] by its train min/max unless scale_features is False.
     """
     if n_features < 2:
         raise ValueError(f"need at least 2 features, got {n_features}")
@@ -434,8 +435,9 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
         raise ValueError(f"unknown synthetic kind {kind!r}")
 
     train_rows, val_rows, test_rows = _split(n_instances, rng)
-    for j in range(n_features):
-        _scale_column(x, j, train_rows)
+    if scale_features:
+        for j in range(n_features):
+            _scale_column(x, j, train_rows)
     return Dataset(
         features=x,
         labels=y,
@@ -443,5 +445,5 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
         val_idx=val_rows,
         test_idx=test_rows,
         n_classes=int(n_classes),
-        scaled=True,
+        scaled=scale_features,
     )

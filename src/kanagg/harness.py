@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .aggregators import AGGREGATOR_NAMES
-from .data import Dataset, DatasetManifest, RawTable, load_manifest, load_table, \
-    preprocess, synthetic_dataset
+from .data import Dataset, DatasetManifest, IngestionError, RawTable, load_manifest, \
+    load_table, preprocess, synthetic_dataset
 from .network import NetworkConfig, build_network
 from .stats import make_rank_table, rank_with_ties, wilcoxon_signed_rank
 from .training import TrainConfig, TrainingDiverged, train
@@ -92,14 +92,16 @@ def _resolve_manifests(config: ExperimentConfig) -> list[DatasetManifest]:
             for s in config.datasets]
 
 
-# the last file parsed in this process: ((manifest, size, mtime_ns), RawTable).
-# Specs run dataset by dataset, so one entry parses each file once per process.
+# the last file parsed in this process: ((manifest, size, mtime_ns), RawTable,
+# or the message of the IngestionError that parsing it raised). Specs run
+# dataset by dataset, so one entry parses each file once per process.
 _last_parse = None
 
 
 def _parsed_table(manifest: DatasetManifest) -> RawTable:
     """The manifest's file as a RawTable, parsed again only when the manifest,
-    the file's size or its modification time changed."""
+    the file's size or its modification time changed; a file that failed to
+    parse raises the same IngestionError again without being read."""
     global _last_parse
     try:
         st = os.stat(manifest.path)
@@ -108,7 +110,13 @@ def _parsed_table(manifest: DatasetManifest) -> RawTable:
     key = (manifest, st.st_size, st.st_mtime_ns)
     if _last_parse is None or _last_parse[0] != key:
         _last_parse = None                # free the old table before parsing
-        _last_parse = (key, load_table(manifest.path, manifest))
+        try:
+            _last_parse = (key, load_table(manifest.path, manifest))
+        except IngestionError as exc:
+            _last_parse = (key, str(exc))
+            raise
+    if isinstance(_last_parse[1], str):
+        raise IngestionError(_last_parse[1])
     return _last_parse[1]
 
 
@@ -116,7 +124,8 @@ def load_dataset(manifest: DatasetManifest, data_seed: int,
                  scale_features: bool = True) -> Dataset:
     """Materialize one dataset (file-backed or synthetic) for one run."""
     if manifest.synthetic is not None:
-        return synthetic_dataset(seed=data_seed, **manifest.synthetic)
+        return synthetic_dataset(seed=data_seed, scale_features=scale_features,
+                                 **manifest.synthetic)
     return preprocess(_parsed_table(manifest), manifest, data_seed,
                       scale_features=scale_features)
 

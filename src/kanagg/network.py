@@ -6,8 +6,10 @@ all share one knot grid, plus that layer's aggregator. When layer_norm is
 enabled, hidden node vectors (never the raw inputs or the final logits) are
 normalized before feeding the next layer's splines.
 
-A layer's spline part is one dense (batch x n_basis) by (n_basis x n_out)
-matrix product per input, on the compact-support basis of splines.py.
+An edge w_base * silu(x) + w_spline * sum_i c_i B_i(x) is the dot product of
+[B_1(x), ..., B_n(x), silu(x)] with the folded coefficients [w_spline * c,
+w_base], so a layer is one (batch x n_basis+1) by (n_basis+1 x n_out) matrix
+product per input, on the compact-support basis of splines.py.
 Untraced forward passes (evaluation and prediction) run in fixed blocks of
 rows; traced passes keep every intermediate that backward reads.
 """
@@ -112,13 +114,14 @@ class Network:
 @dataclass
 class ForwardTrace:
     """Per-layer intermediates of one traced forward pass: what backward and
-    adherence_counts read, one array per layer l in each list.
+    adherence_counts read, one entry per layer l in each list.
 
-    inputs[l]                  (B, n_in)    spline inputs: the network input,
-                                            then hidden values after any norm
-    basis[l], basis_deriv[l]   (B, n_in, n_basis)  B-spline values, derivatives
-    sigmoid[l], silu_x[l]      (B, n_in)    sigmoid and silu of inputs[l]
-    spline_vals[l], edge_outputs[l]  (B, n_out, n_in)  spline parts, edge outputs
+    inputs[l]        (B, n_in)  spline inputs: the network input, then hidden
+                     values after any norm
+    basis[l], basis_deriv[l]  (B, n_in, n_basis+1)  B-spline values then silu,
+                     and their x-derivatives (None for l = 0: nothing reads them)
+    coeffs[l]        (n_out, n_in, n_basis+1)  folded coefficients
+    edge_outputs[l]  (B, n_out, n_in)  edge outputs
     ln_zhat[l], ln_inv_std[l]  layer-norm intermediates; None without a norm
     The logits are forward's return value.
     """
@@ -127,16 +130,10 @@ class ForwardTrace:
     inputs: list = field(default_factory=list)
     basis: list = field(default_factory=list)
     basis_deriv: list = field(default_factory=list)
-    sigmoid: list = field(default_factory=list)
-    silu_x: list = field(default_factory=list)
-    spline_vals: list = field(default_factory=list)
+    coeffs: list = field(default_factory=list)
     edge_outputs: list = field(default_factory=list)
     ln_zhat: list = field(default_factory=list)
     ln_inv_std: list = field(default_factory=list)
-
-    @property
-    def batch_size(self) -> int:
-        return self.inputs[0].shape[0]
 
 
 def build_network(config: NetworkConfig) -> Network:
@@ -184,40 +181,53 @@ def per_input_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.transpose(1, 0, 2), b.transpose(1, 2, 0)).transpose(1, 2, 0)
 
 
+def fold_coeffs(layer: KANLayer) -> np.ndarray:
+    """[coeffs * w_spline, w_base] (n_out, n_in, n_basis+1), from the layer's
+    current parameters: the coefficients of the basis [B_1, ..., B_n, silu]."""
+    return np.concatenate((layer.coeffs * layer.w_spline[:, :, np.newaxis],
+                           layer.w_base[:, :, np.newaxis]), axis=2)
+
+
+def fold_coeffs_adjoint(layer: KANLayer, g: np.ndarray):
+    """The gradient g of fold_coeffs(layer) as (d_coeffs, d_w_base, d_w_spline)."""
+    g_spline = g[:, :, :-1]
+    return (g_spline * layer.w_spline[:, :, np.newaxis], g[:, :, -1],
+            (g_spline * layer.coeffs).sum(axis=2))
+
+
 def _layer_forward(layer: KANLayer, x: np.ndarray, derivs: bool):
-    """Edge activations for a batch: returns the backward-pass intermediates
-    (basis derivatives None unless asked for)."""
+    """(basis, basis derivatives or None, folded coefficients, edge outputs)
+    of a batch: the edge outputs are one contraction of the first and third."""
     vals, dvals = basis_matrix(x, layer.grid, derivs)   # (B, n_in, n_basis)
-    spline_vals = per_input_matmul(vals, layer.coeffs)  # (B, n_out, n_in)
     sig = sigmoid(x)
-    silu_x = x * sig
-    edge_out = (layer.w_base[np.newaxis] * silu_x[:, np.newaxis, :]
-                + layer.w_spline[np.newaxis] * spline_vals)
-    return vals, dvals, sig, silu_x, spline_vals, edge_out
+    basis = np.concatenate((vals, (x * sig)[:, :, np.newaxis]), axis=2)
+    if derivs:   # silu'(x) = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
+        silu_grad = sig * (1.0 + x * (1.0 - sig))
+        dvals = np.concatenate((dvals, silu_grad[:, :, np.newaxis]), axis=2)
+    coeffs = fold_coeffs(layer)
+    return basis, dvals, coeffs, per_input_matmul(basis, coeffs)
 
 
 def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None):
     """All layers on a block of rows; fills the trace when one is given."""
     n_layers = len(net.layers)
     for l, layer in enumerate(net.layers):
-        vals, derivs, sig, silu_x, spline_vals, edge_out = _layer_forward(
-            layer, x, derivs=t is not None)
+        basis, derivs, coeffs, edge_out = _layer_forward(
+            layer, x, derivs=t is not None and l > 0)
         node = aggregate_batch(edge_out, layer.aggregator)
         ln = net.layer_norms[l] if l < n_layers - 1 else None
         out, zhat, inv_std = (node, None, None) if ln is None else _layer_norm(node, ln)
         if t is not None:
             t.inputs.append(x)
-            t.basis.append(vals)
+            t.basis.append(basis)
             t.basis_deriv.append(derivs)
-            t.sigmoid.append(sig)
-            t.silu_x.append(silu_x)
-            t.spline_vals.append(spline_vals)
+            t.coeffs.append(coeffs)
             t.edge_outputs.append(edge_out)
             t.ln_zhat.append(zhat)
             t.ln_inv_std.append(inv_std)
         x = out
         # free this layer's arrays before the next layer allocates its own
-        del vals, derivs, sig, silu_x, spline_vals, edge_out, node
+        del basis, derivs, edge_out, node
     return x
 
 

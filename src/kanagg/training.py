@@ -1,9 +1,10 @@
 """Supervised classification training for KAN networks.
 
-Reverse-mode gradients chain node aggregation, layer normalization, and the
-per-edge spline/silu activations; parameters are updated with Adam, one
-mini-batch per iteration, batches drawn by seeded shuffling with a reshuffle
-at every epoch boundary.
+Reverse-mode gradients chain node aggregation, layer normalization, and each
+layer's one contraction of its extended basis with its folded coefficients
+(network.py maps those gradients back onto the edge parameters). Parameters
+are updated with Adam, one mini-batch per iteration, batches drawn by seeded
+shuffling with a reshuffle at every epoch boundary.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregators import aggregate_batch_backward
-from .network import (ConfigError, ForwardTrace, Network, adherence_counts, forward,
-                      per_input_matmul)
+from .network import (ConfigError, ForwardTrace, Network, adherence_counts,
+                      fold_coeffs_adjoint, forward, per_input_matmul)
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -108,7 +109,7 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
     if trace.network is not net:
         raise ValueError("trace was produced by a different network")
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    batch = trace.batch_size
+    batch = trace.inputs[0].shape[0]
     if d_logits.shape != (batch, net.n_out):
         raise ValueError(
             f"d_logits shape {d_logits.shape} does not match trace "
@@ -132,28 +133,17 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
             d_node = d_out
         d_edge = aggregate_batch_backward(trace.edge_outputs[l], layer.aggregator,
                                           d_node)
-        d_w_base = np.einsum("bqp,bp->qp", d_edge, trace.silu_x[l])
-        d_w_spline = np.einsum("bqp,bqp->qp", d_edge, trace.spline_vals[l])
-        # sum_b d_edge[b, q, p] * basis[b, p, i], as (q, i, p) then (q, p, i)
-        d_coeffs = per_input_matmul(d_edge.transpose(1, 2, 0),
-                                    trace.basis[l].transpose(2, 1, 0))
-        d_coeffs = d_coeffs.transpose(0, 2, 1) * layer.w_spline[:, :, np.newaxis]
-        layer_grads[l] = (d_coeffs, d_w_base, d_w_spline)
+        # gradient of the folded coefficients: sum_b d_edge[b, q, p] *
+        # basis[b, p, i], as (q, i, p) then (q, p, i)
+        d_folded = per_input_matmul(d_edge.transpose(1, 2, 0),
+                                    trace.basis[l].transpose(2, 1, 0)).transpose(0, 2, 1)
+        layer_grads[l] = fold_coeffs_adjoint(layer, d_folded)
         if l > 0:
-            dspline = per_input_matmul(trace.basis_deriv[l], layer.coeffs)
-            s = trace.sigmoid[l]
-            silu_grad = s * (1.0 + trace.inputs[l] * (1.0 - s))
-            d_x = (d_edge * (layer.w_base[np.newaxis] * silu_grad[:, np.newaxis, :]
-                             + layer.w_spline[np.newaxis] * dspline)).sum(axis=1)
-            d_out = d_x
+            d_out = (d_edge * per_input_matmul(trace.basis_deriv[l],
+                                               trace.coeffs[l])).sum(axis=1)
 
-    grads = []
-    for g3 in layer_grads:
-        grads += list(g3)
-    for l in range(len(net.layer_norms)):
-        if net.layer_norms[l] is not None:
-            grads += list(ln_grads[l])
-    return grads
+    return ([g for g3 in layer_grads for g in g3]
+            + [g for l in sorted(ln_grads) for g in ln_grads[l]])
 
 
 @dataclass

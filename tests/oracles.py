@@ -41,6 +41,33 @@ def naive_edge(x, coeffs, w_base, w_spline, grid):
             + w_spline * sum(c * b for c, b in zip(coeffs, basis)))
 
 
+def naive_layer_norm(values, gain, bias, eps):
+    """(v - mean) / sqrt(population variance + eps) * gain + bias, by loops."""
+    v = [float(x) for x in values]
+    mean = sum(v) / len(v)
+    var = sum((x - mean) ** 2 for x in v) / len(v)
+    return [(x - mean) / math.sqrt(var + eps) * g + b
+            for x, g, b in zip(v, gain, bias)]
+
+
+def naive_network(net, x):
+    """One sample through a network, edge by edge and node by node: each node
+    aggregates naive_edge over its inputs, and hidden nodes go through
+    naive_layer_norm when the network has one."""
+    values = [float(v) for v in x]
+    for l, layer in enumerate(net.layers):
+        kind = layer.aggregator.value
+        values = [naive_aggregate(
+            [naive_edge(values[p], layer.coeffs[q, p], layer.w_base[q, p],
+                        layer.w_spline[q, p], layer.grid)
+             for p in range(layer.n_in)], kind)
+            for q in range(layer.n_out)]
+        ln = net.layer_norms[l] if l < len(net.layer_norms) else None
+        if ln is not None:
+            values = naive_layer_norm(values, ln.gain, ln.bias, ln.eps)
+    return values
+
+
 def naive_aggregate(values, kind):
     """One node function, by name, on a list of floats."""
     v = [float(x) for x in values]

@@ -332,6 +332,18 @@ class TestDeterminismAndFailures:
                               "expected 2 classes, found 3"]
         assert len(calls) == 3
 
+    def test_failed_file_parsed_once_per_process(self, tmp_path, monkeypatch):
+        calls = self.counting_parses(monkeypatch)
+        manifest = self.write_file_dataset(tmp_path, 2000)
+        with open(manifest.path, "a") as f:
+            f.write("r,not-a-number,x\n")       # row 2001: a bad numeric cell
+        payload, records = run_adherence(quick_config(
+            "adherence", datasets=(manifest,), iterations=3))
+        assert calls == [manifest.path]
+        errors = {r["error"] for r in records}
+        assert len(records) == 3 and all(r["status"] == "failed" for r in records)
+        assert len(errors) == 1 and errors.pop().startswith("IngestionError: ")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             quick_config("nonsense").validate()
@@ -433,6 +445,7 @@ class TestCli:
         run = [json.loads(l) for l in
                (out / "runs.jsonl").read_text().splitlines()][0]
         assert run["widths"][-1] == 1
+        assert run["feature_scaling"] is False
 
     def test_malformed_manifest_is_one_line_error(self, tmp_path, capsys):
         manifest = tmp_path / "typo.json"

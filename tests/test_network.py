@@ -11,7 +11,7 @@ from kanagg.network import (FORWARD_BLOCK_ROWS, LayerNormParams, _layer_norm,
                             adherence_counts)
 from kanagg.training import predict
 
-from oracles import naive_edge
+from oracles import naive_edge, naive_network
 
 
 def small_net(aggs=("mean", "mean"), widths=(4, 10, 1), seed=0, **kw):
@@ -104,7 +104,10 @@ class TestForward:
         np.testing.assert_array_equal(plain, traced)
         assert trace.edge_outputs[0].shape == (5, 6, 3)
         assert [v.shape for v in trace.inputs] == [(5, 3), (5, 6)]
-        assert [v.shape for v in trace.sigmoid] == [(5, 3), (5, 6)]
+        n = net.layers[0].grid.n_basis + 1     # B-spline values, then silu
+        assert [v.shape for v in trace.basis] == [(5, 3, n), (5, 6, n)]
+        assert [v.shape for v in trace.coeffs] == [(6, 3, n), (2, 6, n)]
+        assert trace.basis_deriv[0] is None and trace.basis_deriv[1].shape == (5, 6, n)
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(9)
@@ -120,6 +123,36 @@ class TestForward:
             net.layers[1].w_base = net.layers[1].w_base[:, perm]
             net.layers[1].w_spline = net.layers[1].w_spline[:, perm]
             np.testing.assert_allclose(forward(net, x), base, atol=1e-12)
+
+
+class TestFoldedEdges:
+    """Each layer folds w_base, w_spline and the coefficients into one
+    contraction; the whole network must still equal the edge-by-edge and
+    node-by-node oracle."""
+
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    @pytest.mark.parametrize("agg", AGGREGATOR_NAMES)
+    def test_network_matches_naive_oracle(self, agg, degree, layer_norm):
+        rng = np.random.default_rng(41 + degree)
+        net = small_net(aggs=(agg, agg), widths=(3, 4, 2), seed=42, degree=degree,
+                        layer_norm=layer_norm)
+        for layer in net.layers:
+            layer.coeffs[...] = rng.normal(0.0, 0.5, layer.coeffs.shape)
+            layer.w_base[...] = rng.normal(0.0, 1.0, layer.w_base.shape)
+            layer.w_spline[...] = rng.normal(0.0, 1.0, layer.w_spline.shape)
+        if layer_norm:
+            net.layer_norms[0].gain[...] = rng.normal(1.0, 0.3, 4)
+            net.layer_norms[0].bias[...] = rng.normal(0.0, 0.3, 4)
+        # inside the grid range, in the band past it that the extended knots
+        # cover when degree > 0, and past the last knot, where only the silu
+        # residual is left
+        x = np.concatenate([rng.uniform(-1.0, 1.0, (4, 3)),
+                            rng.uniform(-2.5, 2.5, (4, 3)),
+                            rng.choice([-1.0, 1.0], (2, 3)) * rng.uniform(4, 6, (2, 3))])
+        expected = np.array([naive_network(net, row) for row in x])
+        for out in (forward(net, x), forward(net, x, trace=True)[0]):
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestBlockedForward:

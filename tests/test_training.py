@@ -104,6 +104,11 @@ class TestBackward:
     def test_layer_norm_gradients(self):
         self._check_gradients("sum", layer_norm=True, seed=23)
 
+    def test_gradients_without_first_layer_derivatives(self):
+        # traced forward skips layer 0's derivative basis, which only an
+        # input gradient would read; _check_gradients asserts it is absent
+        self._check_gradients("mean", layer_norm=True, seed=29)
+
     @staticmethod
     def _check_gradients(agg, layer_norm, seed, widths=(3, 4, 2), n_points=4):
         rng = np.random.default_rng(seed)
@@ -122,6 +127,7 @@ class TestBackward:
             return float(losses.mean())
 
         logits, trace = forward(net, xs, trace=True)
+        assert trace.basis_deriv[0] is None
         _, d_logits = softmax_cross_entropy(logits, labels)
         grads = backward(net, trace, d_logits)
         for p, g in zip(params, grads):
