@@ -21,7 +21,7 @@ from .training import (AdamState, TrainConfig, TrainResult, TrainingDiverged,
                        softmax_cross_entropy, squared_error_on_index, train)
 from .data import (Dataset, DatasetManifest, IngestionError, PreprocessError,
                    load_manifest, load_table, preprocess, synthetic_dataset)
-from .stats import (RankTable, WilcoxonResult, average_rank, rank_with_ties,
+from .stats import (WilcoxonResult, average_rank, rank_with_ties,
                     wilcoxon_signed_rank)
 from .harness import (ExperimentConfig, derive_seed, run_adherence,
                       run_comparison, run_experiment, run_sweep, write_report)
@@ -36,7 +36,7 @@ __all__ = [
     "softmax_cross_entropy", "squared_error_on_index", "train",
     "Dataset", "DatasetManifest", "IngestionError", "PreprocessError",
     "load_manifest", "load_table", "preprocess", "synthetic_dataset",
-    "RankTable", "WilcoxonResult", "average_rank", "rank_with_ties",
+    "WilcoxonResult", "average_rank", "rank_with_ties",
     "wilcoxon_signed_rank",
     "ExperimentConfig", "derive_seed", "run_adherence", "run_comparison",
     "run_experiment", "run_sweep", "write_report",

@@ -65,7 +65,9 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
     settings["mode"] = mode
     settings.setdefault("out_dir", str(Path(DEFAULT_OUT) / mode))
     for key in ("datasets", "variants", "aggregators"):
-        if key in settings and settings[key] is not None:
+        if isinstance(settings.get(key), str):   # tuple() would split it into characters
+            raise ValueError(f"{key} must be a list, got the string {settings[key]!r}")
+        if settings.get(key) is not None:
             settings[key] = tuple(settings[key])
     try:
         return ExperimentConfig(**settings)

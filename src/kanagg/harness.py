@@ -31,7 +31,7 @@ from .aggregators import AGGREGATOR_NAMES
 from .data import Dataset, DatasetManifest, IngestionError, RawTable, load_manifest, \
     load_table, preprocess, synthetic_dataset
 from .network import NetworkConfig, build_network
-from .stats import make_rank_table, rank_with_ties, wilcoxon_signed_rank
+from .stats import average_rank, rank_with_ties, wilcoxon_signed_rank
 from .training import TrainConfig, TrainingDiverged, train
 
 VARIANTS = {
@@ -69,6 +69,12 @@ class ExperimentConfig:
             raise ValueError("need at least one dataset manifest")
         if self.runs_per_config() < 1:
             raise ValueError("runs must be >= 1")
+        if self.hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        TrainConfig(iterations=self.iterations, batch_size=self.batch_size,
+                    learning_rate=self.learning_rate).validate()
         if self.mode in ("compare", "adherence"):
             unknown = [v for v in self.variants if v not in VARIANTS]
             if unknown:
@@ -321,23 +327,25 @@ def run_sweep(config: ExperimentConfig):
             mean_acc[ds][c] = float(s)
             rank_matrix[combos.index(c), d] = r
 
-    table = make_rank_table([tuple(c.split(COMBO_SEP)) for c in combos],
-                            datasets, rank_matrix)
-    order = table.sorted_indices()
+    means, stds = average_rank(rank_matrix)
+    rank_table = []
+    for i in np.argsort(means, kind="stable").tolist():   # ties keep combo order
+        layer1, layer2 = combos[i].split(COMBO_SEP)
+        rank_table.append({
+            "layer1": layer1,
+            "layer2": layer2,
+            "mean_rank": None if np.isnan(means[i]) else round(means[i], 6),
+            "std_rank": None if np.isnan(stds[i]) else round(stds[i], 6),
+            "per_dataset": {ds: (None if np.isnan(rank_matrix[i, d]) else rank_matrix[i, d])
+                            for d, ds in enumerate(datasets)},
+        })
     payload = _base_payload(config, datasets, records)
     payload.update(
         combinations=combos,
         datasets=datasets,
         mean_test_accuracy=mean_acc,
         ranks={ds: ranks_by_ds.get(ds, {}) for ds in datasets},
-        rank_table=[{
-            "layer1": table.rows[i][0],
-            "layer2": table.rows[i][1],
-            "mean_rank": None if np.isnan(table.mean[i]) else round(table.mean[i], 6),
-            "std_rank": None if np.isnan(table.std[i]) else round(table.std[i], 6),
-            "per_dataset": {ds: (None if np.isnan(table.ranks[i, d]) else table.ranks[i, d])
-                            for d, ds in enumerate(datasets)},
-        } for i in order.tolist()],
+        rank_table=rank_table,
     )
     return payload, records
 

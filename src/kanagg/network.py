@@ -7,9 +7,9 @@ enabled, hidden node vectors (never the raw inputs or the final logits) are
 normalized before feeding the next layer's splines.
 
 An edge w_base * silu(x) + w_spline * sum_i c_i B_i(x) is the dot product of
-[B_1(x), ..., B_n(x), silu(x)] with the folded coefficients [w_spline * c,
-w_base], so a layer is one (batch x n_basis+1) by (n_basis+1 x n_out) matrix
-product per input, on the compact-support basis of splines.py.
+the extended basis [B_1(x), ..., B_n(x), silu(x)], built by splines.py in one
+buffer, with the folded coefficients [w_spline * c, w_base]; a layer is one
+(batch x n_basis+1) by (n_basis+1 x n_out) matrix product per input.
 Untraced forward passes (evaluation and prediction) run in fixed blocks of
 rows; traced passes keep every intermediate that backward reads.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregators import Aggregator, aggregate_batch
-from .splines import KnotGrid, basis_matrix, make_grid, sigmoid
+from .splines import KnotGrid, basis_matrix, make_grid
 
 LAYER_NORM_EPS = 1e-5
 FORWARD_BLOCK_ROWS = 1024   # rows per block of an untraced forward pass
@@ -195,25 +195,13 @@ def fold_coeffs_adjoint(layer: KANLayer, g: np.ndarray):
             (g_spline * layer.coeffs).sum(axis=2))
 
 
-def _layer_forward(layer: KANLayer, x: np.ndarray, derivs: bool):
-    """(basis, basis derivatives or None, folded coefficients, edge outputs)
-    of a batch: the edge outputs are one contraction of the first and third."""
-    vals, dvals = basis_matrix(x, layer.grid, derivs)   # (B, n_in, n_basis)
-    sig = sigmoid(x)
-    basis = np.concatenate((vals, (x * sig)[:, :, np.newaxis]), axis=2)
-    if derivs:   # silu'(x) = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
-        silu_grad = sig * (1.0 + x * (1.0 - sig))
-        dvals = np.concatenate((dvals, silu_grad[:, :, np.newaxis]), axis=2)
-    coeffs = fold_coeffs(layer)
-    return basis, dvals, coeffs, per_input_matmul(basis, coeffs)
-
-
 def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None):
     """All layers on a block of rows; fills the trace when one is given."""
     n_layers = len(net.layers)
     for l, layer in enumerate(net.layers):
-        basis, derivs, coeffs, edge_out = _layer_forward(
-            layer, x, derivs=t is not None and l > 0)
+        basis, derivs = basis_matrix(x, layer.grid, derivs=t is not None and l > 0)
+        coeffs = fold_coeffs(layer)
+        edge_out = per_input_matmul(basis, coeffs)
         node = aggregate_batch(edge_out, layer.aggregator)
         ln = net.layer_norms[l] if l < n_layers - 1 else None
         out, zhat, inv_std = (node, None, None) if ln is None else _layer_norm(node, ln)

@@ -4,10 +4,13 @@ Each edge carries phi(x) = w_base * silu(x) + w_spline * sum_i c_i * B_i(x),
 where B_i are degree-k B-spline basis functions on a fixed uniform knot grid.
 Outside the knot span every B_i vanishes, so only the silu residual remains;
 this is intentional (out-of-range inputs are a regime we want to observe, not
-clamp away). On the uniform grid only k+1 basis functions are non-zero at a
-point, so basis_matrix finds each point's knot span and runs de Boor's
-recursion on those k+1 values alone. network.py stores every edge of a layer
-stacked and evaluates them for a whole batch at once.
+clamp away). basis_matrix returns a layer's extended basis [B_1, ..., B_n,
+silu], so an edge is its dot product with the coefficients [w_spline * c,
+w_base]. On the uniform grid only k+1 basis functions are non-zero at a
+point, so basis_matrix finds each point's knot span, runs de Boor's recursion
+on those k+1 values alone and scatters them into one buffer whose spare
+column holds silu. network.py stores every edge of a layer stacked and
+evaluates them for a whole batch at once.
 """
 
 from __future__ import annotations
@@ -61,27 +64,34 @@ def make_grid(range_lo: float = -1.0, range_hi: float = 1.0,
 
 
 def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
-    """Evaluate all basis functions, and optionally their first derivatives,
-    at many points.
+    """Evaluate the extended basis [B_1, ..., B_n, silu], and optionally its
+    x-derivatives [B'_1, ..., B'_n, silu'], at many points.
 
     x may have any shape; returns (values, derivs) with shape x.shape +
-    (n_basis,), derivs None when not asked for. Each point lies in one
+    (n_basis + 1,), derivs None when not asked for. Each point lies in one
     half-open knot interval [t_s, t_{s+1}), where only the k+1 basis
     functions s-k..s are non-zero: the span comes from one floor, those k+1
-    values from de Boor's recursion, and they are scattered into the dense
-    result. Points outside the extended knot span, and non-finite points,
-    give all-zero rows.
+    values from de Boor's recursion, and they are scattered into a dense
+    buffer whose spare column then takes silu. Points outside the extended
+    knot span, and non-finite points, give all-zero B-spline columns.
     """
     x = np.asarray(x, dtype=np.float64)
     t = grid.knots
     k = grid.degree
     n_spans = len(t) - 1
     flat = x.reshape(-1)
+    # non-finite points (diverged hidden values) overflow or give nan here
     with np.errstate(over="ignore", invalid="ignore"):
         u = (flat - t[0]) / grid.spacing
         # fmin/fmax send nan to the last span and clamp +-inf; such points
         # are marked invalid below
         s = np.fmax(np.fmin(np.floor(u), n_spans - 1), 0).astype(np.intp)
+        # sigmoid without overflow from e = exp(-|x|); minimum keeps a nan's
+        # sign, as exp(x) of a nan does
+        e = np.exp(np.minimum(flat, -flat))
+        sig = np.where(flat >= 0, 1.0, e) / (1.0 + e)
+        silu = flat * sig
+        silu_grad = sig * (1.0 + flat * (1.0 - sig)) if derivs else None
     # settle the span against the stored knots, so that a point one ulp from
     # a knot falls in the interval whose bounds it satisfies; a point past
     # either end may step off the spans and is clamped back
@@ -104,8 +114,8 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
         b = np.zeros((d + 1, f.size))
         b[1:] = (f + c[::-1]) * prev
         b[:-1] += (c + 1.0 - f) * prev
-    shape = x.shape + (grid.n_basis,)
-    values = _scatter(b, s, grid).reshape(shape)
+    shape = x.shape + (grid.n_basis + 1,)
+    values = _scatter(b, s, silu, grid).reshape(shape)
     if not derivs:
         return values, None
     # d/dx B_{s-k+r} = (B_{s-k+r}^{k-1} - B_{s-k+r+1}^{k-1}) / h; 0 for k = 0
@@ -114,28 +124,22 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
         db[1:] = low
         db[:-1] -= low
         db /= grid.spacing
-    return values, _scatter(db, s, grid).reshape(shape)
+    return values, _scatter(db, s, silu_grad, grid).reshape(shape)
 
 
-def _scatter(local, s, grid):
+def _scatter(local, s, last, grid):
     """Place the k+1 local values of each point (the columns of `local`) at
-    basis columns s-k..s of a dense (points, n_basis) array; columns past
-    either end are dropped."""
+    basis columns s-k..s of a dense (points, n_basis + 1) view, and `last` in
+    its final column; basis columns past either end are dropped."""
     k, n = grid.degree, grid.n_basis
-    width = n + 2 * k
+    # k spill columns on each side take basis columns past either end; the
+    # first right one then takes `last` (at k = 0 one column is added for it)
+    width = n + k + max(k, 1)
     dense = np.zeros((s.size, width))
     flat = dense.reshape(-1)
     start = np.arange(s.size) * width + s
     for r in range(k + 1):
         flat[start + r] = local[r]
-    return dense[:, k: k + n]
+    dense[:, k + n] = last   # after the scatter: it overwrites a spill column
+    return dense[:, k: k + n + 1]
 
-
-def sigmoid(x):
-    """Overflow-free logistic function; silu(x) = x * sigmoid(x) is the smooth
-    residual under every spline."""
-    x = np.asarray(x, dtype=np.float64)
-    # e = exp(-|x|); minimum keeps a nan's sign, as exp(x) of a nan does
-    e = np.exp(np.minimum(x, -x))
-    denom = 1.0 + e
-    return np.where(x >= 0, 1.0 / denom, e / denom)

@@ -52,25 +52,6 @@ def average_rank(per_dataset_ranks) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class RankTable:
-    rows: tuple                 # row labels, e.g. ("mean", "var") combos
-    datasets: tuple
-    ranks: np.ndarray           # (n_rows, n_datasets)
-    mean: np.ndarray
-    std: np.ndarray
-
-    def sorted_indices(self) -> np.ndarray:
-        return np.argsort(self.mean, kind="stable")
-
-
-def make_rank_table(rows, datasets, ranks) -> RankTable:
-    ranks = np.asarray(ranks, dtype=np.float64)
-    means, stds = average_rank(ranks)
-    return RankTable(rows=tuple(rows), datasets=tuple(datasets), ranks=ranks,
-                     mean=means, std=stds)
-
-
-@dataclass(frozen=True)
 class WilcoxonResult:
     w_plus: float
     w_minus: float

@@ -22,8 +22,8 @@ from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.data import ColumnSpec, DatasetManifest
 from kanagg.splines import basis_matrix, make_grid
 
-from oracles import brute_force_wilcoxon, naive_basis_vector, relative_error, \
-    sort_based_ranks
+from oracles import brute_force_wilcoxon, naive_basis_vector, naive_silu, \
+    relative_error, sort_based_ranks
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFESTS = REPO / "manifests"
@@ -45,11 +45,17 @@ def test_criterion_1_spline_correctness():
     for G, k in product((1, 3, 5), (0, 1, 3)):
         grid = make_grid(-1.0, 1.0, G, k)
         xs = rng.uniform(-1.0, 1.0 - 1e-12, 1000)
-        vals, _ = basis_matrix(xs, grid)
-        assert np.all(np.abs(vals.sum(axis=1) - 1.0) < 1e-9)
+        vals, derivs = basis_matrix(xs, grid)
+        assert np.all(np.abs(vals[:, :-1].sum(axis=1) - 1.0) < 1e-9)
         for x in xs[:40]:
-            np.testing.assert_allclose(vals[xs.tolist().index(x)],
-                                       naive_basis_vector(x, grid), atol=1e-10)
+            i = xs.tolist().index(x)
+            np.testing.assert_allclose(vals[i, :-1], naive_basis_vector(x, grid),
+                                       atol=1e-10)
+            # the last column is the silu residual, the last derivative silu'
+            np.testing.assert_allclose(vals[i, -1], naive_silu(x), atol=1e-10)
+            np.testing.assert_allclose(
+                derivs[i, -1], (naive_silu(x + 1e-6) - naive_silu(x - 1e-6)) / 2e-6,
+                atol=1e-8)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s"
 

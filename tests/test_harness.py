@@ -63,7 +63,12 @@ class TestSweep:
         assert ranks[0] >= 1.0 and ranks[-1] <= n
         table = payload["rank_table"]
         means = [row["mean_rank"] for row in table]
-        assert means == sorted(means)
+        assert len(set(means)) < len(means)      # these seeds give tied means
+        # sorted by mean rank, tied means in combinations order
+        position = {c: i for i, c in enumerate(payload["combinations"])}
+        keys = [(row["mean_rank"], position[f"{row['layer1']}|{row['layer2']}"])
+                for row in table]
+        assert keys == sorted(keys)
 
     def test_accuracies_recomputable_from_records(self):
         config = quick_config("sweep", aggregators=("sum", "mean"))
@@ -351,6 +356,11 @@ class TestDeterminismAndFailures:
             quick_config("compare", variants=("kan", "mystery")).validate()
         with pytest.raises(ValueError):
             quick_config("sweep", runs=0).validate()
+        for bad in ({"iterations": 0}, {"batch_size": 0}, {"learning_rate": -1.0},
+                    {"hidden_width": 0}, {"parallelism": -2}):
+            with pytest.raises(ValueError):
+                quick_config("compare", **bad).validate()
+        quick_config("compare", learning_rate=0.0).validate()   # lr = 0 is legal
 
 
 class TestCli:
@@ -461,25 +471,43 @@ class TestCli:
         assert "typo.json" in err and "delimter" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["bad-flag-value", "unknown-config-key",
-                                      "missing-manifest"])
+    @pytest.mark.parametrize("case", [
+        "bad-flag-value", "unknown-config-key", "missing-manifest",
+        "zero-iterations", "zero-hidden-width", "zero-batch-size",
+        "negative-learning-rate", "negative-parallelism", "string-datasets"])
     def test_invalid_settings_are_one_line_errors(self, tmp_path, capsys, case):
-        manifest = self._write_synth_manifest(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"datasets": [str(manifest)], "runz": 3}))
-        argv, message = {
-            "bad-flag-value": (["--dataset", str(manifest), "--runs", "0"],
+        manifest = str(self._write_synth_manifest(tmp_path))
+        # (config-file settings or None, flags, message)
+        settings, flags, message = {
+            "bad-flag-value": (None, ["--dataset", manifest, "--runs", "0"],
                                "runs must be >= 1"),
-            "unknown-config-key": (["--config", str(cfg)],
+            "unknown-config-key": ({"datasets": [manifest], "runz": 3}, [],
                                    "unexpected keyword argument 'runz'"),
-            "missing-manifest": (["--dataset", str(tmp_path / "missing.json")],
+            "missing-manifest": (None, ["--dataset", str(tmp_path / "missing.json")],
                                  "missing.json"),
+            "zero-iterations": (None, ["--dataset", manifest, "--iterations", "0"],
+                                "invalid training config"),
+            "zero-hidden-width": ({"datasets": [manifest], "hidden_width": 0}, [],
+                                  "hidden_width must be >= 1"),
+            "zero-batch-size": ({"datasets": [manifest], "batch_size": 0}, [],
+                                "invalid training config"),
+            "negative-learning-rate": ({"datasets": [manifest], "learning_rate": -1},
+                                       [], "invalid training config"),
+            "negative-parallelism": ({"datasets": [manifest], "parallelism": -2}, [],
+                                     "parallelism must be >= 1"),
+            "string-datasets": ({"datasets": manifest}, [], "datasets must be a list"),
         }[case]
-        rc = cli_main(["compare", *argv, "--out", str(tmp_path / "out")])
+        if settings is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(settings))
+            flags = ["--config", str(cfg), *flags]
+        out = tmp_path / "out"
+        rc = cli_main(["compare", *flags, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("kanagg: error: ")
         assert message in err
+        assert not out.exists()
 
     def test_config_validated_once(self, tmp_path, monkeypatch):
         calls = []

@@ -12,6 +12,11 @@ from kanagg.splines import basis_matrix
 from oracles import naive_basis_vector, naive_edge, naive_silu, relative_error
 
 
+def silu_central(x, step):
+    """Central difference of the silu oracle at x."""
+    return (naive_silu(x + step) - naive_silu(x - step)) / (2 * step)
+
+
 class TestMakeGrid:
     def test_cubic_default_grid(self):
         g = make_grid(-1.0, 1.0, 3, 3)
@@ -48,8 +53,8 @@ class TestBasisEval:
     def test_degree_zero_indicator(self):
         g = make_grid(0.0, 1.0, 1, 0)
         vals, derivs = basis_matrix(np.array([0.5]), g)
-        np.testing.assert_allclose(vals, [[1.0]])
-        np.testing.assert_allclose(derivs, [[0.0]])
+        np.testing.assert_allclose(vals, [[1.0, naive_silu(0.5)]])
+        np.testing.assert_allclose(derivs, [[0.0, silu_central(0.5, 1e-6)]])
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(0)
@@ -57,37 +62,46 @@ class TestBasisEval:
             g = make_grid(-1.0, 1.0, G, k)
             xs = rng.uniform(-1.0, 1.0 - 1e-9, 200)
             vals, _ = basis_matrix(xs, g)
-            np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(vals >= 0)
+            np.testing.assert_allclose(vals[:, :-1].sum(axis=1), 1.0, atol=1e-9)
+            assert np.all(vals[:, :-1] >= 0)
 
     def test_matches_naive_recursion(self):
         g = make_grid(-1.0, 1.0, 3, 3)
         xs = np.linspace(-1.0, 1.0, 100, endpoint=False)
-        vals, _ = basis_matrix(xs, g)
-        for x, row in zip(xs, vals):
-            np.testing.assert_allclose(row, naive_basis_vector(x, g), atol=1e-10)
+        vals, derivs = basis_matrix(xs, g)
+        for x, row, drow in zip(xs, vals, derivs):
+            np.testing.assert_allclose(row[:-1], naive_basis_vector(x, g), atol=1e-10)
+            np.testing.assert_allclose(row[-1], naive_silu(x), atol=1e-10)
+            np.testing.assert_allclose(drow[-1], silu_central(x, 1e-6), atol=1e-8)
 
     def test_matches_naive_outside_range(self):
         g = make_grid(-1.0, 1.0, 3, 3)
         xs = np.array([-2.5, -1.2, 1.3, 2.9])
-        vals, _ = basis_matrix(xs, g)
-        for x, row in zip(xs, vals):
-            np.testing.assert_allclose(row, naive_basis_vector(x, g), atol=1e-10)
+        vals, derivs = basis_matrix(xs, g)
+        for x, row, drow in zip(xs, vals, derivs):
+            np.testing.assert_allclose(row[:-1], naive_basis_vector(x, g), atol=1e-10)
+            np.testing.assert_allclose(row[-1], naive_silu(x), atol=1e-10)
+            np.testing.assert_allclose(drow[-1], silu_central(x, 1e-6), atol=1e-8)
 
     def test_local_support(self):
         g = make_grid(-1.0, 1.0, 4, 2)
         xs = np.random.default_rng(1).uniform(-2.0, 2.0, 50)
         vals, _ = basis_matrix(xs, g)
         for x, row in zip(xs, vals):
-            for i, v in enumerate(row):
+            for i, v in enumerate(row[:-1]):
                 if not (g.knots[i] <= x <= g.knots[i + g.degree + 1]):
                     assert v == 0.0
 
     def test_zero_outside_knot_span(self):
         g = make_grid(-1.0, 1.0, 3, 3)
-        vals, derivs = basis_matrix(np.array([-3.5, 3.5, 100.0]), g)
-        assert np.all(vals == 0.0)
-        assert np.all(derivs == 0.0)
+        xs = np.array([-3.5, 3.5, 100.0])
+        vals, derivs = basis_matrix(xs, g)
+        assert np.all(vals[:, :-1] == 0.0)
+        assert np.all(derivs[:, :-1] == 0.0)
+        # only the silu residual remains
+        np.testing.assert_allclose(vals[:, -1], [naive_silu(x) for x in xs], atol=1e-10)
+        np.testing.assert_allclose(derivs[:, -1], [silu_central(x, 1e-6) for x in xs],
+                                   atol=1e-8)
 
     def test_derivative_matches_finite_differences(self):
         g = make_grid(-1.0, 1.0, 3, 3)
@@ -126,9 +140,11 @@ class TestBasisProperties:
         xs = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
                              beyond, inside])
         vals, derivs = basis_matrix(xs, grid)
-        assert vals.shape == derivs.shape == (xs.size, grid.n_basis)
+        assert vals.shape == derivs.shape == (xs.size, grid.n_basis + 1)
         for x, row in zip(xs, vals):
-            np.testing.assert_allclose(row, naive_basis_vector(x, grid),
+            np.testing.assert_allclose(row[:-1], naive_basis_vector(x, grid),
+                                       rtol=0, atol=1e-10, err_msg=f"x={x!r}")
+            np.testing.assert_allclose(row[-1], naive_silu(x),
                                        rtol=0, atol=1e-10, err_msg=f"x={x!r}")
 
     @given(grids(), st.lists(st.sampled_from((np.nan, np.inf, -np.inf)),
@@ -139,7 +155,8 @@ class TestBasisProperties:
         good = (t[:-1] + t[1:]) / 2
         xs = np.concatenate([good, bad])
         vals, derivs = basis_matrix(xs, grid)
-        assert np.all(vals[good.size:] == 0.0) and np.all(derivs[good.size:] == 0.0)
+        assert np.all(vals[good.size:, :-1] == 0.0)
+        assert np.all(derivs[good.size:, :-1] == 0.0)
         ref_vals, ref_derivs = basis_matrix(good, grid)
         assert np.array_equal(vals[:good.size], ref_vals)
         assert np.array_equal(derivs[:good.size], ref_derivs)
@@ -158,6 +175,7 @@ class TestBasisProperties:
         for x, row in zip(xs, derivs):
             central = (naive_basis_vector(x + step, grid)
                        - naive_basis_vector(x - step, grid)) / (2 * step)
+            central = np.append(central, silu_central(x, step))
             np.testing.assert_allclose(row, central, rtol=0, atol=1e-6 / h,
                                        err_msg=f"x={x!r}")
 
