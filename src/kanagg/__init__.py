@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 from .aggregators import Aggregator
 from .splines import KnotGrid, make_grid
 from .network import (ConfigError, ForwardTrace, Network, NetworkConfig,
-                      build_network, forward, load_checkpoint,
-                      mean_to_scaled_sum, save_checkpoint)
+                      build_network, forward, mean_to_scaled_sum)
 from .training import (AdamState, TrainConfig, TrainResult, TrainingDiverged,
                        adam_init, adam_step, backward, evaluate,
                        softmax_cross_entropy, squared_error_on_index, train)
@@ -29,8 +28,7 @@ from .harness import (ExperimentConfig, derive_seed, run_adherence,
 __all__ = [
     "Aggregator", "KnotGrid", "make_grid",
     "ConfigError", "ForwardTrace", "Network", "NetworkConfig",
-    "build_network", "forward", "load_checkpoint",
-    "mean_to_scaled_sum", "save_checkpoint",
+    "build_network", "forward", "mean_to_scaled_sum",
     "AdamState", "TrainConfig", "TrainResult", "TrainingDiverged",
     "adam_init", "adam_step", "backward", "evaluate",
     "softmax_cross_entropy", "squared_error_on_index", "train",

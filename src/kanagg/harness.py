@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import product
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,8 @@ VARIANTS = {
 }
 COMBO_SEP = "|"
 DEFAULT_RUNS = {"sweep": 1, "compare": 20, "adherence": 1}
+INT_SETTINGS = ("runs", "iterations", "batch_size", "hidden_width", "seed",
+                "parallelism")
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,19 @@ class ExperimentConfig:
     def validate(self):
         if self.mode not in DEFAULT_RUNS:
             raise ValueError(f"unknown mode {self.mode!r}")
+        # settings from a JSON config file arrive with whatever type it gave
+        for name in INT_SETTINGS:
+            value = getattr(self, name)
+            if name == "runs" and value is None:    # the mode's default
+                continue
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        lr = self.learning_rate
+        if not isinstance(lr, Real) or isinstance(lr, bool) or not math.isfinite(lr):
+            raise ValueError(f"learning_rate must be a finite number, got {lr!r}")
+        if not isinstance(self.strict_replication, bool):
+            raise ValueError("strict_replication must be true or false, got "
+                             f"{self.strict_replication!r}")
         if not self.datasets:
             raise ValueError("need at least one dataset manifest")
         if self.runs_per_config() < 1:

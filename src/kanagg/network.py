@@ -12,12 +12,16 @@ buffer, with the folded coefficients [w_spline * c, w_base]; a layer is one
 (batch x n_basis+1) by (n_basis+1 x n_out) matrix product per input.
 Untraced forward passes (evaluation and prediction) run in fixed blocks of
 rows; traced passes keep every intermediate that backward reads.
+
+Every trainable value lives in one float64 vector, Network.params: each
+layer's coeffs, w_base and w_spline and each layer norm's gain and bias are
+reshaped views of it, so training updates and checks the whole network with
+one array operation, and backward returns one gradient vector laid out the
+same way.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +31,6 @@ from .splines import KnotGrid, basis_matrix, make_grid
 
 LAYER_NORM_EPS = 1e-5
 FORWARD_BLOCK_ROWS = 1024   # rows per block of an untraced forward pass
-CHECKPOINT_FORMAT = "kanagg-checkpoint/1"
 
 
 class ConfigError(ValueError):
@@ -89,8 +92,11 @@ class LayerNormParams:
 @dataclass
 class Network:
     config: NetworkConfig
-    layers: list
-    layer_norms: list  # one entry per hidden transition; None when disabled
+    params: np.ndarray  # every trainable value; the arrays below are views of it
+    layout: tuple       # (start, stop, shape) of each trainable array in params
+    layers: list = field(default_factory=list)
+    # one entry per hidden transition; None when disabled
+    layer_norms: list = field(default_factory=list)
 
     @property
     def n_in(self) -> int:
@@ -100,15 +106,11 @@ class Network:
     def n_out(self) -> int:
         return self.config.widths[-1]
 
-    def parameters(self) -> list[np.ndarray]:
-        """All trainable arrays in deterministic order."""
-        params = []
-        for layer in self.layers:
-            params += [layer.coeffs, layer.w_base, layer.w_spline]
-        for ln in self.layer_norms:
-            if ln is not None:
-                params += [ln.gain, ln.bias]
-        return params
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """A vector laid out like params, as views shaped like the trainable
+        arrays: per layer coeffs, w_base, w_spline, then per layer norm gain,
+        bias."""
+        return [vec[start:stop].reshape(shape) for start, stop, shape in self.layout]
 
 
 @dataclass
@@ -144,23 +146,32 @@ def build_network(config: NetworkConfig) -> Network:
     config.validate()
     rng = np.random.default_rng(config.seed)
     grid = make_grid(config.range_lo, config.range_hi, config.grid_size, config.degree)
-    layers = []
-    for n_in, n_out, agg in zip(config.widths[:-1], config.widths[1:],
-                                config.aggregators):
-        layers.append(KANLayer(
-            coeffs=rng.normal(0.0, 0.1, size=(n_out, n_in, grid.n_basis)),
-            w_base=np.ones((n_out, n_in)),
-            w_spline=np.ones((n_out, n_in)),
-            grid=grid,
-            aggregator=agg,
-        ))
-    layer_norms = []
-    for width in config.widths[1:-1]:
+    shapes = [shape for n_in, n_out in zip(config.widths[:-1], config.widths[1:])
+              for shape in ((n_out, n_in, grid.n_basis), (n_out, n_in), (n_out, n_in))]
+    if config.layer_norm:
+        shapes += [(width,) for width in config.widths[1:-1] for _ in range(2)]
+    layout, start = [], 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        layout.append((start, stop, shape))
+        start = stop
+    net = Network(config=config, params=np.empty(start), layout=tuple(layout))
+    views = iter(net.views(net.params))
+    for agg in config.aggregators:
+        coeffs, w_base, w_spline = next(views), next(views), next(views)
+        coeffs[...] = rng.normal(0.0, 0.1, size=coeffs.shape)
+        w_base.fill(1.0)
+        w_spline.fill(1.0)
+        net.layers.append(KANLayer(coeffs, w_base, w_spline, grid, agg))
+    for _ in config.widths[1:-1]:
         if config.layer_norm:
-            layer_norms.append(LayerNormParams(np.ones(width), np.zeros(width)))
+            gain, bias = next(views), next(views)
+            gain.fill(1.0)
+            bias.fill(0.0)
+            net.layer_norms.append(LayerNormParams(gain, bias))
         else:
-            layer_norms.append(None)
-    return Network(config=config, layers=layers, layer_norms=layer_norms)
+            net.layer_norms.append(None)
+    return net
 
 
 def _layer_norm(v: np.ndarray, ln: LayerNormParams):
@@ -188,11 +199,14 @@ def fold_coeffs(layer: KANLayer) -> np.ndarray:
                            layer.w_base[:, :, np.newaxis]), axis=2)
 
 
-def fold_coeffs_adjoint(layer: KANLayer, g: np.ndarray):
-    """The gradient g of fold_coeffs(layer) as (d_coeffs, d_w_base, d_w_spline)."""
+def fold_coeffs_adjoint(layer: KANLayer, g: np.ndarray, out):
+    """Write the gradient g of fold_coeffs(layer) into the arrays
+    out = (d_coeffs, d_w_base, d_w_spline)."""
+    d_coeffs, d_w_base, d_w_spline = out
     g_spline = g[:, :, :-1]
-    return (g_spline * layer.w_spline[:, :, np.newaxis], g[:, :, -1],
-            (g_spline * layer.coeffs).sum(axis=2))
+    np.multiply(g_spline, layer.w_spline[:, :, np.newaxis], out=d_coeffs)
+    d_w_base[...] = g[:, :, -1]
+    (g_spline * layer.coeffs).sum(axis=2, out=d_w_spline)
 
 
 def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None):
@@ -258,15 +272,12 @@ def mean_to_scaled_sum(net: Network) -> Network:
         layer_norm=cfg.layer_norm, grid_size=cfg.grid_size, degree=cfg.degree,
         range_lo=cfg.range_lo, range_hi=cfg.range_hi, seed=cfg.seed)
     twin = build_network(new_cfg)
+    twin.params[...] = net.params
     for src, dst in zip(net.layers, twin.layers):
-        scale = 1.0 / src.n_in if src.aggregator is Aggregator.MEAN else 1.0
-        dst.coeffs[...] = src.coeffs
-        dst.w_base[...] = src.w_base * scale
-        dst.w_spline[...] = src.w_spline * scale
-    for src, dst in zip(net.layer_norms, twin.layer_norms):
-        if src is not None:
-            dst.gain[...] = src.gain
-            dst.bias[...] = src.bias
+        if src.aggregator is Aggregator.MEAN:
+            scale = 1.0 / src.n_in
+            dst.w_base *= scale
+            dst.w_spline *= scale
     return twin
 
 
@@ -276,68 +287,3 @@ def adherence_counts(trace: ForwardTrace, lo: float, hi: float):
     inside = np.array([int(((v >= lo) & (v <= hi)).sum()) for v in hidden])
     total = np.array([v.size for v in hidden])
     return inside, total
-
-
-def save_checkpoint(net: Network, path):
-    """Write a self-describing JSON checkpoint (lossless float round-trip)."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "config": {
-            "widths": list(net.config.widths),
-            "aggregators": [a.value for a in net.config.aggregators],
-            "layer_norm": net.config.layer_norm,
-            "grid_size": net.config.grid_size,
-            "degree": net.config.degree,
-            "range_lo": net.config.range_lo,
-            "range_hi": net.config.range_hi,
-            "seed": net.config.seed,
-        },
-        "layers": [{
-            "coeffs": layer.coeffs.tolist(),
-            "w_base": layer.w_base.tolist(),
-            "w_spline": layer.w_spline.tolist(),
-        } for layer in net.layers],
-        "layer_norms": [None if ln is None else {
-            "gain": ln.gain.tolist(), "bias": ln.bias.tolist(), "eps": ln.eps,
-        } for ln in net.layer_norms],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
-
-
-def load_checkpoint(path) -> Network:
-    """Read a save_checkpoint file back; raises ValueError when its layer or
-    layer-norm entries, array shapes or eps do not fit its config."""
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a kanagg checkpoint: {doc.get('format')!r}")
-    net = build_network(NetworkConfig(**doc["config"]))
-    if (len(doc["layers"]) != len(net.layers)
-            or len(doc["layer_norms"]) != len(net.layer_norms)):
-        raise ValueError(
-            f"checkpoint has {len(doc['layers'])} layers and "
-            f"{len(doc['layer_norms'])} layer norms, its config needs "
-            f"{len(net.layers)} and {len(net.layer_norms)}")
-    for layer, saved in zip(net.layers, doc["layers"]):
-        for name in ("coeffs", "w_base", "w_spline"):
-            _load_array(getattr(layer, name), saved[name], name)
-    for ln, saved in zip(net.layer_norms, doc["layer_norms"]):
-        if (ln is None) != (saved is None):
-            raise ValueError("checkpoint layer norms do not match config.layer_norm")
-        if saved is not None:
-            _load_array(ln.gain, saved["gain"], "gain")
-            _load_array(ln.bias, saved["bias"], "bias")
-            eps = saved["eps"]
-            if not (isinstance(eps, (int, float)) and 0 < eps < math.inf):
-                raise ValueError(f"layer-norm eps must be finite and > 0, got {eps!r}")
-            ln.eps = eps
-    return net
-
-
-def _load_array(dst: np.ndarray, saved, name: str):
-    src = np.asarray(saved, dtype=np.float64)
-    if src.shape != dst.shape:
-        raise ValueError(f"checkpoint {name} has shape {src.shape}, "
-                         f"its config needs {dst.shape}")
-    dst[...] = src

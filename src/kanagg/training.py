@@ -2,9 +2,10 @@
 
 Reverse-mode gradients chain node aggregation, layer normalization, and each
 layer's one contraction of its extended basis with its folded coefficients
-(network.py maps those gradients back onto the edge parameters). Parameters
-are updated with Adam, one mini-batch per iteration, batches drawn by seeded
-shuffling with a reshuffle at every epoch boundary.
+(network.py maps those gradients back onto the edge parameters). backward
+returns one gradient vector laid out like Network.params, and Adam updates
+that whole vector in one pass, one mini-batch per iteration, batches drawn
+by seeded shuffling with a reshuffle at every epoch boundary.
 """
 
 from __future__ import annotations
@@ -46,28 +47,29 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray   # first and second moments, laid out like the parameters
+    v: np.ndarray
     t: int = 0
 
 
-def adam_init(params) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+def adam_init(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(params, grads, state: AdamState, cfg: TrainConfig):
-    """Standard Adam update with bias correction; params updated in place."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              cfg: TrainConfig):
+    """Standard Adam update with bias correction on one parameter vector,
+    updated in place."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 
@@ -99,12 +101,13 @@ def squared_error_on_index(logits, label):
     return diff * diff, (2.0 * diff)[:, np.newaxis]
 
 
-def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
-    """Gradients of the batch-mean loss for every trainable parameter.
+def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray) -> np.ndarray:
+    """Gradient of the batch-mean loss in every trainable parameter.
 
     d_logits holds per-sample loss gradients, one row per traced sample; the
-    result is ordered exactly like net.parameters(). Raises on a trace that
-    was not produced by this network.
+    result is one vector laid out like net.params, each layer's gradients
+    written into net.views of it. Raises on a trace that was not produced by
+    this network.
     """
     if trace.network is not net:
         raise ValueError("trace was produced by a different network")
@@ -115,17 +118,21 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
             f"d_logits shape {d_logits.shape} does not match trace "
             f"({batch}, {net.n_out})")
 
+    grad = np.empty_like(net.params)
+    views = net.views(grad)
+    n_layers = len(net.layers)
+    ln_views = views[3 * n_layers:]
     # scale once so every accumulated parameter gradient is the batch mean
     d_out = d_logits / batch
-    layer_grads = [None] * len(net.layers)
-    ln_grads = {}
-    for l in range(len(net.layers) - 1, -1, -1):
+    for l in range(n_layers - 1, -1, -1):
         layer = net.layers[l]
-        ln = net.layer_norms[l] if l < len(net.layers) - 1 else None
+        ln = net.layer_norms[l] if l < n_layers - 1 else None
         if ln is not None:
             zhat = trace.ln_zhat[l]
             inv_std = trace.ln_inv_std[l]
-            ln_grads[l] = ((d_out * zhat).sum(axis=0), d_out.sum(axis=0))
+            d_gain, d_bias = ln_views[2 * l: 2 * l + 2]
+            (d_out * zhat).sum(axis=0, out=d_gain)
+            d_out.sum(axis=0, out=d_bias)
             g = d_out * ln.gain
             d_node = inv_std * (g - g.mean(axis=-1, keepdims=True)
                                 - zhat * (g * zhat).mean(axis=-1, keepdims=True))
@@ -137,13 +144,11 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray):
         # basis[b, p, i], as (q, i, p) then (q, p, i)
         d_folded = per_input_matmul(d_edge.transpose(1, 2, 0),
                                     trace.basis[l].transpose(2, 1, 0)).transpose(0, 2, 1)
-        layer_grads[l] = fold_coeffs_adjoint(layer, d_folded)
+        fold_coeffs_adjoint(layer, d_folded, views[3 * l: 3 * l + 3])
         if l > 0:
             d_out = (d_edge * per_input_matmul(trace.basis_deriv[l],
                                                trace.coeffs[l])).sum(axis=1)
-
-    return ([g for g3 in layer_grads for g in g3]
-            + [g for l in sorted(ln_grads) for g in ln_grads[l]])
+    return grad
 
 
 @dataclass
@@ -203,7 +208,7 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     x_train, y_train = data.features[data.train_idx], data.labels[data.train_idx]
     n_train = len(y_train)
     rng = np.random.default_rng(cfg.seed)
-    params = net.parameters()
+    params = net.params
     state = adam_init(params)
 
     losses = []
@@ -233,7 +238,7 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
         grads = backward(net, trace, d_logits)
         adam_step(params, grads, state, cfg)
 
-    if any(not np.all(np.isfinite(p)) for p in params):
+    if not np.all(np.isfinite(params)):
         raise TrainingDiverged(cfg.iterations - 1, "non-finite parameters after update")
 
     val_acc = (evaluate(net, data.features[data.val_idx], data.labels[data.val_idx],

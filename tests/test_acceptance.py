@@ -73,33 +73,29 @@ def test_criterion_2_gradient_integrity():
             layer.w_spline[...] = rng.normal(1.0, 0.25, layer.w_spline.shape)
         xs = rng.uniform(-1.3, 1.3, (n_points, 3))
         labels = rng.integers(0, 2, n_points)
-        params = net.parameters()
+        params = net.params
 
-        analytic = [np.zeros((n_points,) + p.shape) for p in params]
+        analytic = np.zeros((n_points, params.size))
         for j in range(n_points):
             logits, trace = forward(net, xs[j: j + 1], trace=True)
             _, d_logits = softmax_cross_entropy(logits, labels[j: j + 1])
-            for slot, g in zip(analytic, backward(net, trace, d_logits)):
-                slot[j] = g
+            analytic[j] = backward(net, trace, d_logits)
 
         def batch_losses():
             losses, _ = softmax_cross_entropy(forward(net, xs), labels)
             return losses
 
-        for p_i, p in enumerate(params):
-            flat = p.reshape(-1)
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                hi = batch_losses()
-                flat[idx] = orig - step
-                lo = batch_losses()
-                flat[idx] = orig
-                fd = (hi - lo) / (2 * step)
-                ana = analytic[p_i].reshape(n_points, -1)[:, idx]
-                err = relative_error(ana, fd, floor=1e-6)
-                assert err.max() < 1e-3, \
-                    f"{agg}: param block {p_i} index {idx} err {err.max():.2e}"
+        for idx in range(params.size):
+            orig = params[idx]
+            params[idx] = orig + step
+            hi = batch_losses()
+            params[idx] = orig - step
+            lo = batch_losses()
+            params[idx] = orig
+            fd = (hi - lo) / (2 * step)
+            err = relative_error(analytic[:, idx], fd, floor=1e-6)
+            assert err.max() < 1e-3, \
+                f"{agg}: param {idx} err {err.max():.2e}"
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.2f}s"
 

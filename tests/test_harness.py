@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -474,7 +475,9 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "bad-flag-value", "unknown-config-key", "missing-manifest",
         "zero-iterations", "zero-hidden-width", "zero-batch-size",
-        "negative-learning-rate", "negative-parallelism", "string-datasets"])
+        "negative-learning-rate", "negative-parallelism", "string-datasets",
+        "string-runs", "float-iterations", "nan-learning-rate", "bool-batch-size",
+        "string-strict-replication"])
     def test_invalid_settings_are_one_line_errors(self, tmp_path, capsys, case):
         manifest = str(self._write_synth_manifest(tmp_path))
         # (config-file settings or None, flags, message)
@@ -496,6 +499,17 @@ class TestCli:
             "negative-parallelism": ({"datasets": [manifest], "parallelism": -2}, [],
                                      "parallelism must be >= 1"),
             "string-datasets": ({"datasets": manifest}, [], "datasets must be a list"),
+            "string-runs": ({"datasets": [manifest], "runs": "3"}, [],
+                            "runs must be an integer, got '3'"),
+            "float-iterations": ({"datasets": [manifest], "iterations": 2.5}, [],
+                                 "iterations must be an integer, got 2.5"),
+            "nan-learning-rate": ({"datasets": [manifest], "learning_rate": math.nan},
+                                  [], "learning_rate must be a finite number"),
+            "bool-batch-size": ({"datasets": [manifest], "batch_size": True}, [],
+                                "batch_size must be an integer, got True"),
+            "string-strict-replication": (
+                {"datasets": [manifest], "strict_replication": "no"}, [],
+                "strict_replication must be true or false"),
         }[case]
         if settings is not None:
             cfg = tmp_path / "cfg.json"

@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from kanagg import (Aggregator, ConfigError, NetworkConfig, build_network,
-                    forward, load_checkpoint, mean_to_scaled_sum,
-                    save_checkpoint)
+                    forward, mean_to_scaled_sum)
 from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.network import (FORWARD_BLOCK_ROWS, LayerNormParams, _layer_norm,
                             adherence_counts)
@@ -30,7 +27,38 @@ class TestBuild:
                                           layer_norm=True, grid_size=3, degree=3))
         n_edges = 34 * 10 + 10 * 6
         expected = n_edges * (6 + 2) + 2 * 10  # coeffs+weights, then gain+bias
-        assert sum(p.size for p in net.parameters()) == expected
+        assert net.params.shape == (expected,)
+        assert sum(v.size for v in net.views(net.params)) == expected
+
+    def test_arrays_are_views_of_params(self):
+        net = small_net(aggs=("sum", "sum"), widths=(3, 4, 2), layer_norm=True)
+        rng = np.random.default_rng(2)
+        # spread parameters and inputs so every basis function sees points
+        net.params[...] = rng.normal(0.0, 1.0, net.params.size)
+        net.layer_norms[0].gain[...] = 2.0
+        net.layer_norms[0].bias[...] = 0.0
+        x = rng.uniform(-3, 3, (200, 3))
+        before = forward(net, x)
+        for i in range(net.params.size):
+            saved = net.params[i]
+            net.params[i] += 0.5
+            assert np.any(forward(net, x) != before), f"params[{i}] is not read"
+            net.params[i] = saved
+        np.testing.assert_array_equal(forward(net, x), before)
+
+    def test_initial_values_match_per_array_draw(self):
+        net = small_net(aggs=("sum", "sum"), widths=(3, 4, 2), layer_norm=True,
+                        seed=9)
+        rng = np.random.default_rng(9)
+        for layer in net.layers:
+            n_out, n_in, n_basis = layer.coeffs.shape
+            np.testing.assert_array_equal(
+                layer.coeffs, rng.normal(0.0, 0.1, size=(n_out, n_in, n_basis)))
+            np.testing.assert_array_equal(layer.w_base, np.ones((n_out, n_in)))
+            np.testing.assert_array_equal(layer.w_spline, np.ones((n_out, n_in)))
+        ln = net.layer_norms[0]
+        np.testing.assert_array_equal(ln.gain, np.ones(4))
+        np.testing.assert_array_equal(ln.bias, np.zeros(4))
 
     def test_same_seed_same_network(self):
         rng = np.random.default_rng(5)
@@ -237,18 +265,10 @@ class TestLayerNorm:
         assert not np.allclose(logits.mean(axis=1), 0.0, atol=1e-6)
         np.testing.assert_array_equal(logits, trace.edge_outputs[1].sum(axis=2))
 
-    def test_invalid(self, tmp_path):
-        # a hidden layer is never empty, and eps enters only from checkpoints
+    def test_invalid(self):
+        # a hidden layer is never empty
         with pytest.raises(ConfigError):
             small_net(widths=(3, 0, 2), layer_norm=True)
-        path = tmp_path / "net.json"
-        save_checkpoint(small_net(widths=(3, 4, 2), layer_norm=True), path)
-        doc = json.loads(path.read_text())
-        for eps in (0.0, -1e-5, float("nan"), float("inf")):
-            doc["layer_norms"][0]["eps"] = eps
-            path.write_text(json.dumps(doc))
-            with pytest.raises(ValueError, match="eps"):
-                load_checkpoint(path)
 
 
 class TestRangeAdherence:
@@ -294,47 +314,3 @@ class TestRangeAdherence:
         _, trace = forward(net, x, trace=True)
         inside, total = adherence_counts(trace, -1, 1)
         assert inside.tolist() == total.tolist() == [50]
-
-
-class TestCheckpoint:
-    def test_round_trip_lossless(self, tmp_path):
-        net = small_net(aggs=("std", "multiply"), widths=(3, 4, 2),
-                        layer_norm=True, seed=77)
-        rng = np.random.default_rng(0)
-        for layer in net.layers:
-            layer.coeffs[...] = rng.normal(size=layer.coeffs.shape)
-        net.layer_norms[0].gain[...] = rng.normal(size=4)
-        path = tmp_path / "net.json"
-        save_checkpoint(net, path)
-        loaded = load_checkpoint(path)
-        assert loaded.config == net.config
-        for a, b in zip(net.parameters(), loaded.parameters()):
-            np.testing.assert_array_equal(a, b)
-        x = rng.uniform(-1, 1, (5, 3))
-        np.testing.assert_array_equal(forward(net, x), forward(loaded, x))
-
-    def test_rejects_foreign_document(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    def _saved_doc(self, tmp_path):
-        path = tmp_path / "net.json"
-        save_checkpoint(small_net(aggs=("sum", "sum"), widths=(3, 4, 2)), path)
-        return path, json.loads(path.read_text())
-
-    def test_rejects_missing_layer(self, tmp_path):
-        path, doc = self._saved_doc(tmp_path)
-        doc["layers"].pop()
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="layers"):
-            load_checkpoint(path)
-
-    def test_rejects_broadcast_coeffs(self, tmp_path):
-        # one edge's coefficients would broadcast into every edge of the layer
-        path, doc = self._saved_doc(tmp_path)
-        doc["layers"][0]["coeffs"] = doc["layers"][0]["coeffs"][0][0]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="coeffs"):
-            load_checkpoint(path)

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kanagg import (NetworkConfig, backward, build_network, forward,
-                    load_checkpoint, make_grid, save_checkpoint)
+from kanagg import NetworkConfig, backward, build_network, forward, make_grid
 from kanagg.splines import basis_matrix
 
 from oracles import naive_basis_vector, naive_edge, naive_silu, relative_error
@@ -115,11 +112,11 @@ class TestBasisEval:
 
 @st.composite
 def grids(draw):
-    """A knot grid with G in 1..10, k in 0..3 and a random [lo, hi]."""
+    """A knot grid with G in 1..10, k in 0..5 and a random [lo, hi]."""
     lo = draw(st.floats(-10.0, 10.0))
     width = draw(st.floats(0.01, 20.0))
     return make_grid(lo, lo + width, draw(st.integers(1, 10)),
-                     draw(st.sampled_from((0, 1, 2, 3))))
+                     draw(st.integers(0, 5)))
 
 
 class TestBasisProperties:
@@ -216,7 +213,7 @@ def edge_gradients(coeffs, w_base, w_spline, x, upstream):
     second.w_base[...] = w_base
     second.w_spline[...] = w_spline
     _, trace = forward(net, np.array([[X0]]), trace=True)
-    grads = backward(net, trace, np.array([[upstream]]))
+    grads = net.views(backward(net, trace, np.array([[upstream]])))
     d_x = grads[1][0, 0] / naive_silu(X0)
     return (float(trace.inputs[1][0, 0]), float(d_x), grads[3][0, 0],
             float(grads[4][0, 0]), float(grads[5][0, 0]))
@@ -262,16 +259,6 @@ class TestEdgeForward:
         e0 = single_edge(coeffs, 0.0, w_spline)
         e0_scaled = single_edge(3.0 * coeffs, 0.0, w_spline)
         assert phi(e0_scaled, x) == pytest.approx(3.0 * phi(e0, x), rel=1e-12)
-
-    def test_coeff_length_validated(self, tmp_path):
-        # coefficients enter from outside only through checkpoints
-        path = tmp_path / "edge.json"
-        save_checkpoint(single_edge(np.zeros(6), 1.0, 1.0), path)
-        doc = json.loads(path.read_text())
-        doc["layers"][0]["coeffs"] = [[[0.0] * 7]]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
 
 
 class TestEdgeBackward:

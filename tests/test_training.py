@@ -68,8 +68,7 @@ class TestBackward:
         x = np.random.default_rng(1).uniform(-1, 1, (5, 3))
         _, trace = forward(net, x, trace=True)
         grads = backward(net, trace, np.zeros((5, 2)))
-        for g in grads:
-            np.testing.assert_array_equal(g, 0.0)
+        np.testing.assert_array_equal(grads, np.zeros_like(net.params))
 
     def test_single_edge_gradients_match_edge_partials(self):
         # phi(x) = w_base silu(x) + w_spline sum_i c_i B_i(x) is linear in
@@ -79,7 +78,7 @@ class TestBackward:
         layer = net.layers[0]
         x = 0.62
         _, trace = forward(net, np.array([[x]]), trace=True)
-        grads = backward(net, trace, np.array([[1.0]]))
+        grads = net.views(backward(net, trace, np.array([[1.0]])))
         basis = naive_basis_vector(x, layer.grid)
         np.testing.assert_allclose(grads[0][0, 0], layer.w_spline[0, 0] * basis,
                                    atol=1e-14)
@@ -117,7 +116,6 @@ class TestBackward:
         for layer in net.layers:  # move off the all-ones init, keep non-degenerate
             layer.w_base[...] = rng.normal(1.0, 0.3, layer.w_base.shape)
             layer.w_spline[...] = rng.normal(1.0, 0.3, layer.w_spline.shape)
-        params = net.parameters()
         xs = rng.uniform(-1.4, 1.4, (n_points, widths[0]))
         labels = rng.integers(0, widths[-1], n_points)
         step = 1e-5
@@ -130,39 +128,38 @@ class TestBackward:
         assert trace.basis_deriv[0] is None
         _, d_logits = softmax_cross_entropy(logits, labels)
         grads = backward(net, trace, d_logits)
-        for p, g in zip(params, grads):
-            flat_p = p.reshape(-1)
-            flat_g = g.reshape(-1)
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + step
-                hi = mean_loss()
-                flat_p[i] = orig - step
-                lo = mean_loss()
-                flat_p[i] = orig
-                fd = (hi - lo) / (2 * step)
-                assert relative_error(flat_g[i], fd, floor=1e-6) < 1e-3, \
-                    f"{agg}: param {i} analytic {flat_g[i]} vs fd {fd}"
+        assert grads.shape == net.params.shape
+        params = net.params
+        for i in range(params.size):
+            orig = params[i]
+            params[i] = orig + step
+            hi = mean_loss()
+            params[i] = orig - step
+            lo = mean_loss()
+            params[i] = orig
+            fd = (hi - lo) / (2 * step)
+            assert relative_error(grads[i], fd, floor=1e-6) < 1e-3, \
+                f"{agg}: param {i} analytic {grads[i]} vs fd {fd}"
 
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         cfg = TrainConfig(learning_rate=0.01)
-        p = [np.array([1.0, -2.0])]
-        g = [np.array([0.5, -3.0])]
+        p = np.array([1.0, -2.0])
+        g = np.array([0.5, -3.0])
         state = adam_init(p)
         adam_step(p, g, state, cfg)
         expected = 1.0 - 0.01 * 0.5 / (0.5 + 1e-8)
-        assert p[0][0] == pytest.approx(expected, rel=1e-12)
-        assert p[0][1] == pytest.approx(-2.0 + 0.01 * 3.0 / (3.0 + 1e-8), rel=1e-12)
+        assert p[0] == pytest.approx(expected, rel=1e-12)
+        assert p[1] == pytest.approx(-2.0 + 0.01 * 3.0 / (3.0 + 1e-8), rel=1e-12)
 
     def test_zero_gradient_leaves_parameters(self):
         cfg = TrainConfig()
-        p = [np.array([0.3, 0.7])]
+        p = np.array([0.3, 0.7])
         state = adam_init(p)
         for _ in range(25):
-            adam_step(p, [np.zeros(2)], state, cfg)
-        np.testing.assert_array_equal(p[0], [0.3, 0.7])
+            adam_step(p, np.zeros(2), state, cfg)
+        np.testing.assert_array_equal(p, [0.3, 0.7])
         assert state.t == 25
 
     def test_ten_step_quadratic_matches_reference(self):
@@ -174,13 +171,12 @@ class TestAdam:
 
         expected = reference_adam([4.0, -3.0], grad_fn, 0.05, ADAM_BETA1,
                                   ADAM_BETA2, ADAM_EPS, steps=10)
-        p = [np.array([4.0]), np.array([-3.0])]
+        p = np.array([4.0, -3.0])
         state = adam_init(p)
         for step in range(10):
-            grads = [np.array([g]) for g in grad_fn([p[0][0], p[1][0]])]
-            adam_step(p, grads, state, cfg)
-            assert abs(p[0][0] - expected[step][0]) < 1e-10
-            assert abs(p[1][0] - expected[step][1]) < 1e-10
+            adam_step(p, np.array(grad_fn(p)), state, cfg)
+            assert abs(p[0] - expected[step][0]) < 1e-10
+            assert abs(p[1] - expected[step][1]) < 1e-10
 
 
 class TestTrain:
@@ -200,12 +196,11 @@ class TestTrain:
     def test_zero_learning_rate_is_identity(self):
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=1)
         net = build_network(NetworkConfig((4, 6, 3), ("mean", "mean"), seed=2))
-        before = [p.copy() for p in net.parameters()]
+        before = net.params.copy()
         acc_before = evaluate(net, data.features[data.test_idx],
                               data.labels[data.test_idx], data.n_classes)
         res = train(net, data, TrainConfig(iterations=50, learning_rate=0.0, seed=3))
-        for old, new in zip(before, net.parameters()):
-            np.testing.assert_array_equal(old, new)
+        np.testing.assert_array_equal(before, net.params)
         assert res.test_accuracy == acc_before
 
     def test_deterministic_loss_curves(self):
