@@ -22,8 +22,7 @@ from .data import (Dataset, DatasetManifest, IngestionError, PreprocessError,
                    load_manifest, load_table, preprocess, synthetic_dataset)
 from .stats import (WilcoxonResult, average_rank, rank_with_ties,
                     wilcoxon_signed_rank)
-from .harness import (ExperimentConfig, derive_seed, run_adherence,
-                      run_comparison, run_experiment, run_sweep, write_report)
+from .harness import ExperimentConfig, derive_seed, run_experiment, write_report
 
 __all__ = [
     "Aggregator", "KnotGrid", "make_grid",
@@ -36,6 +35,5 @@ __all__ = [
     "load_manifest", "load_table", "preprocess", "synthetic_dataset",
     "WilcoxonResult", "average_rank", "rank_with_ties",
     "wilcoxon_signed_rank",
-    "ExperimentConfig", "derive_seed", "run_adherence", "run_comparison",
-    "run_experiment", "run_sweep", "write_report",
+    "ExperimentConfig", "derive_seed", "run_experiment", "write_report",
 ]

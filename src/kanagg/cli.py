@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .aggregators import AGGREGATOR_NAMES
-from .harness import VARIANTS, ExperimentConfig, run_experiment, write_report
+from .harness import MODES, VARIANTS, ExperimentConfig, run_experiment, write_report
 
 DEFAULT_OUT = os.environ.get("KANAGG_OUT", "kanagg-out")
 
@@ -49,7 +49,10 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
     settings = {}
     if args.config:
         with open(args.config) as f:
-            settings.update(json.load(f))
+            settings = json.load(f)
+        if not isinstance(settings, dict):
+            raise ValueError(f"config {args.config}: top level is a "
+                             f"{type(settings).__name__}, not an object")
     overrides = {
         "datasets": args.dataset,
         "runs": args.runs,
@@ -65,10 +68,11 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
     settings["mode"] = mode
     settings.setdefault("out_dir", str(Path(DEFAULT_OUT) / mode))
     for key in ("datasets", "variants", "aggregators"):
-        if isinstance(settings.get(key), str):   # tuple() would split it into characters
-            raise ValueError(f"{key} must be a list, got the string {settings[key]!r}")
-        if settings.get(key) is not None:
-            settings[key] = tuple(settings[key])
+        if settings.get(key) is None:
+            continue
+        if not isinstance(settings[key], list):   # tuple() would split a string
+            raise ValueError(f"{key} must be a list, got {settings[key]!r}")
+        settings[key] = tuple(settings[key])
     try:
         return ExperimentConfig(**settings)
     except TypeError as exc:    # an unknown config-file key, or no dataset
@@ -78,7 +82,7 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="kanagg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for mode in ("sweep", "compare", "adherence"):
+    for mode in MODES:
         _add_run_flags(sub.add_parser(mode))
 
     args = parser.parse_args(argv)

@@ -80,8 +80,8 @@ class DatasetManifest:
     name: str
     path: str | None = None
     columns: tuple = ()
-    delimiter: str = ","          # "whitespace" splits on any run of blanks
-    missing_values: tuple = ("?",)
+    delimiter: str = ","          # one character, or "whitespace": any run of blanks
+    missing_values: tuple = ("?",)  # of strings
     has_header: bool = False
     expected_instances: int | None = None
     expected_features: int | None = None
@@ -92,6 +92,16 @@ class DatasetManifest:
         if not isinstance(self.name, str) or not self.name:
             raise IngestionError(
                 f"manifest name must be a non-empty string, got {self.name!r}")
+        d, mv = self.delimiter, self.missing_values
+        for attr, ok, wanted in (
+                ("delimiter", d == "whitespace" or isinstance(d, str) and len(d) == 1,
+                 "one character or 'whitespace'"),
+                ("missing_values", isinstance(mv, tuple)
+                 and all(isinstance(v, str) for v in mv), "a list of strings"),
+                ("has_header", isinstance(self.has_header, bool), "true or false")):
+            if not ok:
+                raise IngestionError(f"manifest {self.name!r}: {attr} must be {wanted}, "
+                                     f"got {getattr(self, attr)!r}")
         if self.synthetic is not None:
             self._validate_synthetic()
             return
@@ -152,13 +162,15 @@ def load_manifest(path) -> DatasetManifest:
             if unknown:
                 raise IngestionError(f"unknown {where}keys {unknown}; "
                                      f"allowed: {', '.join(allowed)}")
+        missing = doc.get("missing_values", ["?"])
         return DatasetManifest(
             name=doc.get("name"),
             path=str((path.parent / doc["path"]).resolve()) if doc.get("path") else None,
             columns=tuple(ColumnSpec(**c) for c in doc.get("columns", [])),
             delimiter=doc.get("delimiter", ","),
-            missing_values=tuple(doc.get("missing_values", ["?"])),
-            has_header=bool(doc.get("has_header", False)),
+            # tuple() would split a string into characters
+            missing_values=tuple(missing) if isinstance(missing, list) else missing,
+            has_header=doc.get("has_header", False),
             expected_instances=expected.get("instances"),
             expected_features=expected.get("features"),
             expected_classes=expected.get("classes"),

@@ -1,16 +1,17 @@
 """Experiment harness: aggregator sweep, variant comparison, range adherence.
 
-Every run is an independent (dataset, combination, run-index) training job
-with seeds derived by hashing those coordinates together with the global
-seed, so runs are reproducible in isolation and embarrassingly parallel.
-Each dataset manifest is loaded once per experiment, before any run starts
-(a manifest checks itself when it is built); every run carries its manifest
-and materializes the dataset from it. A process keeps the last file it
-parsed, keyed on the manifest and the file's size and modification time, so
-it parses each dataset file once; each run splits and preprocesses that table
-with its own seed. Every run records the share of each hidden layer's values
-that stayed on the spline grid. Reports are pure aggregations over the
-per-run records that get persisted alongside them.
+`run_experiment(config)` is the one entry point. It runs every training job:
+an independent (dataset, combination, run-index) job with seeds derived by
+hashing those coordinates together with the global seed, so runs are
+reproducible in isolation and embarrassingly parallel. Each dataset manifest
+is loaded once per experiment, before any run starts (a manifest checks
+itself when it is built); every run carries its manifest and materializes the
+dataset from it. A process keeps the last file it parsed, keyed on the
+manifest and the file's size and modification time, so it parses each dataset
+file once; each run splits and preprocesses that table with its own seed.
+Every run records the share of each hidden layer's values that stayed on the
+spline grid. The report of `config.mode` is a pure function of the run
+records, in any order, so it can be rebuilt from stored records.
 """
 
 from __future__ import annotations
@@ -42,14 +43,13 @@ VARIANTS = {
     "kan-avg": {"aggregator": "mean", "layer_norm": False},
 }
 COMBO_SEP = "|"
-DEFAULT_RUNS = {"sweep": 1, "compare": 20, "adherence": 1}
 INT_SETTINGS = ("runs", "iterations", "batch_size", "hidden_width", "seed",
                 "parallelism")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str                      # sweep | compare | adherence
+    mode: str                      # a key of MODES
     datasets: tuple                # manifest paths or DatasetManifest objects
     variants: tuple = ("kan", "kan-layernorm", "kan-avg")
     aggregators: tuple = AGGREGATOR_NAMES
@@ -64,10 +64,10 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def runs_per_config(self) -> int:
-        return self.runs if self.runs is not None else DEFAULT_RUNS[self.mode]
+        return self.runs if self.runs is not None else MODES[self.mode][0]
 
     def validate(self):
-        if self.mode not in DEFAULT_RUNS:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         # settings from a JSON config file arrive with whatever type it gave
         for name in INT_SETTINGS:
@@ -84,6 +84,10 @@ class ExperimentConfig:
                              f"{self.strict_replication!r}")
         if not self.datasets:
             raise ValueError("need at least one dataset manifest")
+        bad = [d for d in self.datasets
+               if not isinstance(d, (str, os.PathLike, DatasetManifest))]
+        if bad:
+            raise ValueError(f"datasets must be manifest paths, got {bad}")
         if self.runs_per_config() < 1:
             raise ValueError("runs must be >= 1")
         if self.hidden_width < 1:
@@ -92,15 +96,12 @@ class ExperimentConfig:
             raise ValueError("parallelism must be >= 1")
         TrainConfig(iterations=self.iterations, batch_size=self.batch_size,
                     learning_rate=self.learning_rate).validate()
-        if self.mode in ("compare", "adherence"):
-            unknown = [v for v in self.variants if v not in VARIANTS]
+        for name, known in (("variants", VARIANTS), ("aggregators", AGGREGATOR_NAMES)):
+            # a non-string entry is unknown; testing that first never hashes a list
+            unknown = [x for x in getattr(self, name)
+                       if not isinstance(x, str) or x not in known]
             if unknown:
-                raise ValueError(f"unknown variants {unknown}; "
-                                 f"choose from {sorted(VARIANTS)}")
-        if self.mode == "sweep":
-            unknown = [a for a in self.aggregators if a not in AGGREGATOR_NAMES]
-            if unknown:
-                raise ValueError(f"unknown aggregators {unknown}")
+                raise ValueError(f"unknown {name} {unknown}; choose from {sorted(known)}")
 
 
 def derive_seed(*parts) -> int:
@@ -220,44 +221,37 @@ def execute_run(spec: RunSpec) -> dict:
     return record
 
 
-def _labels(config: ExperimentConfig) -> list[str]:
-    """The run labels of one dataset: every "agg1|agg2" pair in a sweep, else
-    the variants (a variant listed twice shares its runs, so a variant can be
-    compared with itself)."""
+def _run_plan(config: ExperimentConfig) -> list[tuple]:
+    """The runs of one dataset as (label, aggregators per layer, layer_norm):
+    every "agg1|agg2" pair in a sweep, else the variants (a variant listed
+    twice shares its runs, so a variant can be compared with itself)."""
     if config.mode == "sweep":
-        return [a1 + COMBO_SEP + a2 for a1, a2 in product(config.aggregators, repeat=2)]
-    return list(dict.fromkeys(config.variants))
+        return [(a1 + COMBO_SEP + a2, (a1, a2), False)
+                for a1, a2 in product(config.aggregators, repeat=2)]
+    return [(v, (VARIANTS[v]["aggregator"],) * 2, VARIANTS[v]["layer_norm"])
+            for v in dict.fromkeys(config.variants)]
 
 
 def _build_specs(config: ExperimentConfig, manifests) -> list[RunSpec]:
-    specs = []
-    runs = config.runs_per_config()
-    labels = _labels(config)
-    for manifest in manifests:
-        for label in labels:
-            if config.mode == "sweep":
-                aggs = tuple(label.split(COMBO_SEP))
-                layer_norm = False
-            else:
-                variant = VARIANTS[label]
-                aggs = (variant["aggregator"],) * 2
-                layer_norm = variant["layer_norm"]
-            for i in range(runs):
-                specs.append(RunSpec(
-                    run_id=f"{manifest.name}{COMBO_SEP}{label}{COMBO_SEP}{i}",
-                    manifest=manifest,
-                    label=label,
-                    aggregators=aggs,
-                    layer_norm=layer_norm,
-                    run_index=i,
-                    base_seed=derive_seed(config.seed, manifest.name, label, i),
-                    hidden_width=config.hidden_width,
-                    iterations=config.iterations,
-                    batch_size=config.batch_size,
-                    learning_rate=config.learning_rate,
-                    strict_replication=config.strict_replication,
-                ))
-    return specs
+    return [
+        RunSpec(
+            run_id=f"{manifest.name}{COMBO_SEP}{label}{COMBO_SEP}{i}",
+            manifest=manifest,
+            label=label,
+            aggregators=aggs,
+            layer_norm=layer_norm,
+            run_index=i,
+            base_seed=derive_seed(config.seed, manifest.name, label, i),
+            hidden_width=config.hidden_width,
+            iterations=config.iterations,
+            batch_size=config.batch_size,
+            learning_rate=config.learning_rate,
+            strict_replication=config.strict_replication,
+        )
+        for manifest in manifests
+        for label, aggs, layer_norm in _run_plan(config)
+        for i in range(config.runs_per_config())
+    ]
 
 
 def _execute_all(config: ExperimentConfig):
@@ -283,11 +277,6 @@ def _config_payload(config: ExperimentConfig, datasets) -> dict:
     return d
 
 
-def _config_hash(config_payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config_payload, sort_keys=True).encode()).hexdigest()
-
-
 def _decisions(config: ExperimentConfig) -> dict:
     return {
         "head": "scalar-index" if config.strict_replication else "softmax",
@@ -299,55 +288,34 @@ def _decisions(config: ExperimentConfig) -> dict:
     }
 
 
-def _base_payload(config: ExperimentConfig, datasets, records) -> dict:
-    cfg = _config_payload(config, datasets)
-    return {
-        "mode": config.mode,
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "decisions": _decisions(config),
-        "failures": [r for r in records if r["status"] == "failed"],
-        "n_runs": len(records),
-    }
+# Each report below is built from `runs`: dataset -> label -> run index ->
+# record, over the successful runs, each label's runs in run_id order.
 
-
-def _grouped_accuracies(records):
-    """dataset -> label -> run_index -> test accuracy (successful runs only)."""
-    acc = {}
-    for r in records:
-        if r["status"] != "ok":
-            continue
-        acc.setdefault(r["dataset"], {}).setdefault(
-            r["label"], {})[r["run_index"]] = r["test_accuracy"]
-    return acc
-
-
-def run_sweep(config: ExperimentConfig):
-    """Train every (combination, dataset, seed) and rank combinations."""
-    datasets, records = _execute_all(config)
-    acc = _grouped_accuracies(records)
-    combos = _labels(config)
-
+def _sweep_report(config: ExperimentConfig, datasets, runs) -> dict:
+    """Rank the aggregator combinations on each dataset by mean test accuracy."""
+    plan = _run_plan(config)
+    combos = [label for label, _, _ in plan]
     mean_acc = {ds: {} for ds in datasets}
+    ranks = {ds: {} for ds in datasets}
     rank_matrix = np.full((len(combos), len(datasets)), np.nan)
-    ranks_by_ds = {}
     for d, ds in enumerate(datasets):
-        per_combo = acc.get(ds, {})
-        present = [c for c in combos if per_combo.get(c)]
+        per_combo = runs.get(ds, {})
+        present = [c for c in combos if c in per_combo]
         if not present:
             continue
-        scores = np.array([float(np.mean(list(per_combo[c].values())))
+        scores = np.array([float(np.mean([r["test_accuracy"]
+                                          for r in per_combo[c].values()]))
                            for c in present])
-        ranks = rank_with_ties(scores, higher_is_better=True)
-        ranks_by_ds[ds] = dict(zip(present, ranks.tolist()))
-        for c, s, r in zip(present, scores, ranks):
+        ds_ranks = rank_with_ties(scores, higher_is_better=True)
+        ranks[ds] = dict(zip(present, ds_ranks.tolist()))
+        for c, s, r in zip(present, scores, ds_ranks):
             mean_acc[ds][c] = float(s)
             rank_matrix[combos.index(c), d] = r
 
     means, stds = average_rank(rank_matrix)
     rank_table = []
     for i in np.argsort(means, kind="stable").tolist():   # ties keep combo order
-        layer1, layer2 = combos[i].split(COMBO_SEP)
+        layer1, layer2 = plan[i][1]
         rank_table.append({
             "layer1": layer1,
             "layer2": layer2,
@@ -356,32 +324,24 @@ def run_sweep(config: ExperimentConfig):
             "per_dataset": {ds: (None if np.isnan(rank_matrix[i, d]) else rank_matrix[i, d])
                             for d, ds in enumerate(datasets)},
         })
-    payload = _base_payload(config, datasets, records)
-    payload.update(
-        combinations=combos,
-        datasets=datasets,
-        mean_test_accuracy=mean_acc,
-        ranks={ds: ranks_by_ds.get(ds, {}) for ds in datasets},
-        rank_table=rank_table,
-    )
-    return payload, records
+    return {"combinations": combos, "datasets": datasets,
+            "mean_test_accuracy": mean_acc,
+            "ranks": ranks,
+            "rank_table": rank_table}
 
 
-def run_comparison(config: ExperimentConfig):
-    """KAN / KAN+LayerNorm / KAN-AVG comparison with pairwise Wilcoxon tests."""
-    datasets, records = _execute_all(config)
-    acc = _grouped_accuracies(records)
+def _compare_report(config: ExperimentConfig, datasets, runs) -> dict:
+    """KAN / KAN+LayerNorm / KAN-AVG accuracy with pairwise Wilcoxon tests."""
     variants = list(config.variants)
-    runs = config.runs_per_config()
-
     summary = {}
     tests = {}
     for ds in datasets:
-        per_variant = acc.get(ds, {})
+        # variant -> run index -> test accuracy, in run index order
+        acc = {v: {i: by_index[i]["test_accuracy"] for i in sorted(by_index)}
+               for v, by_index in runs.get(ds, {}).items()}
         summary[ds] = {}
         for v in variants:
-            vals = [per_variant.get(v, {}).get(i) for i in range(runs)]
-            ok = [x for x in vals if x is not None]
+            ok = list(acc.get(v, {}).values())
             summary[ds][v] = {
                 "mean": float(np.mean(ok)) if ok else None,
                 "std": float(np.std(ok)) if ok else None,   # population std
@@ -390,15 +350,13 @@ def run_comparison(config: ExperimentConfig):
         tests[ds] = {}
         for i, va in enumerate(variants):
             for vb in variants[i + 1:]:
-                pair_idx = [k for k in range(runs)
-                            if per_variant.get(va, {}).get(k) is not None
-                            and per_variant.get(vb, {}).get(k) is not None]
+                pair_idx = [k for k in acc.get(va, {}) if k in acc.get(vb, {})]
                 key = f"{va} vs {vb}"
                 if not pair_idx:
                     tests[ds][key] = None
                     continue
-                a = [per_variant[va][k] for k in pair_idx]
-                b = [per_variant[vb][k] for k in pair_idx]
+                a = [acc[va][k] for k in pair_idx]
+                b = [acc[vb][k] for k in pair_idx]
                 res = wilcoxon_signed_rank(a, b)
                 tests[ds][key] = {
                     "w_plus": res.w_plus, "w_minus": res.w_minus,
@@ -411,47 +369,57 @@ def run_comparison(config: ExperimentConfig):
                     winner, loser = (va, vb) if ma > mb else (vb, va)
                     summary[ds][winner].setdefault(
                         "significantly_better_than", []).append(loser)
-    payload = _base_payload(config, datasets, records)
-    payload.update(datasets=datasets, variants=variants,
-                   accuracy=summary, wilcoxon=tests)
-    return payload, records
+    return {"datasets": datasets, "variants": variants,
+            "accuracy": summary, "wilcoxon": tests}
 
 
-def run_adherence(config: ExperimentConfig):
-    """Pooled in-range fractions of hidden-layer values, per dataset/variant."""
-    names, records = _execute_all(config)
-    by_key = {}
-    features = {}
-    for r in records:
-        if r["status"] != "ok":
-            continue
-        by_key.setdefault((r["dataset"], r["label"]), []).append(r["adherence"])
-        features[r["dataset"]] = r["n_features"]
-    datasets = sorted(features, key=lambda ds: (features[ds], ds))
-
-    rows = []
+def _adherence_report(config: ExperimentConfig, datasets, runs) -> dict:
+    """Pooled in-range fractions of hidden-layer values, per dataset/variant;
+    the datasets with a successful run, ordered by feature count."""
+    features = {ds: r["n_features"] for ds, per_label in runs.items()
+                for by_index in per_label.values() for r in by_index.values()}
     table = {}
-    for ds in datasets:
+    for ds in sorted(features, key=lambda ds: (features[ds], ds)):
         table[ds] = {"n_features": features[ds], "variants": {}}
         for v in config.variants:
-            fractions = by_key.get((ds, v))
-            if not fractions:
-                continue
-            mean_layers = np.mean(np.asarray(fractions), axis=0)
-            table[ds]["variants"][v] = mean_layers.tolist()
-            for layer, frac in enumerate(mean_layers.tolist()):
-                rows.append((ds, features[ds], v, layer, frac))
-    payload = _base_payload(config, names, records)
-    payload.update(datasets=datasets, variants=list(config.variants),
-                   adherence=table,
-                   plot_rows=[list(r) for r in rows])
-    return payload, records
+            if v in runs[ds]:
+                fractions = [r["adherence"] for r in runs[ds][v].values()]
+                table[ds]["variants"][v] = np.mean(fractions, axis=0).tolist()
+    return {"datasets": list(table), "variants": list(config.variants),
+            "adherence": table}
+
+
+# mode -> (default runs per (dataset, combination), its report)
+MODES = {"sweep": (1, _sweep_report), "compare": (20, _compare_report),
+         "adherence": (1, _adherence_report)}
+
+
+def _payload(config: ExperimentConfig, datasets, records) -> dict:
+    """The report of a finished experiment from its dataset names and run
+    records alone, in any order; it runs nothing."""
+    records = sorted(records, key=lambda r: r["run_id"])
+    runs = {}
+    for r in records:
+        if r["status"] == "ok":
+            runs.setdefault(r["dataset"], {}).setdefault(
+                r["label"], {})[r["run_index"]] = r
+    cfg = _config_payload(config, datasets)
+    return {
+        "mode": config.mode,
+        "config": cfg,
+        "config_hash": hashlib.sha256(
+            json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
+        "decisions": _decisions(config),
+        "failures": [r for r in records if r["status"] == "failed"],
+        "n_runs": len(records),
+        **MODES[config.mode][1](config, datasets, runs),
+    }
 
 
 def run_experiment(config: ExperimentConfig):
-    runner = {"sweep": run_sweep, "compare": run_comparison,
-              "adherence": run_adherence}[config.mode]
-    return runner(config)
+    """Run the experiment `config` describes; returns (payload, records)."""
+    datasets, records = _execute_all(config)
+    return _payload(config, datasets, records), records
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +472,7 @@ def summarize(payload: dict) -> str:
 
 def write_report(payload: dict, records, out_dir) -> Path:
     """Persist report.json (payload + timestamp header), runs.jsonl, summary.txt
-    and, for adherence mode, the plot-data TSV."""
+    and, for adherence mode, the plot-data TSV of the adherence table."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -520,6 +488,8 @@ def write_report(payload: dict, records, out_dir) -> Path:
     if payload["mode"] == "adherence":
         with open(out / "adherence.tsv", "w") as f:
             f.write("dataset\tn_features\tvariant\tlayer\tfraction\n")
-            for ds, nf, v, layer, frac in payload["plot_rows"]:
-                f.write(f"{ds}\t{nf}\t{v}\t{layer}\t{frac:.6f}\n")
+            for ds, info in payload["adherence"].items():
+                for v, fracs in info["variants"].items():
+                    for layer, frac in enumerate(fracs):
+                        f.write(f"{ds}\t{info['n_features']}\t{v}\t{layer}\t{frac:.6f}\n")
     return out

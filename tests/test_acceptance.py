@@ -15,8 +15,7 @@ import pytest
 from kanagg import (ExperimentConfig, NetworkConfig, backward,
                     build_network, forward, load_manifest, load_table,
                     mean_to_scaled_sum, preprocess, rank_with_ties,
-                    run_adherence, run_comparison, run_sweep,
-                    softmax_cross_entropy, wilcoxon_signed_rank,
+                    run_experiment, softmax_cross_entropy, wilcoxon_signed_rank,
                     write_report)
 from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.data import ColumnSpec, DatasetManifest
@@ -166,7 +165,7 @@ def _uci_compare_config(names, runs, iterations, seed=2024):
 def test_criterion_6_table4_directional():
     _require_data("dermatology.data", "german.data-numeric")
     started = time.perf_counter()
-    payload, _ = run_comparison(_uci_compare_config(
+    payload, _ = run_experiment(_uci_compare_config(
         ("dermatology", "german"), runs=5, iterations=500))
     assert not payload["failures"], payload["failures"]
     for ds in ("dermatology", "german"):
@@ -184,7 +183,7 @@ def test_criterion_7a_adherence_synthetic():
     config = ExperimentConfig(
         mode="adherence", datasets=(manifest,), variants=("kan", "kan-avg"),
         iterations=2000, seed=31)
-    payload, _ = run_adherence(config)
+    payload, _ = run_experiment(config)
     assert not payload["failures"]
     variants = payload["adherence"]["synth-adherence-30f"]["variants"]
     avg = variants["kan-avg"][0]
@@ -200,7 +199,7 @@ def test_criterion_7b_adherence_abalone():
     config = ExperimentConfig(
         mode="adherence", datasets=(manifest,), variants=("kan-avg",),
         runs=3, iterations=2000, seed=7)
-    payload, _ = run_adherence(config)
+    payload, _ = run_experiment(config)
     assert not payload["failures"]
     frac = payload["adherence"]["abalone"]["variants"]["kan-avg"][0]
     assert abs(frac - 0.9651) <= 0.025, \
@@ -217,7 +216,7 @@ def test_criterion_8_determinism(tmp_path):
                               iterations=40, seed=99)
     outputs = []
     for tag in ("a", "b"):
-        payload, records = run_comparison(config)
+        payload, records = run_experiment(config)
         out = write_report(payload, records, tmp_path / tag)
         outputs.append((
             json.dumps(json.loads((out / "report.json").read_text())["payload"],
@@ -268,7 +267,7 @@ def test_criterion_structural_sweep(tmp_path):
         "n_classes": 2})
     config = ExperimentConfig(mode="sweep", datasets=(manifest,),
                               iterations=100, seed=11)
-    payload, records = run_sweep(config)
+    payload, records = run_experiment(config)
     assert len(payload["combinations"]) == 81
     assert not payload["failures"]
     ranks = sorted(payload["ranks"]["sweep-blobs"].values())

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -524,6 +525,27 @@ class TestManifestChecks:
         mp.write_text(json.dumps(doc))
         with pytest.raises(IngestionError, match="broken-manifest.json"):
             load_manifest(mp)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("missing_values", "NA", "missing_values must be a list of strings, got 'NA'"),
+        ("missing_values", ["NA", 0], "missing_values must be a list of strings"),
+        ("has_header", "false", "has_header must be true or false, got 'false'"),
+        ("delimiter", 1, "delimiter must be one character or 'whitespace', got 1"),
+        ("delimiter", ",,", "delimiter must be one character or 'whitespace'"),
+    ], ids=["string-missing-values", "number-missing-value", "string-has-header",
+            "number-delimiter", "two-character-delimiter"])
+    def test_parsing_field_types_checked(self, tmp_path, key, value, message):
+        # "NA" used to become the sentinels N and A, "false" a header row, and
+        # a bad delimiter a TypeError that aborted the whole experiment
+        mp = tmp_path / "fields.json"
+        mp.write_text(json.dumps({"name": "m", "path": "m.csv", "columns": COLUMNS,
+                                  key: value}))
+        with pytest.raises(IngestionError,
+                           match=r"fields\.json: manifest 'm': " + re.escape(message)):
+            load_manifest(mp)
+        columns = tuple(ColumnSpec(**c) for c in COLUMNS)
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            DatasetManifest(name="m", path="m.csv", columns=columns, **{key: value})
 
     def test_unknown_column_role_rejected(self, tmp_path):
         # "featuer" used to drop the column from the features without a word

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kanagg import ExperimentConfig, IngestionError, derive_seed, load_manifest, \
-    load_table, run_adherence, run_comparison, run_sweep, write_report
+    load_table, run_experiment, write_report
 from kanagg.cli import main as cli_main
 from kanagg.data import ColumnSpec, DatasetManifest
 
@@ -41,7 +41,7 @@ class TestSeeds:
 class TestSweep:
     def test_enumerates_cartesian_product(self):
         config = quick_config("sweep", aggregators=("sum", "mean", "norm"))
-        payload, records = run_sweep(config)
+        payload, records = run_experiment(config)
         assert len(payload["combinations"]) == 9
         assert len(records) == 9
         assert {r["label"] for r in records} == set(payload["combinations"])
@@ -54,7 +54,7 @@ class TestSweep:
 
     def test_ranks_are_valid_tied_permutation(self):
         config = quick_config("sweep", aggregators=("sum", "mean", "min"))
-        payload, records = run_sweep(config)
+        payload, records = run_experiment(config)
         assert not payload["failures"]
         ds = payload["datasets"][0]
         ranks = sorted(payload["ranks"][ds].values())
@@ -73,7 +73,7 @@ class TestSweep:
 
     def test_accuracies_recomputable_from_records(self):
         config = quick_config("sweep", aggregators=("sum", "mean"))
-        payload, records = run_sweep(config)
+        payload, records = run_experiment(config)
         ds = payload["datasets"][0]
         for combo, mean_acc in payload["mean_test_accuracy"][ds].items():
             run_accs = [r["test_accuracy"] for r in records
@@ -87,7 +87,7 @@ class TestSweep:
             "sweep", aggregators=("sum", "mean", "norm"),
             datasets=(blob_manifest("ds-a", 4, 160),
                       blob_manifest("ds-b", 6, 160)))
-        payload, _ = run_sweep(config)
+        payload, _ = run_experiment(config)
         combos = payload["combinations"]
         # recompute each dataset's ranks from the reported accuracies
         for ds in payload["datasets"]:
@@ -103,9 +103,9 @@ class TestSweep:
 
 
 def test_sweep_and_compare_records_carry_adherence():
-    sweep = run_sweep(quick_config("sweep", aggregators=("sum", "mean"),
-                                   iterations=5))[1]
-    compare = run_comparison(quick_config("compare", variants=("kan", "kan-avg"),
+    sweep = run_experiment(quick_config("sweep", aggregators=("sum", "mean"),
+                                        iterations=5))[1]
+    compare = run_experiment(quick_config("compare", variants=("kan", "kan-avg"),
                                           runs=2, iterations=5))[1]
     for r in sweep + compare:
         assert r["status"] == "ok"
@@ -118,7 +118,7 @@ def test_sweep_and_compare_records_carry_adherence():
 class TestComparison:
     def test_structure_two_variants(self):
         config = quick_config("compare", variants=("kan", "kan-avg"), runs=3)
-        payload, records = run_comparison(config)
+        payload, records = run_experiment(config)
         ds = payload["datasets"][0]
         assert set(payload["accuracy"][ds]) == {"kan", "kan-avg"}
         assert list(payload["wilcoxon"][ds]) == ["kan vs kan-avg"]
@@ -136,7 +136,7 @@ class TestComparison:
 
     def test_variant_against_itself_is_degenerate(self):
         config = quick_config("compare", variants=("kan", "kan"), runs=3)
-        payload, records = run_comparison(config)
+        payload, records = run_experiment(config)
         ds = payload["datasets"][0]
         res = payload["wilcoxon"][ds]["kan vs kan"]
         assert res["degenerate"] is True
@@ -148,7 +148,7 @@ class TestComparison:
         config = quick_config(
             "compare", variants=("kan", "kan-avg"), runs=6,
             datasets=(blob_manifest(n_classes=3, noise=0.5),))
-        payload, records = run_comparison(config)
+        payload, records = run_experiment(config)
         res = payload["wilcoxon"]["mini-blobs"]["kan vs kan-avg"]
         assert res["method"] == "exact" and res["p_value"] < 1.0
         assert type(res["p_value"]) is float and type(res["significant"]) is bool
@@ -160,7 +160,7 @@ class TestComparison:
 
     def test_three_way_pairs(self):
         config = quick_config("compare", runs=2)
-        payload, _ = run_comparison(config)
+        payload, _ = run_experiment(config)
         ds = payload["datasets"][0]
         assert list(payload["wilcoxon"][ds]) == [
             "kan vs kan-layernorm", "kan vs kan-avg", "kan-layernorm vs kan-avg"]
@@ -172,23 +172,49 @@ class TestAdherence:
             "adherence", variants=("kan", "kan-avg"),
             datasets=(blob_manifest("small", 4, 160),
                       blob_manifest("wide", 8, 160)))
-        payload, records = run_adherence(config)
+        payload, records = run_experiment(config)
         assert payload["datasets"] == ["small", "wide"]  # ordered by n_features
-        for row in payload["plot_rows"]:
-            ds, nf, variant, layer, frac = row
-            assert 0.0 <= frac <= 1.0
+        assert "plot_rows" not in payload
         out = write_report(payload, records, tmp_path / "adh")
         tsv = (out / "adherence.tsv").read_text().splitlines()
         assert tsv[0] == "dataset\tn_features\tvariant\tlayer\tfraction"
-        assert len(tsv) == 1 + len(payload["plot_rows"])
+        # one row per (dataset, variant, layer) of the adherence table
+        expected = [f"{ds}\t{nf}\t{v}\t0\t{fracs[0]:.6f}"
+                    for ds, nf in (("small", 4), ("wide", 8))
+                    for v in ("kan", "kan-avg")
+                    for fracs in [payload["adherence"][ds]["variants"][v]]]
+        assert tsv[1:] == expected
+        assert all(0.0 <= float(row.split("\t")[4]) <= 1.0 for row in tsv[1:])
 
     def test_adherence_values_recomputable(self):
         config = quick_config("adherence", variants=("kan-avg",), runs=2)
-        payload, records = run_adherence(config)
+        payload, records = run_experiment(config)
         ds = payload["datasets"][0]
         fracs = [r["adherence"][0] for r in records if r["status"] == "ok"]
         assert payload["adherence"][ds]["variants"]["kan-avg"][0] \
             == pytest.approx(float(np.mean(fracs)))
+
+
+@pytest.mark.parametrize("mode, settings", [
+    ("sweep", {"aggregators": ("sum", "mean"), "runs": 2}),
+    ("compare", {"variants": ("kan", "kan-avg"), "runs": 3}),
+    ("adherence", {"variants": ("kan-avg", "kan"), "runs": 2}),
+])
+def test_payload_rebuilt_from_records_alone(monkeypatch, mode, settings):
+    # a failed run on "gone" shows that failures keep their order too
+    gone = DatasetManifest(
+        name="gone", path="/nonexistent/gone.csv",
+        columns=(ColumnSpec("a", "feature", "numeric"),
+                 ColumnSpec("y", "target", "categorical")))
+    config = quick_config(mode, iterations=5, **settings,
+                          datasets=(blob_manifest("wide", 6), blob_manifest(), gone))
+    payload, records = run_experiment(config)
+    assert payload["failures"] and len(records) > len(payload["failures"])
+    from kanagg import harness
+    monkeypatch.setattr(harness, "execute_run",
+                        lambda spec: pytest.fail("a run started"))
+    rebuilt = harness._payload(config, ["wide", "mini-blobs", "gone"], records[::-1])
+    assert json.dumps(rebuilt, sort_keys=True) == json.dumps(payload, sort_keys=True)
 
 
 class TestDeterminismAndFailures:
@@ -196,7 +222,7 @@ class TestDeterminismAndFailures:
         config = quick_config("compare", variants=("kan", "kan-avg"), runs=2)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            payload, records = run_comparison(config)
+            payload, records = run_experiment(config)
             write_report(payload, records, out)
         assert (out_a / "runs.jsonl").read_bytes() \
             == (out_b / "runs.jsonl").read_bytes()
@@ -208,8 +234,8 @@ class TestDeterminismAndFailures:
         serial = quick_config("sweep", aggregators=("sum", "mean"))
         parallel = quick_config("sweep", aggregators=("sum", "mean"),
                                 parallelism=2)
-        ps, rs = run_sweep(serial)
-        pp, rp = run_sweep(parallel)
+        ps, rs = run_experiment(serial)
+        pp, rp = run_experiment(parallel)
         assert json.dumps(ps, sort_keys=True) == json.dumps(pp, sort_keys=True)
         assert rs == rp
 
@@ -217,7 +243,7 @@ class TestDeterminismAndFailures:
         config = quick_config("compare", variants=("kan", "kan-avg"), runs=2,
                               learning_rate=1e160)
         with np.errstate(all="ignore"):
-            payload, records = run_comparison(config)
+            payload, records = run_experiment(config)
         assert len(payload["failures"]) == 4
         assert all(r["status"] == "failed" for r in records)
         assert all("iteration" in r["error"] or "logits" in r["error"]
@@ -232,7 +258,7 @@ class TestDeterminismAndFailures:
                      ColumnSpec("y", "target", "categorical")))
         config = quick_config("sweep", aggregators=("sum", "mean"),
                               datasets=(blob_manifest(), broken))
-        payload, records = run_sweep(config)
+        payload, records = run_experiment(config)
         assert len(payload["failures"]) == 4          # every combo on "gone"
         assert all(f["error"].startswith(
             "IngestionError: cannot open /nonexistent/gone.csv: [Errno 2]")
@@ -257,7 +283,7 @@ class TestDeterminismAndFailures:
             bad.write_text(json.dumps({"name": "bad", "synthetic": spec}))
             config = quick_config("sweep", datasets=(blob_manifest(), str(bad)))
             with pytest.raises(IngestionError, match=r"bad\.json: manifest 'bad'"):
-                run_sweep(config)
+                run_experiment(config)
             with pytest.raises(IngestionError, match="'bad'"):
                 DatasetManifest(name="bad", synthetic=spec)
 
@@ -277,7 +303,7 @@ class TestDeterminismAndFailures:
                 "kind": "gaussian-blobs", "n_features": n_features,
                 "n_instances": 40, "n_classes": 2}}))
             paths.append(str(path))
-        payload, records = run_sweep(quick_config(
+        payload, records = run_experiment(quick_config(
             "sweep", datasets=tuple(paths), iterations=1))
         assert len(records) == 2 * 81 and not payload["failures"]
         assert payload["datasets"] == ["ds-a", "ds-b"]
@@ -313,7 +339,7 @@ class TestDeterminismAndFailures:
     def test_file_parsed_once_per_process(self, tmp_path, monkeypatch):
         calls = self.counting_parses(monkeypatch)
         manifest = self.write_file_dataset(tmp_path, 40)
-        payload, records = run_adherence(quick_config(
+        payload, records = run_experiment(quick_config(
             "adherence", datasets=(manifest,), iterations=3))
         assert len(records) == 3 and not payload["failures"]
         assert calls == [manifest.path]
@@ -326,7 +352,7 @@ class TestDeterminismAndFailures:
                               iterations=3)
 
         def warnings():
-            payload, records = run_adherence(config)
+            payload, records = run_experiment(config)
             return records[0]["warnings"]
 
         assert warnings() == [] and warnings() == [] and len(calls) == 1
@@ -343,7 +369,7 @@ class TestDeterminismAndFailures:
         manifest = self.write_file_dataset(tmp_path, 2000)
         with open(manifest.path, "a") as f:
             f.write("r,not-a-number,x\n")       # row 2001: a bad numeric cell
-        payload, records = run_adherence(quick_config(
+        payload, records = run_experiment(quick_config(
             "adherence", datasets=(manifest,), iterations=3))
         assert calls == [manifest.path]
         errors = {r["error"] for r in records}
@@ -477,10 +503,17 @@ class TestCli:
         "zero-iterations", "zero-hidden-width", "zero-batch-size",
         "negative-learning-rate", "negative-parallelism", "string-datasets",
         "string-runs", "float-iterations", "nan-learning-rate", "bool-batch-size",
-        "string-strict-replication"])
+        "string-strict-replication", "array-config", "null-config",
+        "number-dataset", "object-dataset", "list-variant", "list-aggregator",
+        "string-missing-values"])
     def test_invalid_settings_are_one_line_errors(self, tmp_path, capsys, case):
         manifest = str(self._write_synth_manifest(tmp_path))
-        # (config-file settings or None, flags, message)
+        na_manifest = tmp_path / "na.json"
+        na_manifest.write_text(json.dumps({
+            "name": "na", "path": "na.csv", "missing_values": "NA", "columns": [
+                {"name": "a", "role": "feature", "type": "numeric"},
+                {"name": "y", "role": "target", "type": "categorical"}]}))
+        # (config-file settings, its JSON text, or None; flags; message)
         settings, flags, message = {
             "bad-flag-value": (None, ["--dataset", manifest, "--runs", "0"],
                                "runs must be >= 1"),
@@ -510,10 +543,24 @@ class TestCli:
             "string-strict-replication": (
                 {"datasets": [manifest], "strict_replication": "no"}, [],
                 "strict_replication must be true or false"),
+            "array-config": ("[1, 2]", [], "top level is a list, not an object"),
+            "null-config": ("null", [], "top level is a NoneType, not an object"),
+            "number-dataset": ({"datasets": [manifest, 3]}, [],
+                               "datasets must be manifest paths, got [3]"),
+            "object-dataset": ({"datasets": [{"name": "x"}]}, [],
+                               "datasets must be manifest paths, got [{'name': 'x'}]"),
+            "list-variant": ({"datasets": [manifest], "variants": [["kan"]]}, [],
+                             "unknown variants [['kan']]"),
+            "list-aggregator": ({"datasets": [manifest], "aggregators": [["sum"]]}, [],
+                                "unknown aggregators [['sum']]"),
+            "string-missing-values": (None, ["--dataset", str(na_manifest)],
+                                      "missing_values must be a list of strings, "
+                                      "got 'NA'"),
         }[case]
         if settings is not None:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(settings))
+            cfg.write_text(settings if isinstance(settings, str)
+                           else json.dumps(settings))
             flags = ["--config", str(cfg), *flags]
         out = tmp_path / "out"
         rc = cli_main(["compare", *flags, "--out", str(out)])

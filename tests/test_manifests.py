@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kanagg import load_manifest, load_table, preprocess
-from kanagg.harness import ExperimentConfig, run_comparison
+from kanagg.harness import ExperimentConfig, run_experiment
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 ALL_MANIFESTS = sorted(MANIFESTS.glob("*.json"))
@@ -88,6 +88,6 @@ def test_synthetic_manifests_run_end_to_end(tmp_path):
     config = ExperimentConfig(mode="compare", datasets=(manifest,),
                               variants=("kan-avg",), runs=1, iterations=20,
                               seed=1)
-    payload, records = run_comparison(config)
+    payload, records = run_experiment(config)
     assert not payload["failures"]
     assert records[0]["n_features"] == 6
