@@ -21,7 +21,7 @@ order, with all statistics fitted on the train split only:
 Scaling exists because the spline grids live on [-1, 1]; it can be disabled
 for strict replication of the upstream recipe, which never mentions scaling.
 Synthetic datasets go through the same split and scaling code (`_split`,
-`_scale_column`) as file-backed ones.
+`_scale_columns`) as file-backed ones.
 """
 
 from __future__ import annotations
@@ -303,13 +303,19 @@ def _split(n: int, rng):
     return perm[:n_train], perm[n_train: n_train + n_val], perm[n_train + n_val:]
 
 
-def _scale_column(matrix: np.ndarray, j: int, train_rows) -> tuple[float, float]:
-    """Map column j in place affinely onto [-1, 1] by its train min/max (a
-    constant column maps to 0); returns that (min, max)."""
-    lo = float(matrix[train_rows, j].min())
-    hi = float(matrix[train_rows, j].max())
-    matrix[:, j] = (matrix[:, j] - lo) / (hi - lo) * 2.0 - 1.0 if hi > lo else 0.0
-    return lo, hi
+def _scale_columns(matrix: np.ndarray, train_rows) -> tuple[list, list]:
+    """Map every column in place affinely onto [-1, 1] by its train min/max
+    (a constant column maps to 0); returns those (mins, maxes) as lists."""
+    train = matrix[train_rows]
+    lo, hi = train.min(axis=0), train.max(axis=0)
+    varying = hi > lo
+    matrix -= lo
+    # a constant column is divided by 1, not by 0, then set to 0
+    matrix /= np.where(varying, hi - lo, 1.0)
+    matrix *= 2.0
+    matrix -= 1.0
+    matrix[:, ~varying] = 0.0
+    return lo.tolist(), hi.tolist()
 
 
 def _encode_labels(codes: np.ndarray, values: tuple, name):
@@ -381,9 +387,10 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
         else:
             st = FeatureStats(impute_value=float(np.mean(train)))
             matrix[:, j] = np.where(missing, st.impute_value, col)
-        if scale_features:
-            st.lo, st.hi = _scale_column(matrix, j, train_rows)
         stats[spec.name] = st
+    if scale_features:
+        for spec, lo, hi in zip(feature_specs, *_scale_columns(matrix, train_rows)):
+            stats[spec.name].lo, stats[spec.name].hi = lo, hi
 
     return Dataset(
         features=matrix,
@@ -448,8 +455,7 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
 
     train_rows, val_rows, test_rows = _split(n_instances, rng)
     if scale_features:
-        for j in range(n_features):
-            _scale_column(x, j, train_rows)
+        _scale_columns(x, train_rows)
     return Dataset(
         features=x,
         labels=y,

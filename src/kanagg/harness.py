@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from itertools import product
 from numbers import Integral, Real
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def runs_per_config(self) -> int:
-        return self.runs if self.runs is not None else MODES[self.mode][0]
+        return self.runs if self.runs is not None else MODES[self.mode].runs
 
     def validate(self):
         if self.mode not in MODES:
@@ -330,6 +331,17 @@ def _sweep_report(config: ExperimentConfig, datasets, runs) -> dict:
             "rank_table": rank_table}
 
 
+def _sweep_table(payload) -> list[str]:
+    """summary.txt lines of a sweep: the ranked combinations."""
+    lines = [f"{'layer1':>10} {'layer2':>10} {'mean rank':>10} {'std':>8}"]
+    for row in payload["rank_table"]:
+        if row["mean_rank"] is None:
+            continue
+        lines.append(f"{row['layer1']:>10} {row['layer2']:>10} "
+                     f"{row['mean_rank']:>10.2f} {row['std_rank']:>8.2f}")
+    return lines
+
+
 def _compare_report(config: ExperimentConfig, datasets, runs) -> dict:
     """KAN / KAN+LayerNorm / KAN-AVG accuracy with pairwise Wilcoxon tests."""
     variants = list(config.variants)
@@ -373,6 +385,25 @@ def _compare_report(config: ExperimentConfig, datasets, runs) -> dict:
             "accuracy": summary, "wilcoxon": tests}
 
 
+def _compare_table(payload) -> list[str]:
+    """summary.txt lines of a compare: mean and std accuracy per variant."""
+    variants = payload["variants"]
+    lines = ["dataset".ljust(16) + "".join(v.rjust(26) for v in variants)]
+    for ds in payload["datasets"]:
+        cells = []
+        for v in variants:
+            s = payload["accuracy"][ds][v]
+            if s["mean"] is None:
+                cells.append("failed".rjust(26))
+            else:
+                marks = "*" * len(s.get("significantly_better_than", []))
+                cells.append(f"{100 * s['mean']:.2f}% ±{100 * s['std']:.2f}"
+                             f"{marks}".rjust(26))
+        lines.append(ds.ljust(16) + "".join(cells))
+    lines.append("(one * per variant beaten with p < 0.05)")
+    return lines
+
+
 def _adherence_report(config: ExperimentConfig, datasets, runs) -> dict:
     """Pooled in-range fractions of hidden-layer values, per dataset/variant;
     the datasets with a successful run, ordered by feature count."""
@@ -389,9 +420,31 @@ def _adherence_report(config: ExperimentConfig, datasets, runs) -> dict:
             "adherence": table}
 
 
-# mode -> (default runs per (dataset, combination), its report)
-MODES = {"sweep": (1, _sweep_report), "compare": (20, _compare_report),
-         "adherence": (1, _adherence_report)}
+def _adherence_table(payload) -> list[str]:
+    """summary.txt lines of an adherence run: in-range shares per variant."""
+    lines = ["dataset".ljust(16) + "features".rjust(9)
+             + "".join(v.rjust(16) for v in payload["variants"])]
+    for ds in payload["datasets"]:
+        info = payload["adherence"][ds]
+        cells = []
+        for v in payload["variants"]:
+            fracs = info["variants"].get(v)
+            cells.append(("/".join(f"{f:.4f}" for f in fracs) if fracs
+                          else "failed").rjust(16))
+        lines.append(ds.ljust(16) + str(info["n_features"]).rjust(9)
+                     + "".join(cells))
+    return lines
+
+
+class Mode(NamedTuple):
+    runs: int          # default runs per (dataset, combination)
+    report: Callable   # (config, datasets, runs) -> the mode's payload fields
+    table: Callable    # payload -> its summary.txt lines
+
+
+MODES = {"sweep": Mode(1, _sweep_report, _sweep_table),
+         "compare": Mode(20, _compare_report, _compare_table),
+         "adherence": Mode(1, _adherence_report, _adherence_table)}
 
 
 def _payload(config: ExperimentConfig, datasets, records) -> dict:
@@ -412,7 +465,7 @@ def _payload(config: ExperimentConfig, datasets, records) -> dict:
         "decisions": _decisions(config),
         "failures": [r for r in records if r["status"] == "failed"],
         "n_runs": len(records),
-        **MODES[config.mode][1](config, datasets, runs),
+        **MODES[config.mode].report(config, datasets, runs),
     }
 
 
@@ -433,40 +486,7 @@ def summarize(payload: dict) -> str:
                      f"(see runs.jsonl; exit code is non-zero)")
         for r in payload["failures"]:
             lines.append(f"  {r['run_id']}: {r['error']}")
-    if payload["mode"] == "sweep":
-        lines.append(f"{'layer1':>10} {'layer2':>10} {'mean rank':>10} {'std':>8}")
-        for row in payload["rank_table"]:
-            if row["mean_rank"] is None:
-                continue
-            lines.append(f"{row['layer1']:>10} {row['layer2']:>10} "
-                         f"{row['mean_rank']:>10.2f} {row['std_rank']:>8.2f}")
-    elif payload["mode"] == "compare":
-        variants = payload["variants"]
-        lines.append("dataset".ljust(16) + "".join(v.rjust(26) for v in variants))
-        for ds in payload["datasets"]:
-            cells = []
-            for v in variants:
-                s = payload["accuracy"][ds][v]
-                if s["mean"] is None:
-                    cells.append("failed".rjust(26))
-                else:
-                    marks = "*" * len(s.get("significantly_better_than", []))
-                    cells.append(f"{100 * s['mean']:.2f}% ±{100 * s['std']:.2f}"
-                                 f"{marks}".rjust(26))
-            lines.append(ds.ljust(16) + "".join(cells))
-        lines.append("(one * per variant beaten with p < 0.05)")
-    elif payload["mode"] == "adherence":
-        lines.append("dataset".ljust(16) + "features".rjust(9)
-                     + "".join(v.rjust(16) for v in payload["variants"]))
-        for ds in payload["datasets"]:
-            info = payload["adherence"][ds]
-            cells = []
-            for v in payload["variants"]:
-                fracs = info["variants"].get(v)
-                cells.append(("/".join(f"{f:.4f}" for f in fracs) if fracs
-                              else "failed").rjust(16))
-            lines.append(ds.ljust(16) + str(info["n_features"]).rjust(9)
-                         + "".join(cells))
+    lines += MODES[payload["mode"]].table(payload)
     return "\n".join(lines) + "\n"
 
 

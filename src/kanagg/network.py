@@ -209,11 +209,25 @@ def fold_coeffs_adjoint(layer: KANLayer, g: np.ndarray, out):
     (g_spline * layer.coeffs).sum(axis=2, out=d_w_spline)
 
 
-def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None):
-    """All layers on a block of rows; fills the trace when one is given."""
+def input_basis(net: Network, x: np.ndarray) -> np.ndarray:
+    """Layer 0's extended basis of the rows x, (rows, n_in, n_basis+1),
+    without derivatives: what a traced forward of those rows would build
+    for layer 0. Every value depends on its own point only, so a slice of
+    rows of it equals the basis of those rows."""
+    return basis_matrix(x, net.layers[0].grid, derivs=False)[0]
+
+
+def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None,
+                  basis0: np.ndarray | None = None):
+    """All layers on a block of rows; fills the trace when one is given.
+    basis0, when given, is input_basis(net, x), built by the caller."""
     n_layers = len(net.layers)
     for l, layer in enumerate(net.layers):
-        basis, derivs = basis_matrix(x, layer.grid, derivs=t is not None and l > 0)
+        if l == 0 and basis0 is not None:
+            basis, derivs = basis0, None
+        else:
+            basis, derivs = basis_matrix(x, layer.grid,
+                                         derivs=t is not None and l > 0)
         coeffs = fold_coeffs(layer)
         edge_out = per_input_matmul(basis, coeffs)
         node = aggregate_batch(edge_out, layer.aggregator)
@@ -233,13 +247,17 @@ def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None):
     return x
 
 
-def forward(net: Network, x, trace: bool = False):
+def forward(net: Network, x, trace: bool = False, basis0=None):
     """Run the network on a (batch, n_in) array.
 
     Returns (batch, n_out) logits, or (logits, ForwardTrace) when trace=True.
     Every step is row-wise, so the untraced pass runs FORWARD_BLOCK_ROWS rows
     at a time, which bounds its memory by the block, not the batch; the
-    traced pass keeps the whole batch's intermediates for backward.
+    traced pass keeps the whole batch's intermediates for backward. A traced
+    pass may take layer 0's basis from the caller as basis0 =
+    input_basis(net, x), for example a slice of one built for many batches
+    at once; it then builds the basis of layers 1 and up only. An untraced
+    pass ignores basis0.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.n_in:
@@ -248,8 +266,11 @@ def forward(net: Network, x, trace: bool = False):
         raise ValueError("input must be finite")
 
     if trace:
+        if basis0 is not None and basis0.shape[:2] != x.shape:
+            raise ValueError(f"basis0 shape {basis0.shape} does not match the "
+                             f"input {x.shape}")
         t = ForwardTrace(network=net)
-        return _forward_rows(net, x, t), t
+        return _forward_rows(net, x, t, basis0), t
     logits = np.empty((x.shape[0], net.n_out))
     for start in range(0, x.shape[0], FORWARD_BLOCK_ROWS):
         rows = slice(start, start + FORWARD_BLOCK_ROWS)

@@ -145,26 +145,31 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
     # position inside the span in units of the knot spacing, 0 when invalid
     f = np.where(valid, u - s, 0.0)
     shape = x.shape + (grid.n_basis + 1,)
-    values = _scatter(_horner(grid.poly, f, valid), s, silu, grid).reshape(shape)
-    if not derivs:
-        return values, None
-    db = _horner(grid.deriv_poly, f, valid)
-    return values, _scatter(db, s, silu_grad, grid).reshape(shape)
-
-
-def _scatter(local, s, last, grid):
-    """Place the k+1 local values of each point (the columns of `local`) at
-    basis columns s-k..s of a dense (points, n_basis + 1) view, and `last` in
-    its final column; basis columns past either end are dropped."""
+    # k spill columns on each side of the dense buffer take basis columns
+    # past either end; the first right one then takes silu (at k = 0 one
+    # column is added for it). Point i's k+1 local values go to the flat
+    # buffer at start[i] onwards, for values and derivatives alike.
     k, n = grid.degree, grid.n_basis
-    # k spill columns on each side take basis columns past either end; the
-    # first right one then takes `last` (at k = 0 one column is added for it)
     width = n + k + max(k, 1)
-    dense = np.zeros((s.size, width))
+    start = np.arange(0, s.size * width, width)
+    start += s
+    values = _scatter(_horner(grid.poly, f, valid), start, silu, width, k, n)
+    if not derivs:
+        return values.reshape(shape), None
+    db = _horner(grid.deriv_poly, f, valid)
+    return (values.reshape(shape),
+            _scatter(db, start, silu_grad, width, k, n).reshape(shape))
+
+
+def _scatter(local, start, last, width, k, n):
+    """Place the k+1 local values of each point (the columns of `local`) at
+    flat positions start..start+k of a zeroed (points, width) buffer, put
+    `last` in its column k + n, and return its basis columns k..k+n (the
+    n basis functions, then `last`)."""
+    dense = np.zeros((start.size, width))
     flat = dense.reshape(-1)
-    start = np.arange(s.size) * width + s
     for r in range(k + 1):
-        flat[start + r] = local[r]
+        flat[r:][start] = local[r]   # flat[start + r], without the sum
     dense[:, k + n] = last   # after the scatter: it overwrites a spill column
     return dense[:, k: k + n + 1]
 

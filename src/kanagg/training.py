@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregators import aggregate_batch_backward
-from .network import (ConfigError, ForwardTrace, Network, adherence_counts,
-                      fold_coeffs_adjoint, forward, per_input_matmul)
+from .network import (FORWARD_BLOCK_ROWS, ConfigError, ForwardTrace, Network,
+                      adherence_counts, fold_coeffs_adjoint, forward, input_basis,
+                      per_input_matmul)
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -101,13 +102,16 @@ def squared_error_on_index(logits, label):
     return diff * diff, (2.0 * diff)[:, np.newaxis]
 
 
-def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray) -> np.ndarray:
+def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray,
+             views=None) -> np.ndarray | None:
     """Gradient of the batch-mean loss in every trainable parameter.
 
     d_logits holds per-sample loss gradients, one row per traced sample; the
     result is one vector laid out like net.params, each layer's gradients
-    written into net.views of it. Raises on a trace that was not produced by
-    this network.
+    written into net.views of it, and returned. A caller that keeps one
+    gradient vector grad passes views=net.views(grad), built once: backward
+    then overwrites every element of grad through them and returns None.
+    Raises on a trace that was not produced by this network.
     """
     if trace.network is not net:
         raise ValueError("trace was produced by a different network")
@@ -118,8 +122,10 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray) -> np.ndar
             f"d_logits shape {d_logits.shape} does not match trace "
             f"({batch}, {net.n_out})")
 
-    grad = np.empty_like(net.params)
-    views = net.views(grad)
+    grad = None
+    if views is None:
+        grad = np.empty_like(net.params)
+        views = net.views(grad)
     n_layers = len(net.layers)
     ln_views = views[3 * n_layers:]
     # scale once so every accumulated parameter gradient is the batch mean
@@ -196,6 +202,13 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     counts the hidden values inside the grid range, pooled into
     TrainResult.adherence. Raises TrainingDiverged as soon as the batch loss
     stops being finite.
+
+    Layer 0's spline inputs are training rows on a fixed grid, so their
+    basis does not change as the parameters do: it is built for a block of
+    upcoming batches at once (the rest of the epoch's order in whole
+    batches, at most FORWARD_BLOCK_ROWS rows and no further than the last
+    iteration), and each step's traced forward reads its slice of the block.
+    A reshuffle starts a new block.
     """
     cfg.validate()
     if data.n_features != net.n_in:
@@ -210,19 +223,30 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     params = net.params
     state = adam_init(params)
+    grads = np.empty_like(params)
+    grad_views = net.views(grads)
+    batches_per_block = max(1, FORWARD_BLOCK_ROWS // cfg.batch_size)
 
     losses = []
     inside = total = 0      # become per-hidden-layer count arrays at step one
     order = rng.permutation(n_train)
-    cursor = 0
+    # the block holds layer 0's basis of order[block_start: block_end]
+    cursor = block_start = block_end = 0
     for it in range(cfg.iterations):
         if cursor >= n_train:
             order = rng.permutation(n_train)
-            cursor = 0
+            cursor = block_end = 0
+        if cursor >= block_end:
+            block_start = cursor
+            block_end = min(n_train, cursor + cfg.batch_size * min(
+                batches_per_block, cfg.iterations - it))
+            block = input_basis(net, x_train[order[block_start: block_end]])
         batch_idx = order[cursor: cursor + cfg.batch_size]
+        rows = slice(cursor - block_start, cursor - block_start + len(batch_idx))
         cursor += cfg.batch_size
 
-        logits, trace = forward(net, x_train[batch_idx], trace=True)
+        logits, trace = forward(net, x_train[batch_idx], trace=True,
+                                basis0=block[rows])
         if not np.all(np.isfinite(logits)):
             raise TrainingDiverged(it, f"non-finite logits at iteration {it}")
         per_sample, d_logits = loss_fn(logits, y_train[batch_idx])
@@ -235,8 +259,10 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
         inside = inside + i
         total = total + n
 
-        grads = backward(net, trace, d_logits)
+        backward(net, trace, d_logits, views=grad_views)
         adam_step(params, grads, state, cfg)
+    # evaluation allocates its own blocks: free this one and the last trace
+    del block, trace
 
     if not np.all(np.isfinite(params)):
         raise TrainingDiverged(cfg.iterations - 1, "non-finite parameters after update")

@@ -1,7 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately naive (recursion, itertools enumeration,
-pure-python loops) and shares no code with the implementation under test.
+pure-python loops) and shares no code with the implementation under test,
+except reference_train: it replays training from the package's per-step
+functions, in the plainest order, to check how train schedules them.
 """
 
 import itertools
@@ -249,6 +251,44 @@ def reference_adam(params, grad_fn, lr, beta1, beta2, eps, steps):
             params[i] -= lr * mhat / (vhat ** 0.5 + eps)
         history.append(list(params))
     return history
+
+
+def reference_train(net, data, cfg):
+    """train(net, data, cfg) one step at a time, every step a traced forward
+    of its own batch (no shared layer-0 basis), then the loss, backward and
+    adam_step; batches are drawn as train draws them. Trains net in place
+    and returns (loss curve, adherence, (train, val, test) accuracy)."""
+    from kanagg.training import (adam_init, adam_step, backward, evaluate,
+                                 forward, softmax_cross_entropy,
+                                 squared_error_on_index)
+    loss_fn = (softmax_cross_entropy if net.n_out == data.n_classes
+               else squared_error_on_index)
+    x = data.features[data.train_idx]
+    y = data.labels[data.train_idx]
+    rng = np.random.default_rng(cfg.seed)
+    order, cursor = rng.permutation(len(x)), 0
+    state = adam_init(net.params)
+    losses = []
+    inside = total = None
+    for _ in range(cfg.iterations):
+        if cursor >= len(x):
+            order, cursor = rng.permutation(len(x)), 0
+        batch = order[cursor: cursor + cfg.batch_size]
+        cursor += cfg.batch_size
+        logits, trace = forward(net, x[batch], trace=True)
+        per_sample, d_logits = loss_fn(logits, y[batch])
+        losses.append(float(per_sample.mean()))
+        hidden = trace.inputs[1:]
+        counts = [int(((v >= net.config.range_lo) & (v <= net.config.range_hi)).sum())
+                  for v in hidden]
+        sizes = [v.size for v in hidden]
+        inside = counts if inside is None else [a + b for a, b in zip(inside, counts)]
+        total = sizes if total is None else [a + b for a, b in zip(total, sizes)]
+        adam_step(net.params, backward(net, trace, d_logits), state, cfg)
+    accuracy = tuple(
+        evaluate(net, data.features[idx], data.labels[idx], data.n_classes)
+        for idx in (data.train_idx, data.val_idx, data.test_idx))
+    return losses, [i / n for i, n in zip(inside, total)], accuracy
 
 
 def brute_force_wilcoxon(a, b):

@@ -431,6 +431,19 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             synthetic_dataset("nope", 4, 100, seed=0)
 
+    @pytest.mark.parametrize("kind", ["xor", "gaussian-blobs"])
+    def test_scaling_matches_per_cell_loop(self, kind):
+        # the unscaled draw, scaled cell by cell with the train min/max of
+        # each column in plain Python, must give the scaled dataset exactly
+        raw = synthetic_dataset(kind, 5, 157, seed=4, scale_features=False)
+        d = synthetic_dataset(kind, 5, 157, seed=4)
+        train = d.train_idx.tolist()
+        for j in range(5):
+            col = raw.features[:, j].tolist()
+            lo, hi = min(col[i] for i in train), max(col[i] for i in train)
+            assert d.features[:, j].tolist() == [
+                (v - lo) / (hi - lo) * 2.0 - 1.0 for v in col]
+
     def test_split_cover(self):
         d = synthetic_dataset("gaussian-blobs", 4, 123, seed=1)
         all_idx = np.concatenate([d.train_idx, d.val_idx, d.test_idx])

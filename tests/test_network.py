@@ -5,7 +5,7 @@ from kanagg import (Aggregator, ConfigError, NetworkConfig, build_network,
                     forward, mean_to_scaled_sum)
 from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.network import (FORWARD_BLOCK_ROWS, LayerNormParams, _layer_norm,
-                            adherence_counts)
+                            adherence_counts, input_basis)
 from kanagg.training import predict
 
 from oracles import naive_edge, naive_network
@@ -207,6 +207,31 @@ class TestBlockedForward:
         together = predict(net, x, 3)
         one_by_one = np.concatenate([predict(net, row[np.newaxis], 3) for row in x])
         np.testing.assert_array_equal(together, one_by_one)
+
+
+class TestCallerLayerZeroBasis:
+    """A traced forward may take layer 0's basis as a row slice of
+    input_basis over more rows; it must equal the pass that builds it."""
+
+    def test_row_slice_gives_identical_trace(self):
+        net = small_net(aggs=("median", "sum"), widths=(5, 6, 3), seed=35,
+                        layer_norm=True)
+        x = np.random.default_rng(36).uniform(-1.5, 1.5, (100, 5))
+        block = input_basis(net, x)
+        rows = slice(40, 72)
+        logits, trace = forward(net, x[rows], trace=True)
+        given_logits, given = forward(net, x[rows], trace=True, basis0=block[rows])
+        np.testing.assert_array_equal(given_logits, logits)
+        for name in ("basis", "edge_outputs", "inputs"):
+            for a, b in zip(getattr(given, name), getattr(trace, name)):
+                np.testing.assert_array_equal(a, b)
+        assert given.basis_deriv[0] is None
+
+    def test_mismatched_basis_rejected(self):
+        net = small_net(aggs=("sum", "sum"), widths=(5, 6, 3), seed=37)
+        x = np.zeros((8, 5))
+        with pytest.raises(ValueError):
+            forward(net, x, trace=True, basis0=input_basis(net, x[:4]))
 
 
 class TestScaledSumEquivalence:

@@ -10,8 +10,11 @@ from kanagg import (ConfigError, NetworkConfig, TrainConfig, TrainingDiverged,
 from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
+import kanagg.network
+import kanagg.training
+from kanagg.network import FORWARD_BLOCK_ROWS
 from oracles import naive_basis_vector, naive_silu, reference_adam, \
-    relative_error
+    reference_train, relative_error
 
 
 class TestSoftmaxCrossEntropy:
@@ -269,6 +272,59 @@ class TestTrain:
         net = build_network(NetworkConfig((4, 6, 3), ("sum", "sum"), seed=1))
         with pytest.raises(TrainingDiverged), np.errstate(all="ignore"):
             train(net, data, TrainConfig(iterations=200, learning_rate=1e160, seed=0))
+
+
+class TestLayerZeroBlock:
+    """train builds layer 0's basis for a block of batches at once; that
+    must not change a single bit of what it computes."""
+
+    @pytest.mark.parametrize("n_instances, widths, layer_norm, iterations, batch", [
+        (600, (4, 6, 3), False, 5, 32),       # fewer rows than one epoch
+        (600, (4, 6, 3), False, 40, 32),      # 360 train rows: partial last batch
+        (2000, (4, 6, 3), False, 80, 32),     # several blocks per epoch
+        (60, (4, 6, 3), False, 6, 50),        # batch larger than the train split
+        (600, (4, 6, 5, 3), True, 40, 32),    # layer norm
+    ])
+    def test_matches_per_step_reference(self, n_instances, widths, layer_norm,
+                                        iterations, batch):
+        data = synthetic_dataset("gaussian-blobs", 4, n_instances, seed=3)
+        if n_instances == 2000:
+            assert len(data.train_idx) > FORWARD_BLOCK_ROWS
+        cfg = TrainConfig(iterations=iterations, batch_size=batch, seed=7)
+        aggs = ("median", "min", "max")[:len(widths) - 1]
+        config = NetworkConfig(widths, aggs, layer_norm=layer_norm, seed=5)
+        net, ref = build_network(config), build_network(config)
+        res = train(net, data, cfg)
+        losses, adherence, accuracy = reference_train(ref, data, cfg)
+        assert res.loss_curve == losses
+        np.testing.assert_array_equal(net.params, ref.params)
+        assert res.adherence == adherence
+        assert (res.train_accuracy, res.val_accuracy, res.test_accuracy) == accuracy
+
+    def test_one_layer_zero_call_per_block(self, monkeypatch):
+        # 360 train rows at batch 32 is 12 batches an epoch, so 40 steps
+        # make 4 blocks (12 + 12 + 12 + 4 batches) and 40 layer-1 bases
+        data = synthetic_dataset("gaussian-blobs", 4, 600, seed=3)
+        assert len(data.train_idx) == 360
+        calls = {"layer0": 0, "layer1": 0}
+        evaluating = []
+        basis_matrix, evaluate = kanagg.network.basis_matrix, kanagg.training.evaluate
+
+        def counted(x, grid, derivs=True):
+            if not evaluating:
+                calls["layer0" if x.shape[-1] == 4 else "layer1"] += 1
+            return basis_matrix(x, grid, derivs)
+
+        def marked(*args):
+            evaluating.append(True)
+            return evaluate(*args)
+
+        monkeypatch.setattr(kanagg.network, "basis_matrix", counted)
+        monkeypatch.setattr(kanagg.training, "evaluate", marked)
+        net = build_network(NetworkConfig((4, 6, 3), ("sum", "sum"), seed=1))
+        train(net, data, TrainConfig(iterations=40, batch_size=32, seed=0))
+        assert evaluating
+        assert calls == {"layer0": 4, "layer1": 40}
 
 
 class TestEvaluate:
