@@ -90,7 +90,8 @@ def main(argv=None) -> int:
         config = _experiment_config(args.command, args)
         payload, records = run_experiment(config)
     except (OSError, ValueError) as exc:
-        # a bad config file, flag value or manifest: one line, not a traceback
+        # a bad config file, flag value, manifest or output directory: one
+        # line, not a traceback
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     out = write_report(payload, records, config.out_dir)

@@ -21,7 +21,9 @@ order, with all statistics fitted on the train split only:
 Scaling exists because the spline grids live on [-1, 1]; it can be disabled
 for strict replication of the upstream recipe, which never mentions scaling.
 Synthetic datasets go through the same split and scaling code (`_split`,
-`_scale_columns`) as file-backed ones.
+`_scale_columns`) as file-backed ones. The fitted statistics are used and
+dropped: a `Dataset` holds only the feature matrix, the labels, the split
+indices, the class count and any warnings against the manifest.
 """
 
 from __future__ import annotations
@@ -93,12 +95,15 @@ class DatasetManifest:
             raise IngestionError(
                 f"manifest name must be a non-empty string, got {self.name!r}")
         d, mv = self.delimiter, self.missing_values
+        counts = {f"expected_{k}": getattr(self, f"expected_{k}") for k in EXPECTED_KEYS}
         for attr, ok, wanted in (
                 ("delimiter", d == "whitespace" or isinstance(d, str) and len(d) == 1,
                  "one character or 'whitespace'"),
                 ("missing_values", isinstance(mv, tuple)
                  and all(isinstance(v, str) for v in mv), "a list of strings"),
-                ("has_header", isinstance(self.has_header, bool), "true or false")):
+                ("has_header", isinstance(self.has_header, bool), "true or false"),
+                *((attr, v is None or isinstance(v, int) and not isinstance(v, bool)
+                   and v >= 0, "a non-negative integer") for attr, v in counts.items())):
             if not ok:
                 raise IngestionError(f"manifest {self.name!r}: {attr} must be {wanted}, "
                                      f"got {getattr(self, attr)!r}")
@@ -264,15 +269,6 @@ def load_table(path, manifest: DatasetManifest) -> RawTable:
 
 
 @dataclass
-class FeatureStats:
-    impute_value: object = None
-    categories: dict | None = None  # category -> code, fitted on train
-    reserved_code: int | None = None
-    lo: float | None = None        # train min/max before scaling
-    hi: float | None = None
-
-
-@dataclass
 class Dataset:
     features: np.ndarray           # (instances, features) float64
     labels: np.ndarray             # (instances,) int64 in [0, n_classes)
@@ -280,17 +276,11 @@ class Dataset:
     val_idx: np.ndarray
     test_idx: np.ndarray
     n_classes: int
-    stats: dict = field(default_factory=dict)   # feature name -> FeatureStats
-    scaled: bool = True
     warnings: list = field(default_factory=list)
 
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def n_instances(self) -> int:
-        return self.features.shape[0]
 
 
 def _split(n: int, rng):
@@ -303,9 +293,9 @@ def _split(n: int, rng):
     return perm[:n_train], perm[n_train: n_train + n_val], perm[n_train + n_val:]
 
 
-def _scale_columns(matrix: np.ndarray, train_rows) -> tuple[list, list]:
+def _scale_columns(matrix: np.ndarray, train_rows):
     """Map every column in place affinely onto [-1, 1] by its train min/max
-    (a constant column maps to 0); returns those (mins, maxes) as lists."""
+    (a constant column maps to 0)."""
     train = matrix[train_rows]
     lo, hi = train.min(axis=0), train.max(axis=0)
     varying = hi > lo
@@ -315,7 +305,6 @@ def _scale_columns(matrix: np.ndarray, train_rows) -> tuple[list, list]:
     matrix *= 2.0
     matrix -= 1.0
     matrix[:, ~varying] = 0.0
-    return lo.tolist(), hi.tolist()
 
 
 def _encode_labels(codes: np.ndarray, values: tuple, name):
@@ -334,21 +323,18 @@ def _encode_labels(codes: np.ndarray, values: tuple, name):
     return np.array([rank[v] for v in values], dtype=np.int64)[codes], len(vocab)
 
 
-def _encode_categorical(codes: np.ndarray, missing: np.ndarray, values: tuple,
-                        train_codes: np.ndarray):
+def _encode_categorical(codes: np.ndarray, missing: np.ndarray, n_values: int,
+                        train_codes: np.ndarray) -> np.ndarray:
     """Re-code one coded column by first appearance in `train_codes` (the
     observed train cells in shuffled order); missing cells take the train
     mode, of equally frequent categories the one that appeared first, and
-    categories unseen in train the reserved code."""
+    categories unseen in train the reserved code, one past the last."""
     distinct, first_at = np.unique(train_codes, return_index=True)
     order = distinct[np.argsort(first_at)]
-    mode = int(np.argmax(np.bincount(train_codes, minlength=len(values))[order]))
-    recode = np.full(len(values), len(order), dtype=np.int64)
+    mode = int(np.argmax(np.bincount(train_codes, minlength=n_values)[order]))
+    recode = np.full(n_values, len(order), dtype=np.int64)
     recode[order] = np.arange(len(order))
-    stats = FeatureStats(impute_value=values[order[mode]],
-                         categories={values[c]: k for k, c in enumerate(order.tolist())},
-                         reserved_code=len(order))
-    return stats, np.where(missing, mode, recode[codes])
+    return np.where(missing, mode, recode[codes])
 
 
 def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
@@ -371,7 +357,6 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
 
     feature_specs = manifest.feature_columns()
     matrix = np.empty((n, len(feature_specs)), dtype=np.float64)
-    stats = {}
     for j, spec in enumerate(feature_specs):
         col = raw.columns[spec.name]
         missing = col < 0 if spec.type == "categorical" else np.isnan(col)
@@ -382,15 +367,12 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
                 f"{manifest.name}: feature {spec.name!r} has no observed values "
                 f"in the train split")
         if spec.type == "categorical":
-            st, matrix[:, j] = _encode_categorical(col, missing, raw.values[spec.name],
-                                                   train)
+            matrix[:, j] = _encode_categorical(col, missing,
+                                               len(raw.values[spec.name]), train)
         else:
-            st = FeatureStats(impute_value=float(np.mean(train)))
-            matrix[:, j] = np.where(missing, st.impute_value, col)
-        stats[spec.name] = st
+            matrix[:, j] = np.where(missing, np.mean(train), col)
     if scale_features:
-        for spec, lo, hi in zip(feature_specs, *_scale_columns(matrix, train_rows)):
-            stats[spec.name].lo, stats[spec.name].hi = lo, hi
+        _scale_columns(matrix, train_rows)
 
     return Dataset(
         features=matrix,
@@ -399,8 +381,6 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
         val_idx=val_rows,
         test_idx=test_rows,
         n_classes=n_classes,
-        stats=stats,
-        scaled=scale_features,
         warnings=warnings,
     )
 
@@ -463,5 +443,4 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
         val_idx=val_rows,
         test_idx=test_rows,
         n_classes=int(n_classes),
-        scaled=scale_features,
     )

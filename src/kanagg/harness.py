@@ -4,14 +4,15 @@
 an independent (dataset, combination, run-index) job with seeds derived by
 hashing those coordinates together with the global seed, so runs are
 reproducible in isolation and embarrassingly parallel. Each dataset manifest
-is loaded once per experiment, before any run starts (a manifest checks
-itself when it is built); every run carries its manifest and materializes the
-dataset from it. A process keeps the last file it parsed, keyed on the
-manifest and the file's size and modification time, so it parses each dataset
-file once; each run splits and preprocesses that table with its own seed.
-Every run records the share of each hidden layer's values that stayed on the
-spline grid. The report of `config.mode` is a pure function of the run
-records, in any order, so it can be rebuilt from stored records.
+is loaded once per experiment, and the output directory made, before any run
+starts (a manifest checks itself when it is built); every run carries its
+manifest and the experiment config, and materializes the dataset from them.
+A process keeps the last file it parsed, keyed on the manifest and the
+file's size and modification time, so it parses each dataset file once; each
+run splits and preprocesses that table with its own seed. Every run records
+the share of each hidden layer's values that stayed in the range of the grid
+of the layer that reads them. The report of `config.mode` is a pure function
+of the run records, in any order, so it can be rebuilt from stored records.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class ExperimentConfig:
         if not isinstance(self.strict_replication, bool):
             raise ValueError("strict_replication must be true or false, got "
                              f"{self.strict_replication!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         if not self.datasets:
             raise ValueError("need at least one dataset manifest")
         bad = [d for d in self.datasets
@@ -166,11 +169,7 @@ class RunSpec:
     layer_norm: bool
     run_index: int
     base_seed: int
-    hidden_width: int
-    iterations: int
-    batch_size: int
-    learning_rate: float
-    strict_replication: bool
+    config: ExperimentConfig     # hidden width, training settings, strict replication
 
 
 def execute_run(spec: RunSpec) -> dict:
@@ -188,11 +187,12 @@ def execute_run(spec: RunSpec) -> dict:
         data_seed = derive_seed(spec.base_seed, "data")
         net_seed = derive_seed(spec.base_seed, "net")
         train_seed = derive_seed(spec.base_seed, "train")
-        data = load_dataset(spec.manifest, data_seed,
-                            scale_features=not spec.strict_replication)
+        cfg = spec.config
+        scale_features = not cfg.strict_replication
+        data = load_dataset(spec.manifest, data_seed, scale_features=scale_features)
         record["warnings"] = data.warnings
-        head_width = 1 if spec.strict_replication else data.n_classes
-        widths = (data.n_features, spec.hidden_width, head_width)
+        head_width = 1 if cfg.strict_replication else data.n_classes
+        widths = (data.n_features, cfg.hidden_width, head_width)
         net = build_network(NetworkConfig(
             widths=widths,
             aggregators=tuple(spec.aggregators),
@@ -200,14 +200,14 @@ def execute_run(spec: RunSpec) -> dict:
             seed=net_seed,
         ))
         result = train(net, data, TrainConfig(
-            iterations=spec.iterations, batch_size=spec.batch_size,
-            learning_rate=spec.learning_rate, seed=train_seed))
+            iterations=cfg.iterations, batch_size=cfg.batch_size,
+            learning_rate=cfg.learning_rate, seed=train_seed))
         record.update(
             widths=list(widths),
             n_features=data.n_features,
             n_classes=data.n_classes,
             head=result.head,
-            feature_scaling=data.scaled,
+            feature_scaling=scale_features,
             layer_norm=spec.layer_norm,
             train_accuracy=result.train_accuracy,
             val_accuracy=result.val_accuracy,
@@ -243,11 +243,7 @@ def _build_specs(config: ExperimentConfig, manifests) -> list[RunSpec]:
             layer_norm=layer_norm,
             run_index=i,
             base_seed=derive_seed(config.seed, manifest.name, label, i),
-            hidden_width=config.hidden_width,
-            iterations=config.iterations,
-            batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
-            strict_replication=config.strict_replication,
+            config=config,
         )
         for manifest in manifests
         for label, aggs, layer_norm in _run_plan(config)
@@ -259,6 +255,8 @@ def _execute_all(config: ExperimentConfig):
     """Run every spec of the experiment; returns (dataset names, records)."""
     config.validate()
     manifests = _resolve_manifests(config)
+    if config.out_dir is not None:    # one that cannot be made fails before any run
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     specs = _build_specs(config, manifests)
     # wall-clock timing stays out of the records so runs.jsonl is reproducible
     if config.parallelism > 1:
@@ -436,15 +434,27 @@ def _adherence_table(payload) -> list[str]:
     return lines
 
 
+def _adherence_tsv(payload) -> str:
+    """adherence.tsv: one plot-data row per (dataset, variant, hidden layer)."""
+    lines = ["dataset\tn_features\tvariant\tlayer\tfraction\n"]
+    for ds, info in payload["adherence"].items():
+        for v, fracs in info["variants"].items():
+            for layer, frac in enumerate(fracs):
+                lines.append(f"{ds}\t{info['n_features']}\t{v}\t{layer}\t{frac:.6f}\n")
+    return "".join(lines)
+
+
 class Mode(NamedTuple):
     runs: int          # default runs per (dataset, combination)
     report: Callable   # (config, datasets, runs) -> the mode's payload fields
     table: Callable    # payload -> its summary.txt lines
+    files: tuple = ()  # (file name, payload -> its text) of each extra report file
 
 
 MODES = {"sweep": Mode(1, _sweep_report, _sweep_table),
          "compare": Mode(20, _compare_report, _compare_table),
-         "adherence": Mode(1, _adherence_report, _adherence_table)}
+         "adherence": Mode(1, _adherence_report, _adherence_table,
+                           (("adherence.tsv", _adherence_tsv),))}
 
 
 def _payload(config: ExperimentConfig, datasets, records) -> dict:
@@ -492,7 +502,7 @@ def summarize(payload: dict) -> str:
 
 def write_report(payload: dict, records, out_dir) -> Path:
     """Persist report.json (payload + timestamp header), runs.jsonl, summary.txt
-    and, for adherence mode, the plot-data TSV of the adherence table."""
+    and the extra files its mode names in MODES."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -505,11 +515,6 @@ def write_report(payload: dict, records, out_dir) -> Path:
         for r in records:
             f.write(json.dumps(r, sort_keys=True) + "\n")
     (out / "summary.txt").write_text(summarize(payload))
-    if payload["mode"] == "adherence":
-        with open(out / "adherence.tsv", "w") as f:
-            f.write("dataset\tn_features\tvariant\tlayer\tfraction\n")
-            for ds, info in payload["adherence"].items():
-                for v, fracs in info["variants"].items():
-                    for layer, frac in enumerate(fracs):
-                        f.write(f"{ds}\t{info['n_features']}\t{v}\t{layer}\t{frac:.6f}\n")
+    for name, render in MODES[payload["mode"]].files:
+        (out / name).write_text(render(payload))
     return out

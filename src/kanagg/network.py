@@ -2,9 +2,11 @@
 
 A network with widths [n_in, h_1, ..., n_out] has one layer per width
 transition. Layer l holds an (n_out x n_in) matrix of edge activations that
-all share one knot grid, plus that layer's aggregator. When layer_norm is
-enabled, hidden node vectors (never the raw inputs or the final logits) are
-normalized before feeding the next layer's splines.
+all share the layer's knot grid, plus that layer's aggregator; build_network
+puts every layer's grid on [-1, 1]. When layer_norm is enabled, hidden node
+vectors (never the raw inputs or the final logits) are normalized before
+feeding the next layer's splines. A hidden vector adheres where it lies in
+the range of the grid of the layer that reads it (adherence_counts).
 
 An edge w_base * silu(x) + w_spline * sum_i c_i B_i(x) is the dot product of
 the extended basis [B_1(x), ..., B_n(x), silu(x)], built by splines.py in one
@@ -22,7 +24,7 @@ same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,8 +46,6 @@ class NetworkConfig:
     layer_norm: bool = False
     grid_size: int = 3
     degree: int = 3
-    range_lo: float = -1.0
-    range_hi: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -86,7 +86,6 @@ class KANLayer:
 class LayerNormParams:
     gain: np.ndarray
     bias: np.ndarray
-    eps: float = LAYER_NORM_EPS
 
 
 @dataclass
@@ -145,7 +144,7 @@ def build_network(config: NetworkConfig) -> Network:
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    grid = make_grid(config.range_lo, config.range_hi, config.grid_size, config.degree)
+    grid = make_grid(-1.0, 1.0, config.grid_size, config.degree)
     shapes = [shape for n_in, n_out in zip(config.widths[:-1], config.widths[1:])
               for shape in ((n_out, n_in, grid.n_basis), (n_out, n_in), (n_out, n_in))]
     if config.layer_norm:
@@ -175,13 +174,14 @@ def build_network(config: NetworkConfig) -> Network:
 
 
 def _layer_norm(v: np.ndarray, ln: LayerNormParams):
-    """(v - mean) / sqrt(popvar + eps) * gain + bias over the last axis.
+    """(v - mean) / sqrt(popvar + LAYER_NORM_EPS) * gain + bias over the last
+    axis.
 
     Returns (out, zhat, inv_std); the backward pass reuses zhat and inv_std.
     """
     mean = v.mean(axis=-1, keepdims=True)
     var = v.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + ln.eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     zhat = (v - mean) * inv_std
     return zhat * ln.gain + ln.bias, zhat, inv_std
 
@@ -285,14 +285,9 @@ def mean_to_scaled_sum(net: Network) -> Network:
     edge activation by the fan-in; the mean-aggregated original and this
     sum-aggregated copy then compute identical outputs.
     """
-    cfg = net.config
-    new_cfg = NetworkConfig(
-        widths=cfg.widths,
-        aggregators=tuple(Aggregator.SUM if a is Aggregator.MEAN else a
-                          for a in cfg.aggregators),
-        layer_norm=cfg.layer_norm, grid_size=cfg.grid_size, degree=cfg.degree,
-        range_lo=cfg.range_lo, range_hi=cfg.range_hi, seed=cfg.seed)
-    twin = build_network(new_cfg)
+    twin = build_network(replace(
+        net.config, aggregators=tuple(Aggregator.SUM if a is Aggregator.MEAN else a
+                                      for a in net.config.aggregators)))
     twin.params[...] = net.params
     for src, dst in zip(net.layers, twin.layers):
         if src.aggregator is Aggregator.MEAN:
@@ -302,9 +297,13 @@ def mean_to_scaled_sum(net: Network) -> Network:
     return twin
 
 
-def adherence_counts(trace: ForwardTrace, lo: float, hi: float):
-    """(inside, total) value counts per hidden layer for one trace."""
+def adherence_counts(trace: ForwardTrace):
+    """(inside, total) value counts per hidden layer for one trace: hidden
+    vector l counts inside where it lies in the closed range of the grid of
+    layer l + 1, the layer that reads it."""
     hidden = trace.inputs[1:]
-    inside = np.array([int(((v >= lo) & (v <= hi)).sum()) for v in hidden])
+    grids = [layer.grid for layer in trace.network.layers[1:]]
+    inside = np.array([int(((v >= g.range_lo) & (v <= g.range_hi)).sum())
+                       for v, g in zip(hidden, grids)])
     total = np.array([v.size for v in hidden])
     return inside, total

@@ -199,9 +199,9 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     """Train in place for cfg.iterations mini-batch Adam steps.
 
     Deterministic given (network init, cfg.seed, data). Every step also
-    counts the hidden values inside the grid range, pooled into
-    TrainResult.adherence. Raises TrainingDiverged as soon as the batch loss
-    stops being finite.
+    counts the hidden values inside the range of the grid that reads them,
+    pooled into TrainResult.adherence. Raises TrainingDiverged as soon as
+    the batch loss stops being finite.
 
     Layer 0's spline inputs are training rows on a fixed grid, so their
     basis does not change as the parameters do: it is built for a block of
@@ -255,7 +255,7 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
             raise TrainingDiverged(it, f"non-finite loss at iteration {it}")
         losses.append(loss)
 
-        i, n = adherence_counts(trace, net.config.range_lo, net.config.range_hi)
+        i, n = adherence_counts(trace)
         inside = inside + i
         total = total + n
 

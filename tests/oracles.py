@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from kanagg.network import LAYER_NORM_EPS
+
 
 def naive_basis(x, i, k, t):
     """Textbook recursive Cox-de Boor evaluation of one basis function."""
@@ -66,7 +68,7 @@ def naive_network(net, x):
             for q in range(layer.n_out)]
         ln = net.layer_norms[l] if l < len(net.layer_norms) else None
         if ln is not None:
-            values = naive_layer_norm(values, ln.gain, ln.bias, ln.eps)
+            values = naive_layer_norm(values, ln.gain, ln.bias, LAYER_NORM_EPS)
     return values
 
 
@@ -193,13 +195,11 @@ def naive_split(n, seed):
 
 def naive_preprocess(cells, manifest, seed, scale_features=True):
     """The per-cell preprocessing recipe on plain lists (None for a missing
-    cell); returns (splits, features, labels, n_classes, stats).
+    cell); returns (splits, features, labels, n_classes).
 
     The train mean is np.mean over the observed train values in shuffled
     order, so it has numpy's summation order; everything else is per-cell
-    Python. stats maps each feature to (impute_value, categories,
-    reserved_code, lo, hi). A feature with no observed train value raises
-    ValueError.
+    Python. A feature with no observed train value raises ValueError.
     """
     splits = naive_split(len(cells[manifest.target_column().name]), seed)
     train = splits[0]
@@ -210,29 +210,24 @@ def naive_preprocess(cells, manifest, seed, scale_features=True):
         vocab = sorted(set(target))
     labels = [vocab.index(v) for v in target]
 
-    columns, stats = [], {}
+    columns = []
     for spec in manifest.feature_columns():
         col = cells[spec.name]
         if all(col[i] is None for i in train):
             raise ValueError(f"feature {spec.name!r} has no observed train value")
         if spec.type == "categorical":
-            codes, impute, encoded = naive_encode_categorical(col, train)
-            encoded = [float(c) for c in encoded]
-            reserved = len(codes)
+            encoded = [float(c) for c in naive_encode_categorical(col, train)[2]]
         else:
-            codes = reserved = None
             impute = float(np.mean([col[i] for i in train if col[i] is not None]))
             encoded = [impute if v is None else v for v in col]
-        lo = hi = None
         if scale_features:
             lo = min(encoded[i] for i in train)
             hi = max(encoded[i] for i in train)
             encoded = [(v - lo) / (hi - lo) * 2.0 - 1.0 if hi > lo else 0.0
                        for v in encoded]
         columns.append(encoded)
-        stats[spec.name] = (impute, codes, reserved, lo, hi)
     features = [[col[i] for col in columns] for i in range(len(target))]
-    return splits, features, labels, len(vocab), stats
+    return splits, features, labels, len(vocab)
 
 
 def reference_adam(params, grad_fn, lr, beta1, beta2, eps, steps):
@@ -279,8 +274,9 @@ def reference_train(net, data, cfg):
         per_sample, d_logits = loss_fn(logits, y[batch])
         losses.append(float(per_sample.mean()))
         hidden = trace.inputs[1:]
-        counts = [int(((v >= net.config.range_lo) & (v <= net.config.range_hi)).sum())
-                  for v in hidden]
+        counts = [sum(layer.grid.range_lo <= value <= layer.grid.range_hi
+                      for value in v.ravel().tolist())
+                  for v, layer in zip(hidden, net.layers[1:])]
         sizes = [v.size for v in hidden]
         inside = counts if inside is None else [a + b for a, b in zip(inside, counts)]
         total = sizes if total is None else [a + b for a, b in zip(total, sizes)]

@@ -72,6 +72,12 @@ def cells_of(raw, name):
     return [None if np.isnan(v) else v for v in col]
 
 
+def oracle_features(raw, manifest, seed, scale_features=True):
+    """naive_preprocess's feature matrix of a RawTable."""
+    cells = {spec.name: cells_of(raw, spec.name) for spec in manifest.columns}
+    return np.array(naive_preprocess(cells, manifest, seed, scale_features)[1])
+
+
 def count_missing(raw):
     return sum(cells_of(raw, name).count(None) for name in raw.columns)
 
@@ -226,11 +232,12 @@ class TestPreprocess:
                          [(2, "a"), (10, "b"), (6, "a"), (4, "b"), (8, "a")] * 4)
         raw = load_table(write(tmp_path, rows + "\n"), MIXED)
         data = preprocess(raw, MIXED, seed=0)
-        st = data.stats["size"]
-        assert (st.lo, st.hi) == (2.0, 10.0)
-        scaled = data.features[:, 1]
         raw_vals = np.array(raw.columns["size"])
-        np.testing.assert_allclose(scaled, (raw_vals - 2) / 8 * 2 - 1, atol=1e-12)
+        train_vals = raw_vals[data.train_idx]
+        assert (train_vals.min(), train_vals.max()) == (2.0, 10.0)
+        np.testing.assert_allclose(data.features[:, 1], (raw_vals - 2) / 8 * 2 - 1,
+                                   atol=1e-12)
+        assert data.features.tobytes() == oracle_features(raw, MIXED, 0).tobytes()
 
     def test_constant_feature_maps_to_zero(self, tmp_path):
         rows = "\n".join(f"c,5.0,{'a' if i % 2 else 'b'}" for i in range(20))
@@ -243,44 +250,55 @@ class TestPreprocess:
         raw = load_table(write(tmp_path, "\n".join(rows) + "\n"), MIXED)
         data = preprocess(raw, MIXED, seed=2, scale_features=False)
         assert np.all(np.isfinite(data.features))
-        st = data.stats["size"]
-        size = cells_of(raw, "size")
+        size, color = cells_of(raw, "size"), cells_of(raw, "color")
         observed_train = [size[i] for i in data.train_idx if size[i] is not None]
-        assert st.impute_value == pytest.approx(np.mean(observed_train))
-        assert data.stats["color"].impute_value in ("red", "blue")
+        missing_size = [i for i, v in enumerate(size) if v is None]
+        np.testing.assert_allclose(data.features[missing_size, 1],
+                                   np.mean(observed_train))
+        # a missing color takes the code of a category observed in train
+        train_codes = {data.features[i, 0] for i in data.train_idx
+                       if color[i] is not None}
+        assert len(train_codes) == 2
+        assert {data.features[i, 0] for i, v in enumerate(color) if v is None} \
+            <= train_codes
+        np.testing.assert_array_equal(
+            data.features, oracle_features(raw, MIXED, 2, scale_features=False))
 
     def test_unseen_category_gets_reserved_code(self, tmp_path):
         # 10 rows: category "zeta" appears once; with this seed that row
         # falls outside the train split, so it must map to the reserved code
         rows = ["red,1,a", "blue,2,b"] * 5
-        for seed in range(50):
-            rng_rows = rows.copy()
-            raw = load_table(write(tmp_path, "\n".join(rng_rows) + "\n"), MIXED)
-            data = preprocess(raw, MIXED, seed=seed, scale_features=False)
-            n_cats = len(data.stats["color"].categories)
-            assert data.stats["color"].reserved_code == n_cats
-        # direct check: rewrite a val/test row with an unknown category
         raw = load_table(write(tmp_path, "\n".join(rows) + "\n"), MIXED)
+        for seed in range(50):
+            # the train categories take codes 0 and 1, so 2 is the reserved code
+            data = preprocess(raw, MIXED, seed=seed, scale_features=False)
+            assert sorted(set(data.features[data.train_idx, 0])) == [0.0, 1.0]
+        # direct check: rewrite a val/test row with an unknown category
         data = preprocess(raw, MIXED, seed=1, scale_features=False)
         outside = int(data.test_idx[0])
         rows[outside] = "zeta," + rows[outside].split(",", 1)[1]
         raw = load_table(write(tmp_path, "\n".join(rows) + "\n"), MIXED)
         data2 = preprocess(raw, MIXED, seed=1, scale_features=False)
-        assert data2.features[outside, 0] == data2.stats["color"].reserved_code
+        assert data2.features[outside, 0] == 2.0
+        np.testing.assert_array_equal(
+            data2.features, oracle_features(raw, MIXED, 1, scale_features=False))
 
     def test_no_train_test_leakage(self, tmp_path):
-        rows = [f"{'rgb'[i % 3]},{i * 1.7},{'ab'[i % 2]}" for i in range(50)]
+        # every tenth size is missing, so the imputed value shows too
+        rows = [f"{'rgb'[i % 3]},{'?' if i % 10 == 0 else i * 1.7},{'ab'[i % 2]}"
+                for i in range(50)]
         raw = load_table(write(tmp_path, "\n".join(rows) + "\n"), MIXED)
         before = preprocess(raw, MIXED, seed=7)
-        # rewrite every test row's numeric value; train transforms must not move
+        keep = np.concatenate([before.train_idx, before.val_idx])
+        assert any(i % 10 == 0 for i in keep)
+        # rewrite every test row's numeric value; the transforms fitted on
+        # train, and so the train and val features, must not move
         for i in before.test_idx:
             rows[i] = f"{'rgb'[i % 3]},1e6,{'ab'[i % 2]}"
         raw = load_table(write(tmp_path, "\n".join(rows) + "\n"), MIXED)
         after = preprocess(raw, MIXED, seed=7)
-        np.testing.assert_array_equal(before.features[before.train_idx],
-                                      after.features[after.train_idx])
         np.testing.assert_array_equal(before.train_idx, after.train_idx)
-        assert before.stats["size"].impute_value == after.stats["size"].impute_value
+        np.testing.assert_array_equal(before.features[keep], after.features[keep])
 
     def test_deterministic(self, tmp_path):
         rows = "\n".join(f"{'rgb'[i % 3]},{i * 1.3},{'ab'[i % 2]}"
@@ -320,12 +338,7 @@ class TestPreprocess:
                 color[int(i)] = f"unseen{k}"
             raw = table_from_cells(CATEGORICAL, color=color, label=label)
             data = preprocess(raw, CATEGORICAL, seed=seed, scale_features=False)
-            codes, mode, encoded = naive_encode_categorical(
-                color, data.train_idx.tolist())
-            st = data.stats["color"]
-            assert st.categories == codes
-            assert st.impute_value == mode
-            assert st.reserved_code == len(codes)
+            codes, _, encoded = naive_encode_categorical(color, data.train_idx.tolist())
             np.testing.assert_array_equal(data.features[:, 0], encoded)
             train_counts = [sum(color[i] == v for i in data.train_idx) for v in codes]
             ties += train_counts.count(max(train_counts)) > 1
@@ -344,8 +357,8 @@ class TestPreprocess:
         assert color[min(train)] == "a" and len(train) % 2 == 0
         raw = table_from_cells(CATEGORICAL, color=color, label=["x", "y"] * 10)
         data = preprocess(raw, CATEGORICAL, seed=3, scale_features=False)
-        assert data.stats["color"].impute_value == "b"
-        assert data.stats["color"].categories == {"b": 0, "a": 1}
+        assert {color[i]: data.features[i, 0] for i in train} == {"b": 0.0, "a": 1.0}
+        # the missing cells take the mode, "b"
         missing = [i for i in range(n) if color[i] is None]
         np.testing.assert_array_equal(data.features[missing, 0], 0.0)
 
@@ -358,7 +371,7 @@ class TestPreprocess:
                 preprocess(raw, TWO_OF_EACH, seed, scale_features=scale)
             return
         try:
-            splits, features, labels, n_classes, stats = naive_preprocess(
+            splits, features, labels, n_classes = naive_preprocess(
                 cells, TWO_OF_EACH, seed, scale_features=scale)
         except ValueError:
             with pytest.raises(PreprocessError, match="no observed values"):
@@ -372,12 +385,6 @@ class TestPreprocess:
         assert data.features.tobytes() == expected.tobytes()      # bit for bit
         assert data.labels.tolist() == labels
         assert data.n_classes == n_classes
-        for name, (impute, codes, reserved, lo, hi) in stats.items():
-            got = data.stats[name]
-            assert (got.impute_value, got.reserved_code, got.lo, got.hi) \
-                == (impute, reserved, lo, hi)
-            assert (None if got.categories is None else list(got.categories.items())) \
-                == (None if codes is None else list(codes.items()))
 
     def test_label_order_does_not_depend_on_hash_seed(self, tmp_path):
         # labels that parse to the same number used to keep set iteration
@@ -545,14 +552,28 @@ class TestManifestChecks:
         ("has_header", "false", "has_header must be true or false, got 'false'"),
         ("delimiter", 1, "delimiter must be one character or 'whitespace', got 1"),
         ("delimiter", ",,", "delimiter must be one character or 'whitespace'"),
+        ("expected_features", "1",
+         "expected_features must be a non-negative integer, got '1'"),
+        ("expected_instances", "x",
+         "expected_instances must be a non-negative integer, got 'x'"),
+        ("expected_classes", True,
+         "expected_classes must be a non-negative integer, got True"),
+        ("expected_instances", -5, "expected_instances must be a non-negative integer"),
+        ("expected_classes", 2.0, "expected_classes must be a non-negative integer"),
     ], ids=["string-missing-values", "number-missing-value", "string-has-header",
-            "number-delimiter", "two-character-delimiter"])
+            "number-delimiter", "two-character-delimiter", "string-expected-features",
+            "string-expected-instances", "bool-expected-classes",
+            "negative-expected-instances", "float-expected-classes"])
     def test_parsing_field_types_checked(self, tmp_path, key, value, message):
         # "NA" used to become the sentinels N and A, "false" a header row, and
-        # a bad delimiter a TypeError that aborted the whole experiment
+        # a bad delimiter a TypeError that aborted the whole experiment; a
+        # string count of the right number was reported as a mismatch ("declares
+        # 1 feature columns but expects 1"), and other wrong counts loaded
         mp = tmp_path / "fields.json"
+        expected_key = key.removeprefix("expected_")
+        doc = {"expected": {expected_key: value}} if expected_key != key else {key: value}
         mp.write_text(json.dumps({"name": "m", "path": "m.csv", "columns": COLUMNS,
-                                  key: value}))
+                                  **doc}))
         with pytest.raises(IngestionError,
                            match=r"fields\.json: manifest 'm': " + re.escape(message)):
             load_manifest(mp)

@@ -505,7 +505,7 @@ class TestCli:
         "string-runs", "float-iterations", "nan-learning-rate", "bool-batch-size",
         "string-strict-replication", "array-config", "null-config",
         "number-dataset", "object-dataset", "list-variant", "list-aggregator",
-        "string-missing-values"])
+        "string-missing-values", "number-out-dir", "out-under-a-file"])
     def test_invalid_settings_are_one_line_errors(self, tmp_path, capsys, case):
         manifest = str(self._write_synth_manifest(tmp_path))
         na_manifest = tmp_path / "na.json"
@@ -556,6 +556,11 @@ class TestCli:
             "string-missing-values": (None, ["--dataset", str(na_manifest)],
                                       "missing_values must be a list of strings, "
                                       "got 'NA'"),
+            # both used to run every experiment, then fail writing the report
+            "number-out-dir": ({"datasets": [manifest], "out_dir": 5}, [],
+                               "out_dir must be a path, got 5"),
+            "out-under-a-file": (None, ["--dataset", manifest,
+                                        "--out", f"{manifest}/out"], "Not a directory"),
         }[case]
         if settings is not None:
             cfg = tmp_path / "cfg.json"
@@ -563,7 +568,8 @@ class TestCli:
                            else json.dumps(settings))
             flags = ["--config", str(cfg), *flags]
         out = tmp_path / "out"
-        rc = cli_main(["compare", *flags, "--out", str(out)])
+        own_out = "--out" in flags or isinstance(settings, dict) and "out_dir" in settings
+        rc = cli_main(["compare", *flags, *([] if own_out else ["--out", str(out)])])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("kanagg: error: ")

@@ -6,6 +6,7 @@ from kanagg import (Aggregator, ConfigError, NetworkConfig, build_network,
 from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.network import (FORWARD_BLOCK_ROWS, LayerNormParams, _layer_norm,
                             adherence_counts, input_basis)
+from kanagg.splines import make_grid
 from kanagg.training import predict
 
 from oracles import naive_edge, naive_network
@@ -260,9 +261,8 @@ class TestScaledSumEquivalence:
         np.testing.assert_array_equal(twin.layers[1].w_base, net.layers[1].w_base)
 
 
-def normalize(v, gain, bias, eps=1e-5):
-    return _layer_norm(np.asarray(v, dtype=float),
-                       LayerNormParams(gain, bias, eps))[0]
+def normalize(v, gain, bias):
+    return _layer_norm(np.asarray(v, dtype=float), LayerNormParams(gain, bias))[0]
 
 
 class TestLayerNorm:
@@ -271,7 +271,7 @@ class TestLayerNorm:
         np.testing.assert_allclose(out, 0.0)
 
     def test_unit_population_std(self):
-        out = normalize([-1.0, 1.0], np.ones(2), np.zeros(2), eps=1e-5)
+        out = normalize([-1.0, 1.0], np.ones(2), np.zeros(2))
         np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-4)
 
     def test_affine_law(self):
@@ -306,28 +306,33 @@ class TestRangeAdherence:
 
     def test_fraction_with_boundaries_inclusive(self):
         trace = self._trace_with_hidden([0.5, -2.0, 0.3, 1.0])
-        inside, total = adherence_counts(trace, -1.0, 1.0)
+        inside, total = adherence_counts(trace)
         assert inside.tolist() == [3] and total.tolist() == [4]
 
     def test_all_inside(self):
         trace = self._trace_with_hidden([0.1, -0.9, 0.0, 0.2])
-        inside, total = adherence_counts(trace, -1.0, 1.0)
+        inside, total = adherence_counts(trace)
         assert inside.tolist() == total.tolist() == [4]
 
     def test_pools_across_traces(self):
         # counts, not fractions, so train can pool a whole run
         t1 = self._trace_with_hidden([0.0, 0.0, 5.0, 0.0])
         t2 = self._trace_with_hidden([5.0, 5.0, 5.0, 0.0])
-        (i1, n1), (i2, n2) = (adherence_counts(t, -1, 1) for t in (t1, t2))
+        (i1, n1), (i2, n2) = (adherence_counts(t) for t in (t1, t2))
         np.testing.assert_allclose((i1 + i2) / (n1 + n2), [0.5])
 
     def test_monotone_under_widening(self):
+        # the counts read the grid of the layer that consumes the hidden
+        # vector, so a wider grid there counts more of it inside
         rng = np.random.default_rng(3)
         for _ in range(5):
-            trace = self._trace_with_hidden(rng.normal(0, 1.2, 6))
-            narrow, _ = adherence_counts(trace, -1.0, 1.0)
-            wide, _ = adherence_counts(trace, -2.0, 2.0)
+            values = rng.normal(0, 1.2, 6)
+            trace = self._trace_with_hidden(values)
+            narrow, _ = adherence_counts(trace)
+            trace.network.layers[1].grid = make_grid(-2.0, 2.0)
+            wide, _ = adherence_counts(trace)
             assert np.all(narrow <= wide)
+            assert wide.tolist() == [int(np.sum(np.abs(values) <= 2.0))]
 
     def test_zero_parameter_network_fully_adherent(self):
         net = small_net(aggs=("sum", "sum"), widths=(3, 5, 2))
@@ -337,5 +342,5 @@ class TestRangeAdherence:
             layer.w_spline[...] = 0.0
         x = np.random.default_rng(0).uniform(-1, 1, (10, 3))
         _, trace = forward(net, x, trace=True)
-        inside, total = adherence_counts(trace, -1, 1)
+        inside, total = adherence_counts(trace)
         assert inside.tolist() == total.tolist() == [50]

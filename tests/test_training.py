@@ -13,6 +13,7 @@ from kanagg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 import kanagg.network
 import kanagg.training
 from kanagg.network import FORWARD_BLOCK_ROWS
+from kanagg.splines import make_grid
 from oracles import naive_basis_vector, naive_silu, reference_adam, \
     reference_train, relative_error
 
@@ -233,6 +234,27 @@ class TestTrain:
         assert res.head == "scalar-index"
         assert res.test_accuracy >= 0.5  # weak head, but must beat chance on blobs
 
+    @staticmethod
+    def _replayed_adherence(net, data, cfg, ranges):
+        """train's pooled in-range shares, replayed in its batch order with a
+        plain count of hidden vector l against ranges[l]. Valid at learning
+        rate 0, which keeps the parameters fixed."""
+        x = data.features[data.train_idx]
+        rng = np.random.default_rng(cfg.seed)
+        order, cursor = rng.permutation(len(x)), 0
+        inside, total = [0] * len(ranges), [0] * len(ranges)
+        for _ in range(cfg.iterations):
+            if cursor >= len(x):
+                order, cursor = rng.permutation(len(x)), 0
+            batch = x[order[cursor: cursor + cfg.batch_size]]
+            cursor += cfg.batch_size
+            _, trace = forward(net, batch, trace=True)
+            for layer, ((lo, hi), hidden) in enumerate(zip(ranges, trace.inputs[1:])):
+                for value in hidden.ravel().tolist():
+                    inside[layer] += lo <= value <= hi
+                    total[layer] += 1
+        return [i / n for i, n in zip(inside, total)]
+
     def test_adherence_pooled_over_every_step(self):
         # every run records adherence; lr 0 keeps the parameters fixed, so a
         # replay of train's batch order with plain counts gives the same pool
@@ -240,22 +262,24 @@ class TestTrain:
         cfg = TrainConfig(iterations=20, batch_size=16, learning_rate=0.0, seed=0)
         net = build_network(NetworkConfig((4, 6, 5, 3), ("sum", "sum", "sum"),
                                           seed=1))
-        res = train(net, data, cfg)
-        x = data.features[data.train_idx]
-        rng = np.random.default_rng(cfg.seed)
-        order, cursor = rng.permutation(len(x)), 0
-        inside, total = [0, 0], [0, 0]
-        for _ in range(cfg.iterations):   # 72 train rows: batches of 16 and 8
-            if cursor >= len(x):
-                order, cursor = rng.permutation(len(x)), 0
-            batch = x[order[cursor: cursor + cfg.batch_size]]
-            cursor += cfg.batch_size
-            _, trace = forward(net, batch, trace=True)
-            for layer, hidden in enumerate(trace.inputs[1:]):
-                inside[layer] += int(((hidden >= -1.0) & (hidden <= 1.0)).sum())
-                total[layer] += hidden.size
-        assert res.adherence == [i / n for i, n in zip(inside, total)]
+        res = train(net, data, cfg)   # 72 train rows: batches of 16 and 8
+        assert res.adherence == self._replayed_adherence(
+            net, data, cfg, [(-1.0, 1.0), (-1.0, 1.0)])
         assert 0.0 < min(res.adherence) and max(res.adherence) < 1.0
+
+    def test_adherence_counts_against_the_reading_layers_grid(self):
+        # hidden vector 0 feeds layer 1: on a wider grid there, more of it is
+        # in range, while hidden vector 1 still counts against layer 2's grid
+        data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
+        cfg = TrainConfig(iterations=20, batch_size=16, learning_rate=0.0, seed=0)
+        net = build_network(NetworkConfig((4, 6, 5, 3), ("sum", "sum", "sum"),
+                                          seed=1))
+        net.layers[1].grid = make_grid(-2.0, 2.0)
+        res = train(net, data, cfg)
+        assert res.adherence == self._replayed_adherence(
+            net, data, cfg, [(-2.0, 2.0), (-1.0, 1.0)])
+        unit = self._replayed_adherence(net, data, cfg, [(-1.0, 1.0), (-1.0, 1.0)])
+        assert res.adherence[0] > unit[0] and res.adherence[1] == unit[1]
 
     def test_dimension_mismatch_rejected(self):
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
