@@ -53,7 +53,7 @@ def aggregate_batch(edge_values: np.ndarray, kind: Aggregator) -> np.ndarray:
     if kind is Aggregator.STD:
         return np.sqrt(e.var(axis=-1))
     if kind is Aggregator.MEDIAN:
-        return np.median(e, axis=-1)
+        return _median(e)
     if kind is Aggregator.NORM:
         return np.sqrt((e * e).sum(axis=-1))
     if kind is Aggregator.MIN:
@@ -63,6 +63,22 @@ def aggregate_batch(edge_values: np.ndarray, kind: Aggregator) -> np.ndarray:
     if kind is Aggregator.MULTIPLY:
         return e.prod(axis=-1)
     raise ValueError(f"unknown aggregator {kind!r}")
+
+
+def _median(e: np.ndarray) -> np.ndarray:
+    """np.median(e, axis=-1) bit for bit, from one partition: the middle
+    element (pair), and the last element to find a nan. Like np.median's
+    mean, the sum starts at +0.0, so a median of -0.0 is +0.0."""
+    n = e.shape[-1]
+    mid = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(e, mid + [n - 1], axis=-1)
+    out = part[..., mid[0]] + 0.0
+    if n % 2 == 0:
+        out += part[..., mid[1]]
+        out /= 2
+    last = part[..., -1]
+    np.copyto(out, last, where=np.isnan(last))
+    return out
 
 
 def aggregate_batch_backward(edge_values: np.ndarray, kind: Aggregator,

@@ -4,9 +4,9 @@
 column arrays: numeric features as float64 with NaN for a missing cell,
 every other column as int64 codes (first appearance in the file, -1 for a
 missing cell) into its tuple of distinct cells. It rejects numeric cells
-that do not parse as finite numbers. The harness keeps the last parsed table
-of each process, so the runs of one dataset share one parse; `preprocess`
-only reads the table and does every step below with array operations, in
+that do not parse as finite numbers. The harness parses each file once per
+experiment, so the runs of one dataset share one table; `preprocess` only
+reads the table and does every step below with array operations, in
 order, with all statistics fitted on the train split only:
   1. shuffle rows by seed, split 60/20/20 in shuffled order (rounding
      remainder goes to train),
@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +131,11 @@ class DatasetManifest:
         return targets[0]
 
     def _validate_synthetic(self):
+        ignored = [f.name for f in fields(self) if f.name not in ("name", "synthetic")
+                   and getattr(self, f.name) != f.default]
+        if ignored:
+            raise IngestionError(f"manifest {self.name!r}: a synthetic dataset "
+                                 f"reads no file, so it cannot set {ignored}")
         spec = self.synthetic
         if not isinstance(spec, dict):
             raise IngestionError(f"manifest {self.name!r}: synthetic spec must be "
@@ -167,6 +172,10 @@ def load_manifest(path) -> DatasetManifest:
             if unknown:
                 raise IngestionError(f"unknown {where}keys {unknown}; "
                                      f"allowed: {', '.join(allowed)}")
+        ignored = sorted(set(doc) - {"name", "synthetic"}) if "synthetic" in doc else []
+        if ignored:
+            raise IngestionError(f"a synthetic dataset reads no file, so it cannot "
+                                 f"set keys {ignored}")
         missing = doc.get("missing_values", ["?"])
         return DatasetManifest(
             name=doc.get("name"),
@@ -295,15 +304,18 @@ def _split(n: int, rng):
 
 def _scale_columns(matrix: np.ndarray, train_rows):
     """Map every column in place affinely onto [-1, 1] by its train min/max
-    (a constant column maps to 0)."""
+    (a constant column maps to 0). A val/test value far outside a tiny train
+    range overflows to +-inf, as the per-cell arithmetic does; the network
+    then rejects it and the run fails."""
     train = matrix[train_rows]
     lo, hi = train.min(axis=0), train.max(axis=0)
     varying = hi > lo
-    matrix -= lo
-    # a constant column is divided by 1, not by 0, then set to 0
-    matrix /= np.where(varying, hi - lo, 1.0)
-    matrix *= 2.0
-    matrix -= 1.0
+    with np.errstate(over="ignore"):
+        matrix -= lo
+        # a constant column is divided by 1, not by 0, then set to 0
+        matrix /= np.where(varying, hi - lo, 1.0)
+        matrix *= 2.0
+        matrix -= 1.0
     matrix[:, ~varying] = 0.0
 
 

@@ -7,9 +7,13 @@ reproducible in isolation and embarrassingly parallel. Each dataset manifest
 is loaded once per experiment, and the output directory made, before any run
 starts (a manifest checks itself when it is built); every run carries its
 manifest and the experiment config, and materializes the dataset from them.
-A process keeps the last file it parsed, keyed on the manifest and the
-file's size and modification time, so it parses each dataset file once; each
-run splits and preprocesses that table with its own seed. Every run records
+The process that plans an experiment parses each dataset file once, before
+any run starts, and keeps the tables of its last experiment's files: a later
+experiment reuses a table while the manifest and the file's size and
+modification time are unchanged. Pool workers receive those tables when they
+start and never parse; each run splits and preprocesses its table with its
+own seed. A file that cannot be parsed fails every run of it with the same
+error. Every run records
 the share of each hidden layer's values that stayed in the range of the grid
 of the layer that reads them. The report of `config.mode` is a pure function
 of the run records, in any order, so it can be rebuilt from stored records.
@@ -33,8 +37,8 @@ import numpy as np
 
 from . import __version__
 from .aggregators import AGGREGATOR_NAMES
-from .data import Dataset, DatasetManifest, IngestionError, RawTable, load_manifest, \
-    load_table, preprocess, synthetic_dataset
+from .data import Dataset, DatasetManifest, load_manifest, load_table, preprocess, \
+    synthetic_dataset
 from .network import NetworkConfig, build_network
 from .stats import average_rank, rank_with_ties, wilcoxon_signed_rank
 from .training import TrainConfig, TrainingDiverged, train
@@ -120,32 +124,44 @@ def _resolve_manifests(config: ExperimentConfig) -> list[DatasetManifest]:
             for s in config.datasets]
 
 
-# the last file parsed in this process: ((manifest, size, mtime_ns), RawTable,
-# or the message of the IngestionError that parsing it raised). Specs run
-# dataset by dataset, so one entry parses each file once per process.
-_last_parse = None
+# The tables of the current experiment's file-backed datasets: manifest ->
+# ((size, mtime_ns) of the file when it was parsed, or None when it could not
+# be stat'ed; its RawTable, or the exception that parsing it raised). The
+# process that plans an experiment fills it, and hands it to each pool worker
+# through the pool's initializer; a run only reads it.
+_tables = {}
 
 
-def _parsed_table(manifest: DatasetManifest) -> RawTable:
-    """The manifest's file as a RawTable, parsed again only when the manifest,
-    the file's size or its modification time changed; a file that failed to
-    parse raises the same IngestionError again without being read."""
-    global _last_parse
+def _set_tables(tables: dict):
+    global _tables
+    _tables = tables
+
+
+def _file_stamp(path):
     try:
-        st = os.stat(manifest.path)
+        st = os.stat(path)
     except OSError:        # load_table raises the IngestionError that names it
-        return load_table(manifest.path, manifest)
-    key = (manifest, st.st_size, st.st_mtime_ns)
-    if _last_parse is None or _last_parse[0] != key:
-        _last_parse = None                # free the old table before parsing
+        return None
+    return st.st_size, st.st_mtime_ns
+
+
+def _refresh_tables(manifests):
+    """Make `_tables` hold the table of every file-backed manifest of one
+    experiment. A table of the last experiment is kept while its file's size
+    and modification time are unchanged; every other file is parsed once,
+    here, after the tables this experiment does not use are dropped."""
+    global _tables
+    stamps = {m: _file_stamp(m.path) for m in manifests if m.synthetic is None}
+    _tables = {m: entry for m, entry in _tables.items()
+               if entry[0] is not None and stamps.get(m) == entry[0]}
+    for m, stamp in stamps.items():
+        if m in _tables:
+            continue
         try:
-            _last_parse = (key, load_table(manifest.path, manifest))
-        except IngestionError as exc:
-            _last_parse = (key, str(exc))
-            raise
-    if isinstance(_last_parse[1], str):
-        raise IngestionError(_last_parse[1])
-    return _last_parse[1]
+            table = load_table(m.path, m)
+        except (ValueError, OSError) as exc:   # each run of it records the failure
+            table = exc.with_traceback(None)   # not the parser's frames
+        _tables[m] = (stamp, table)
 
 
 def load_dataset(manifest: DatasetManifest, data_seed: int,
@@ -154,8 +170,10 @@ def load_dataset(manifest: DatasetManifest, data_seed: int,
     if manifest.synthetic is not None:
         return synthetic_dataset(seed=data_seed, scale_features=scale_features,
                                  **manifest.synthetic)
-    return preprocess(_parsed_table(manifest), manifest, data_seed,
-                      scale_features=scale_features)
+    table = _tables[manifest][1]
+    if isinstance(table, Exception):    # raised again by every run of the file
+        raise table.with_traceback(None)
+    return preprocess(table, manifest, data_seed, scale_features=scale_features)
 
 
 @dataclass(frozen=True)
@@ -258,9 +276,11 @@ def _execute_all(config: ExperimentConfig):
     if config.out_dir is not None:    # one that cannot be made fails before any run
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     specs = _build_specs(config, manifests)
+    _refresh_tables(manifests)
     # wall-clock timing stays out of the records so runs.jsonl is reproducible
     if config.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=config.parallelism,
+                                 initializer=_set_tables, initargs=(_tables,)) as pool:
             records = list(pool.map(execute_run, specs, chunksize=1))
     else:
         records = [execute_run(s) for s in specs]

@@ -130,9 +130,11 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
         # are marked invalid below
         s = np.fmax(np.fmin(np.floor(u), n_spans - 1), 0).astype(np.intp)
         # sigmoid without overflow from e = exp(-|x|); minimum keeps a nan's
-        # sign, as exp(x) of a nan does
+        # sign, as exp(x) of a nan does. The numerator is 1 for x >= 0, else
+        # e; maximum gives it without the branch np.where mispredicts on
+        # mixed signs (e <= 1, and a nan stays a nan)
         e = np.exp(np.minimum(flat, -flat))
-        sig = np.where(flat >= 0, 1.0, e) / (1.0 + e)
+        sig = np.maximum(e, flat >= 0) / (1.0 + e)
         silu = flat * sig
         silu_grad = sig * (1.0 + flat * (1.0 - sig)) if derivs else None
     # settle the span against the stored knots, so that a point one ulp from

@@ -45,6 +45,23 @@ class TestForward:
         assert node_value([5, 1, 3], Aggregator.MEDIAN) == 3
         assert node_value([1, 3], Aggregator.VAR) == 1
 
+    @pytest.mark.parametrize("fan_in", [1, 2, 3, 6, 10, 30])
+    def test_median_bitwise_equals_numpy(self, fan_in):
+        """Ties, signed zeros, nan and inf included, down to the sign of a
+        zero median (np.median gives +0.0 for -0.0 inputs)."""
+        rng = np.random.default_rng(fan_in)
+        special = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf,
+                            np.nan, -np.nan])
+        batches = [rng.normal(size=(64, 5, fan_in)),
+                   np.round(rng.normal(size=(64, 5, fan_in))),   # ties
+                   rng.choice(special, size=(256, 5, fan_in)),
+                   np.full((1, 1, fan_in), -0.0)]
+        for e in batches:
+            with np.errstate(invalid="ignore"):
+                got = aggregate_batch(e, Aggregator.MEDIAN)
+                want = np.median(e, axis=-1)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_single_element(self):
         for kind in ALL_KINDS:
             expected = {Aggregator.STD: 0.0, Aggregator.VAR: 0.0,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kanagg import IngestionError, PreprocessError, load_manifest, load_table, \
     preprocess, synthetic_dataset
+from kanagg.cli import main as cli_main
 from kanagg.data import ColumnSpec, DatasetManifest, RawTable
 
 from oracles import naive_encode_categorical, naive_preprocess
@@ -521,6 +522,26 @@ class TestSyntheticSpec:
                            ("n_instances", True), ("n_classes", 2.5)):
             self.check_rejected(tmp_path, {**BLOBS, key: value},
                                 rf"wrong type \['{key}'\]")
+
+    @pytest.mark.parametrize("key, value, field, field_value", [
+        ("path", "blobs.csv", "path", "blobs.csv"),
+        ("columns", [{"name": "a"}], "columns", (ColumnSpec("a"),)),
+        ("delimiter", ";", "delimiter", ";"),
+        ("missing_values", ["NA"], "missing_values", ("NA",)),
+        ("has_header", True, "has_header", True),
+        ("expected", {"instances": 100}, "expected_instances", 100),
+    ])
+    def test_file_settings_rejected(self, tmp_path, key, value, field, field_value):
+        """A synthetic dataset reads no file; a setting for one is an error,
+        not silently ignored, and kanagg exits with code 2."""
+        mp = tmp_path / "synth.json"
+        mp.write_text(json.dumps({"name": "s", "synthetic": BLOBS, key: value}))
+        with pytest.raises(IngestionError, match=rf"synth\.json: .*\['{key}'\]$"):
+            load_manifest(mp)
+        with pytest.raises(IngestionError, match=rf"^manifest 's': .*\['{field}'\]$"):
+            DatasetManifest(name="s", synthetic=BLOBS, **{field: field_value})
+        assert cli_main(["sweep", "--dataset", str(mp), "--out",
+                         str(tmp_path / "out")]) == 2
 
 
 COLUMNS = [{"name": "a", "role": "feature", "type": "numeric"},

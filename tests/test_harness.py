@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,71 +311,123 @@ class TestDeterminismAndFailures:
         assert calls == paths
 
     @staticmethod
-    def counting_parses(monkeypatch):
-        """Empty this process's parse memo and count harness.load_table calls."""
+    def spy_parses(monkeypatch, tmp_path):
+        """Empty the harness's tables and log every harness.load_table call,
+        made in this process or in a pool worker forked from it, as a line
+        "pid path" of a file; returns a function reading the calls so far."""
         from kanagg import harness
-        calls = []
+        log = tmp_path / "parses.log"
+        log.touch()
 
-        def counting_load_table(path, manifest):
-            calls.append(path)
+        def spy(path, manifest):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {path}\n")
             return load_table(path, manifest)
 
-        monkeypatch.setattr(harness, "_last_parse", None)
-        monkeypatch.setattr(harness, "load_table", counting_load_table)
-        return calls
+        monkeypatch.setattr(harness, "_tables", {})
+        monkeypatch.setattr(harness, "load_table", spy)
+        return lambda: [tuple(line.split(" ", 1))
+                        for line in log.read_text().splitlines()]
 
     @staticmethod
-    def write_file_dataset(tmp_path, n_rows, labels="xy", mtime_ns=None):
-        path = tmp_path / "demo.csv"
+    def write_file_dataset(tmp_path, n_rows, labels="xy", mtime_ns=None,
+                           name="demo"):
+        path = tmp_path / f"{name}.csv"
         path.write_text("".join(f"{'rb'[i % 2]},{i},{labels[i % len(labels)]}\n"
                                 for i in range(n_rows)))
         if mtime_ns is not None:
             os.utime(path, ns=(mtime_ns, mtime_ns))
         return DatasetManifest(
-            name="demo", path=str(path), expected_instances=40, expected_classes=2,
+            name=name, path=str(path), expected_instances=40, expected_classes=2,
             columns=(ColumnSpec("c", "feature", "categorical"),
                      ColumnSpec("v", "feature", "numeric"),
                      ColumnSpec("y", "target", "categorical")))
 
     def test_file_parsed_once_per_process(self, tmp_path, monkeypatch):
-        calls = self.counting_parses(monkeypatch)
+        calls = self.spy_parses(monkeypatch, tmp_path)
         manifest = self.write_file_dataset(tmp_path, 40)
         payload, records = run_experiment(quick_config(
-            "adherence", datasets=(manifest,), iterations=3))
+            "adherence", datasets=(manifest,), iterations=3, parallelism=2))
         assert len(records) == 3 and not payload["failures"]
-        assert calls == [manifest.path]
+        # parsed once, by the process that planned the experiment
+        assert calls() == [(str(os.getpid()), manifest.path)]
 
     def test_rewritten_file_parsed_again(self, tmp_path, monkeypatch):
-        calls = self.counting_parses(monkeypatch)
+        calls = self.spy_parses(monkeypatch, tmp_path)
         mtime = 1_700_000_000 * 10 ** 9
         manifest = self.write_file_dataset(tmp_path, 40, mtime_ns=mtime)
         config = quick_config("adherence", datasets=(manifest,), variants=("kan",),
-                              iterations=3)
+                              runs=2, iterations=3, parallelism=2)
 
         def warnings():
             payload, records = run_experiment(config)
+            assert records[0]["warnings"] == records[1]["warnings"]
             return records[0]["warnings"]
 
-        assert warnings() == [] and warnings() == [] and len(calls) == 1
+        # a second experiment on the unchanged file parses nothing
+        assert warnings() == [] and warnings() == [] and len(calls()) == 1
         # a new size with the same mtime, then the same size with a new mtime
         self.write_file_dataset(tmp_path, 50, mtime_ns=mtime)
         assert warnings() == ["expected 40 instances, found 50"]
         self.write_file_dataset(tmp_path, 50, labels="xyz", mtime_ns=mtime + 10 ** 9)
         assert warnings() == ["expected 40 instances, found 50",
                               "expected 2 classes, found 3"]
-        assert len(calls) == 3
+        assert calls() == [(str(os.getpid()), manifest.path)] * 3
+
+    def test_each_file_parsed_once_per_experiment(self, tmp_path, monkeypatch):
+        calls = self.spy_parses(monkeypatch, tmp_path)
+        a = self.write_file_dataset(tmp_path, 40, name="a")
+        b = self.write_file_dataset(tmp_path, 60, name="b")
+        payload, records = run_experiment(quick_config(
+            "adherence", datasets=(a, blob_manifest(), b, a), variants=("kan",),
+            runs=2, iterations=3, parallelism=2))
+        assert len(records) == 8 and not payload["failures"]
+        assert sorted(calls()) == [(str(os.getpid()), a.path),
+                                   (str(os.getpid()), b.path)]
 
     def test_failed_file_parsed_once_per_process(self, tmp_path, monkeypatch):
-        calls = self.counting_parses(monkeypatch)
+        calls = self.spy_parses(monkeypatch, tmp_path)
         manifest = self.write_file_dataset(tmp_path, 2000)
         with open(manifest.path, "a") as f:
             f.write("r,not-a-number,x\n")       # row 2001: a bad numeric cell
         payload, records = run_experiment(quick_config(
-            "adherence", datasets=(manifest,), iterations=3))
-        assert calls == [manifest.path]
-        errors = {r["error"] for r in records}
+            "adherence", datasets=(manifest,), iterations=3, parallelism=2))
+        assert calls() == [(str(os.getpid()), manifest.path)]
         assert len(records) == 3 and all(r["status"] == "failed" for r in records)
-        assert len(errors) == 1 and errors.pop().startswith("IngestionError: ")
+        assert {r["error"] for r in records} == {
+            f"IngestionError: {manifest.path}: row 2001, column 'v': "
+            f"cannot parse 'not-a-number' as a finite number"}
+
+    def test_file_failures_same_in_parallel(self, tmp_path, monkeypatch):
+        calls = self.spy_parses(monkeypatch, tmp_path)
+        bad = self.write_file_dataset(tmp_path, 40, name="bad")
+        with open(bad.path, "a") as f:
+            f.write("r,1,x,extra\n")
+        gone = self.write_file_dataset(tmp_path, 40, name="gone")
+        os.remove(gone.path)
+        config = quick_config("adherence", datasets=(bad, gone), variants=("kan",),
+                              runs=2, iterations=3)
+        serial = run_experiment(config)[1]
+        parallel = run_experiment(replace(config, parallelism=2))[1]
+        assert parallel == serial and len(serial) == 4
+        assert [r["error"] for r in serial] == 2 * [
+            f"IngestionError: {bad.path}: row 41 has 4 fields, manifest 'bad' "
+            f"declares 3 columns"] + 2 * [
+            f"IngestionError: cannot open {gone.path}: [Errno 2] "
+            f"No such file or directory: {gone.path!r}"]
+        # the unparseable file's failure is kept; the missing file is tried again
+        pid = str(os.getpid())
+        assert calls() == [(pid, bad.path), (pid, gone.path), (pid, gone.path)]
+
+    def test_file_dataset_parallel_equals_serial(self, tmp_path, monkeypatch):
+        calls = self.spy_parses(monkeypatch, tmp_path)
+        manifest = self.write_file_dataset(tmp_path, 200)
+        config = quick_config("compare", datasets=(manifest,), runs=2, iterations=5)
+        ps, rs = run_experiment(config)
+        pp, rp = run_experiment(replace(config, parallelism=2))
+        assert json.dumps(ps, sort_keys=True) == json.dumps(pp, sort_keys=True)
+        assert rs == rp and not ps["failures"]
+        assert calls() == [(str(os.getpid()), manifest.path)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

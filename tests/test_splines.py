@@ -80,6 +80,24 @@ class TestBasisEval:
             np.testing.assert_allclose(row[-1], naive_silu(x), atol=1e-10)
             np.testing.assert_allclose(drow[-1], silu_central(x, 1e-6), atol=1e-8)
 
+    def test_silu_column_bitwise_equals_branching_sigmoid(self):
+        """The silu column and its derivative equal, bit for bit, the
+        sigmoid x * where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|)."""
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                   1e-310, -1e-310, 709.8, -709.8, 745.2, -745.2, 1e300, -1e300]
+        xs = np.concatenate([rng.normal(0.0, 3.0, 20000),
+                             rng.uniform(-800.0, 800.0, 2000), special])
+        with np.errstate(all="ignore"):
+            vals, derivs = basis_matrix(xs, make_grid(-1.0, 1.0, 3, 3))
+            e = np.exp(np.minimum(xs, -xs))
+            sig = np.where(xs >= 0, 1.0, e) / (1.0 + e)
+            silu, silu_grad = xs * sig, sig * (1.0 + xs * (1.0 - sig))
+        np.testing.assert_array_equal(vals[:, -1].view(np.int64),
+                                      silu.view(np.int64))
+        np.testing.assert_array_equal(derivs[:, -1].view(np.int64),
+                                      silu_grad.view(np.int64))
+
     def test_local_support(self):
         g = make_grid(-1.0, 1.0, 4, 2)
         xs = np.random.default_rng(1).uniform(-2.0, 2.0, 50)
