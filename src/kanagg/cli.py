@@ -27,8 +27,9 @@ DEFAULT_OUT = os.environ.get("KANAGG_OUT", "kanagg-out")
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
+    """The run flags; each one's dest is the ExperimentConfig field it sets."""
     p.add_argument("--config", help="JSON file with ExperimentConfig defaults")
-    p.add_argument("--dataset", action="append", default=None,
+    p.add_argument("--dataset", dest="datasets", action="append", default=None,
                    metavar="MANIFEST", help="dataset manifest path (repeatable)")
     p.add_argument("--runs", type=int, default=None,
                    help="runs per (dataset, combination)")
@@ -40,7 +41,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
                    choices=AGGREGATOR_NAMES, help="sweep aggregator subset")
     p.add_argument("--strict-replication", action="store_true", default=None,
                    help="[n_in,10,1] head, squared-error loss, no feature scaling")
-    p.add_argument("--out", default=None, help=f"output dir (default {DEFAULT_OUT})")
+    p.add_argument("--out", dest="out_dir", default=None, metavar="OUT",
+                   help=f"output dir (default {DEFAULT_OUT})")
     p.add_argument("--parallelism", type=int, default=None,
                    help="worker processes (default 1)")
 
@@ -53,18 +55,8 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
         if not isinstance(settings, dict):
             raise ValueError(f"config {args.config}: top level is a "
                              f"{type(settings).__name__}, not an object")
-    overrides = {
-        "datasets": args.dataset,
-        "runs": args.runs,
-        "iterations": args.iterations,
-        "seed": args.seed,
-        "variants": args.variants,
-        "aggregators": args.aggregators,
-        "strict_replication": args.strict_replication,
-        "out_dir": args.out,
-        "parallelism": args.parallelism,
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
+    settings.update({k: v for k, v in vars(args).items()
+                     if v is not None and k not in ("command", "config")})
     settings["mode"] = mode
     settings.setdefault("out_dir", str(Path(DEFAULT_OUT) / mode))
     for key in ("datasets", "variants", "aggregators"):

@@ -215,6 +215,17 @@ class RawTable:
                    for c in self.columns.values())
 
 
+def _csv_rows(f, path, delimiter):
+    """(file line, fields) of each CSV record of f; a record the csv module
+    cannot read (say, a field over its size limit) raises IngestionError."""
+    reader = csv.reader(f, delimiter=delimiter)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise IngestionError(f"{path}: row {reader.line_num}: {exc}") from exc
+
+
 def load_table(path, manifest: DatasetManifest) -> RawTable:
     """Parse a delimited text file per the manifest's column specs into
     typed columns. Blank lines are skipped; with `has_header` the first
@@ -234,8 +245,7 @@ def load_table(path, manifest: DatasetManifest) -> RawTable:
         if manifest.delimiter == "whitespace":
             rows = ((line_no, line.split()) for line_no, line in enumerate(f, start=1))
         else:
-            reader = csv.reader(f, delimiter=manifest.delimiter)
-            rows = ((reader.line_num, row) for row in reader)
+            rows = _csv_rows(f, path, manifest.delimiter)
         for row_no, row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue

@@ -221,18 +221,13 @@ def execute_run(spec: RunSpec) -> dict:
             iterations=cfg.iterations, batch_size=cfg.batch_size,
             learning_rate=cfg.learning_rate, seed=train_seed))
         record.update(
+            vars(result),       # asdict would deep-copy the loss curve, float by float
             widths=list(widths),
             n_features=data.n_features,
             n_classes=data.n_classes,
-            head=result.head,
             feature_scaling=scale_features,
             layer_norm=spec.layer_norm,
-            train_accuracy=result.train_accuracy,
-            val_accuracy=result.val_accuracy,
-            test_accuracy=result.test_accuracy,
             final_loss=result.loss_curve[-1],
-            loss_curve=result.loss_curve,
-            adherence=result.adherence,
         )
     except (TrainingDiverged, ValueError, OSError) as exc:
         record["status"] = "failed"

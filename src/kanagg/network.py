@@ -1,12 +1,13 @@
 """KAN assembly: edge-activation layers, node aggregation, optional layer norm.
 
-A network with widths [n_in, h_1, ..., n_out] has one layer per width
+A network with widths [n_in, h_1, ..., n_out] has one KANLayer per width
 transition. Layer l holds an (n_out x n_in) matrix of edge activations that
-all share the layer's knot grid, plus that layer's aggregator; build_network
-puts every layer's grid on [-1, 1]. When layer_norm is enabled, hidden node
-vectors (never the raw inputs or the final logits) are normalized before
-feeding the next layer's splines. A hidden vector adheres where it lies in
-the range of the grid of the layer that reads it (adherence_counts).
+all share the layer's knot grid, that layer's aggregator and, when
+layer_norm is enabled and the layer is hidden, the norm applied to its node
+vector before the next layer's splines read it (never to the raw inputs or
+the final logits); build_network puts every layer's grid on [-1, 1]. A
+hidden vector adheres where it lies in the range of the grid of the layer
+that reads it (adherence_counts).
 
 An edge w_base * silu(x) + w_spline * sum_i c_i B_i(x) is the dot product of
 the extended basis [B_1(x), ..., B_n(x), silu(x)], built by splines.py in one
@@ -15,11 +16,14 @@ buffer, with the folded coefficients [w_spline * c, w_base]; a layer is one
 Untraced forward passes (evaluation and prediction) run in fixed blocks of
 rows; traced passes keep every intermediate that backward reads.
 
-Every trainable value lives in one float64 vector, Network.params: each
-layer's coeffs, w_base and w_spline and each layer norm's gain and bias are
-reshaped views of it, so training updates and checks the whole network with
-one array operation, and backward returns one gradient vector laid out the
-same way.
+Every trainable value lives in one float64 vector, Network.params, and only
+this module knows its layout: Network.views(vec) splits a vector laid out
+like params into one KANLayer per layer, whose coeffs, w_base, w_spline and
+norm gain and bias are reshaped views of it, and Network.layers is
+views(params). Training updates and checks the whole network with one array
+operation, and backward writes each layer's gradient by field into the
+views of one gradient vector. A traced forward pass records one LayerTrace
+per layer.
 """
 
 from __future__ import annotations
@@ -64,14 +68,23 @@ class NetworkConfig:
 
 
 @dataclass
+class LayerNormParams:
+    gain: np.ndarray
+    bias: np.ndarray
+
+
+@dataclass
 class KANLayer:
-    """All edges of one width transition, stored stacked for vectorized math."""
+    """All edges of one width transition, stored stacked for vectorized math,
+    and the layer norm applied to its node vector (hidden layers of a
+    layer-norm network only)."""
 
     coeffs: np.ndarray    # (n_out, n_in, n_basis)
     w_base: np.ndarray    # (n_out, n_in)
     w_spline: np.ndarray  # (n_out, n_in)
     grid: KnotGrid
     aggregator: Aggregator
+    norm: LayerNormParams | None = None   # gain, bias: (n_out,)
 
     @property
     def n_in(self) -> int:
@@ -83,19 +96,16 @@ class KANLayer:
 
 
 @dataclass
-class LayerNormParams:
-    gain: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
 class Network:
     config: NetworkConfig
-    params: np.ndarray  # every trainable value; the arrays below are views of it
-    layout: tuple       # (start, stop, shape) of each trainable array in params
-    layers: list = field(default_factory=list)
-    # one entry per hidden transition; None when disabled
-    layer_norms: list = field(default_factory=list)
+    params: np.ndarray  # every trainable value; the layers' arrays are views of it
+    # per layer: (grid, aggregator, (start, stop, shape) in params of coeffs,
+    # w_base, w_spline, then gain and bias when the layer has a norm)
+    layout: tuple
+    layers: list = field(init=False)
+
+    def __post_init__(self):
+        self.layers = self.views(self.params)
 
     @property
     def n_in(self) -> int:
@@ -105,72 +115,74 @@ class Network:
     def n_out(self) -> int:
         return self.config.widths[-1]
 
-    def views(self, vec: np.ndarray) -> list[np.ndarray]:
-        """A vector laid out like params, as views shaped like the trainable
-        arrays: per layer coeffs, w_base, w_spline, then per layer norm gain,
-        bias."""
-        return [vec[start:stop].reshape(shape) for start, stop, shape in self.layout]
+    def views(self, vec: np.ndarray) -> list[KANLayer]:
+        """A vector laid out like params, as one KANLayer per layer whose
+        coeffs, w_base, w_spline and norm gain and bias are views of it."""
+        layers = []
+        for grid, aggregator, slots in self.layout:
+            coeffs, w_base, w_spline, *norm = [vec[start:stop].reshape(shape)
+                                               for start, stop, shape in slots]
+            layers.append(KANLayer(coeffs, w_base, w_spline, grid, aggregator,
+                                   LayerNormParams(*norm) if norm else None))
+        return layers
+
+
+@dataclass
+class LayerTrace:
+    """One layer's intermediates of a traced forward pass.
+
+    inputs        (B, n_in)  spline inputs: the network input, then hidden
+                  values after any norm
+    basis, basis_deriv  (B, n_in, n_basis+1)  B-spline values then silu, and
+                  their x-derivatives (None for layer 0: nothing reads them)
+    coeffs        (n_out, n_in, n_basis+1)  folded coefficients
+    edge_outputs  (B, n_out, n_in)  edge outputs
+    ln_zhat, ln_inv_std  layer-norm intermediates; None without a norm
+    """
+
+    inputs: np.ndarray
+    basis: np.ndarray
+    basis_deriv: np.ndarray | None
+    coeffs: np.ndarray
+    edge_outputs: np.ndarray
+    ln_zhat: np.ndarray | None
+    ln_inv_std: np.ndarray | None
 
 
 @dataclass
 class ForwardTrace:
-    """Per-layer intermediates of one traced forward pass: what backward and
-    adherence_counts read, one entry per layer l in each list.
-
-    inputs[l]        (B, n_in)  spline inputs: the network input, then hidden
-                     values after any norm
-    basis[l], basis_deriv[l]  (B, n_in, n_basis+1)  B-spline values then silu,
-                     and their x-derivatives (None for l = 0: nothing reads them)
-    coeffs[l]        (n_out, n_in, n_basis+1)  folded coefficients
-    edge_outputs[l]  (B, n_out, n_in)  edge outputs
-    ln_zhat[l], ln_inv_std[l]  layer-norm intermediates; None without a norm
-    The logits are forward's return value.
-    """
+    """What backward and adherence_counts read of one traced forward pass:
+    one LayerTrace per layer of the network. The logits are forward's return
+    value."""
 
     network: Network
-    inputs: list = field(default_factory=list)
-    basis: list = field(default_factory=list)
-    basis_deriv: list = field(default_factory=list)
-    coeffs: list = field(default_factory=list)
-    edge_outputs: list = field(default_factory=list)
-    ln_zhat: list = field(default_factory=list)
-    ln_inv_std: list = field(default_factory=list)
+    layers: list = field(default_factory=list)
 
 
 def build_network(config: NetworkConfig) -> Network:
     """Deterministically initialize a network from its config seed.
 
-    coeffs ~ Normal(0, 0.1), w_base = w_spline = 1, layer-norm gain/bias = 1/0.
+    coeffs ~ Normal(0, 0.1), drawn layer by layer; w_base = w_spline = 1;
+    layer-norm gain/bias = 1/0. Each layer's arrays, in that order, follow
+    the previous layer's in params.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
     grid = make_grid(-1.0, 1.0, config.grid_size, config.degree)
-    shapes = [shape for n_in, n_out in zip(config.widths[:-1], config.widths[1:])
-              for shape in ((n_out, n_in, grid.n_basis), (n_out, n_in), (n_out, n_in))]
-    if config.layer_norm:
-        shapes += [(width,) for width in config.widths[1:-1] for _ in range(2)]
-    layout, start = [], 0
-    for shape in shapes:
-        stop = start + int(np.prod(shape))
-        layout.append((start, stop, shape))
-        start = stop
-    net = Network(config=config, params=np.empty(start), layout=tuple(layout))
-    views = iter(net.views(net.params))
-    for agg in config.aggregators:
-        coeffs, w_base, w_spline = next(views), next(views), next(views)
-        coeffs[...] = rng.normal(0.0, 0.1, size=coeffs.shape)
-        w_base.fill(1.0)
-        w_spline.fill(1.0)
-        net.layers.append(KANLayer(coeffs, w_base, w_spline, grid, agg))
-    for _ in config.widths[1:-1]:
-        if config.layer_norm:
-            gain, bias = next(views), next(views)
-            gain.fill(1.0)
-            bias.fill(0.0)
-            net.layer_norms.append(LayerNormParams(gain, bias))
-        else:
-            net.layer_norms.append(None)
-    return net
+    layout, arrays, start = [], [], 0
+    for l, aggregator in enumerate(config.aggregators):
+        n_in, n_out = config.widths[l: l + 2]
+        layer = [rng.normal(0.0, 0.1, size=(n_out, n_in, grid.n_basis)),
+                 np.ones((n_out, n_in)), np.ones((n_out, n_in))]
+        if config.layer_norm and l < len(config.aggregators) - 1:
+            layer += [np.ones(n_out), np.zeros(n_out)]
+        slots = []
+        for a in layer:
+            slots.append((start, start + a.size, a.shape))
+            start += a.size
+        layout.append((grid, aggregator, tuple(slots)))
+        arrays += [a.ravel() for a in layer]
+    return Network(config=config, params=np.concatenate(arrays), layout=tuple(layout))
 
 
 def _layer_norm(v: np.ndarray, ln: LayerNormParams):
@@ -199,14 +211,13 @@ def fold_coeffs(layer: KANLayer) -> np.ndarray:
                            layer.w_base[:, :, np.newaxis]), axis=2)
 
 
-def fold_coeffs_adjoint(layer: KANLayer, g: np.ndarray, out):
-    """Write the gradient g of fold_coeffs(layer) into the arrays
-    out = (d_coeffs, d_w_base, d_w_spline)."""
-    d_coeffs, d_w_base, d_w_spline = out
+def fold_coeffs_adjoint(layer: KANLayer, g: np.ndarray, out: KANLayer):
+    """Write the gradient g of fold_coeffs(layer) into out.coeffs, out.w_base
+    and out.w_spline."""
     g_spline = g[:, :, :-1]
-    np.multiply(g_spline, layer.w_spline[:, :, np.newaxis], out=d_coeffs)
-    d_w_base[...] = g[:, :, -1]
-    (g_spline * layer.coeffs).sum(axis=2, out=d_w_spline)
+    np.multiply(g_spline, layer.w_spline[:, :, np.newaxis], out=out.coeffs)
+    out.w_base[...] = g[:, :, -1]
+    (g_spline * layer.coeffs).sum(axis=2, out=out.w_spline)
 
 
 def input_basis(net: Network, x: np.ndarray) -> np.ndarray:
@@ -221,7 +232,6 @@ def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None,
                   basis0: np.ndarray | None = None):
     """All layers on a block of rows; fills the trace when one is given.
     basis0, when given, is input_basis(net, x), built by the caller."""
-    n_layers = len(net.layers)
     for l, layer in enumerate(net.layers):
         if l == 0 and basis0 is not None:
             basis, derivs = basis0, None
@@ -231,16 +241,11 @@ def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None,
         coeffs = fold_coeffs(layer)
         edge_out = per_input_matmul(basis, coeffs)
         node = aggregate_batch(edge_out, layer.aggregator)
-        ln = net.layer_norms[l] if l < n_layers - 1 else None
-        out, zhat, inv_std = (node, None, None) if ln is None else _layer_norm(node, ln)
+        out, zhat, inv_std = ((node, None, None) if layer.norm is None
+                              else _layer_norm(node, layer.norm))
         if t is not None:
-            t.inputs.append(x)
-            t.basis.append(basis)
-            t.basis_deriv.append(derivs)
-            t.coeffs.append(coeffs)
-            t.edge_outputs.append(edge_out)
-            t.ln_zhat.append(zhat)
-            t.ln_inv_std.append(inv_std)
+            t.layers.append(LayerTrace(x, basis, derivs, coeffs, edge_out,
+                                       zhat, inv_std))
         x = out
         # free this layer's arrays before the next layer allocates its own
         del basis, derivs, edge_out, node
@@ -301,7 +306,7 @@ def adherence_counts(trace: ForwardTrace):
     """(inside, total) value counts per hidden layer for one trace: hidden
     vector l counts inside where it lies in the closed range of the grid of
     layer l + 1, the layer that reads it."""
-    hidden = trace.inputs[1:]
+    hidden = [rec.inputs for rec in trace.layers[1:]]
     grids = [layer.grid for layer in trace.network.layers[1:]]
     inside = np.array([int(((v >= g.range_lo) & (v <= g.range_hi)).sum())
                        for v, g in zip(hidden, grids)])

@@ -1,11 +1,13 @@
 """Supervised classification training for KAN networks.
 
-Reverse-mode gradients chain node aggregation, layer normalization, and each
-layer's one contraction of its extended basis with its folded coefficients
-(network.py maps those gradients back onto the edge parameters). backward
-returns one gradient vector laid out like Network.params, and Adam updates
-that whole vector in one pass, one mini-batch per iteration, batches drawn
-by seeded shuffling with a reshuffle at every epoch boundary.
+Reverse-mode gradients walk the layers of a ForwardTrace from the last to
+the first, chaining each layer's norm, node aggregation and one contraction
+of its extended basis with its folded coefficients (network.py maps those
+gradients back onto the edge parameters). backward writes each layer's
+gradient by field into a KANLayer of Network.views of one gradient vector,
+so it never sees the vector's layout; Adam updates that whole vector in one
+pass, one mini-batch per iteration, batches drawn by seeded shuffling with a
+reshuffle at every epoch boundary.
 """
 
 from __future__ import annotations
@@ -108,15 +110,16 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray,
 
     d_logits holds per-sample loss gradients, one row per traced sample; the
     result is one vector laid out like net.params, each layer's gradients
-    written into net.views of it, and returned. A caller that keeps one
-    gradient vector grad passes views=net.views(grad), built once: backward
-    then overwrites every element of grad through them and returns None.
+    written by field into its layer of net.views of it, and returned. A
+    caller that keeps one gradient vector grad passes views=net.views(grad),
+    built once: backward then overwrites every element of grad through them
+    and returns None.
     Raises on a trace that was not produced by this network.
     """
     if trace.network is not net:
         raise ValueError("trace was produced by a different network")
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    batch = trace.inputs[0].shape[0]
+    batch = trace.layers[0].inputs.shape[0]
     if d_logits.shape != (batch, net.n_out):
         raise ValueError(
             f"d_logits shape {d_logits.shape} does not match trace "
@@ -126,34 +129,27 @@ def backward(net: Network, trace: ForwardTrace, d_logits: np.ndarray,
     if views is None:
         grad = np.empty_like(net.params)
         views = net.views(grad)
-    n_layers = len(net.layers)
-    ln_views = views[3 * n_layers:]
     # scale once so every accumulated parameter gradient is the batch mean
     d_out = d_logits / batch
-    for l in range(n_layers - 1, -1, -1):
-        layer = net.layers[l]
-        ln = net.layer_norms[l] if l < n_layers - 1 else None
-        if ln is not None:
-            zhat = trace.ln_zhat[l]
-            inv_std = trace.ln_inv_std[l]
-            d_gain, d_bias = ln_views[2 * l: 2 * l + 2]
-            (d_out * zhat).sum(axis=0, out=d_gain)
-            d_out.sum(axis=0, out=d_bias)
-            g = d_out * ln.gain
-            d_node = inv_std * (g - g.mean(axis=-1, keepdims=True)
-                                - zhat * (g * zhat).mean(axis=-1, keepdims=True))
+    for layer, rec, out in zip(reversed(net.layers), reversed(trace.layers),
+                               reversed(views)):
+        if layer.norm is not None:
+            zhat = rec.ln_zhat
+            (d_out * zhat).sum(axis=0, out=out.norm.gain)
+            d_out.sum(axis=0, out=out.norm.bias)
+            g = d_out * layer.norm.gain
+            d_node = rec.ln_inv_std * (g - g.mean(axis=-1, keepdims=True)
+                                       - zhat * (g * zhat).mean(axis=-1, keepdims=True))
         else:
             d_node = d_out
-        d_edge = aggregate_batch_backward(trace.edge_outputs[l], layer.aggregator,
-                                          d_node)
+        d_edge = aggregate_batch_backward(rec.edge_outputs, layer.aggregator, d_node)
         # gradient of the folded coefficients: sum_b d_edge[b, q, p] *
         # basis[b, p, i], as (q, i, p) then (q, p, i)
         d_folded = per_input_matmul(d_edge.transpose(1, 2, 0),
-                                    trace.basis[l].transpose(2, 1, 0)).transpose(0, 2, 1)
-        fold_coeffs_adjoint(layer, d_folded, views[3 * l: 3 * l + 3])
-        if l > 0:
-            d_out = (d_edge * per_input_matmul(trace.basis_deriv[l],
-                                               trace.coeffs[l])).sum(axis=1)
+                                    rec.basis.transpose(2, 1, 0)).transpose(0, 2, 1)
+        fold_coeffs_adjoint(layer, d_folded, out)
+        if rec.basis_deriv is not None:    # None on layer 0: no input gradient
+            d_out = (d_edge * per_input_matmul(rec.basis_deriv, rec.coeffs)).sum(axis=1)
     return grad
 
 

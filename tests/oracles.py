@@ -59,16 +59,16 @@ def naive_network(net, x):
     aggregates naive_edge over its inputs, and hidden nodes go through
     naive_layer_norm when the network has one."""
     values = [float(v) for v in x]
-    for l, layer in enumerate(net.layers):
+    for layer in net.layers:
         kind = layer.aggregator.value
         values = [naive_aggregate(
             [naive_edge(values[p], layer.coeffs[q, p], layer.w_base[q, p],
                         layer.w_spline[q, p], layer.grid)
              for p in range(layer.n_in)], kind)
             for q in range(layer.n_out)]
-        ln = net.layer_norms[l] if l < len(net.layer_norms) else None
-        if ln is not None:
-            values = naive_layer_norm(values, ln.gain, ln.bias, LAYER_NORM_EPS)
+        if layer.norm is not None:
+            values = naive_layer_norm(values, layer.norm.gain, layer.norm.bias,
+                                      LAYER_NORM_EPS)
     return values
 
 
@@ -273,7 +273,7 @@ def reference_train(net, data, cfg):
         logits, trace = forward(net, x[batch], trace=True)
         per_sample, d_logits = loss_fn(logits, y[batch])
         losses.append(float(per_sample.mean()))
-        hidden = trace.inputs[1:]
+        hidden = [rec.inputs for rec in trace.layers[1:]]
         counts = [sum(layer.grid.range_lo <= value <= layer.grid.range_hi
                       for value in v.ravel().tolist())
                   for v, layer in zip(hidden, net.layers[1:])]

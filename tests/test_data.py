@@ -161,6 +161,13 @@ class TestLoadTable:
             with pytest.raises(IngestionError, match="row 2, column 'size'"):
                 load_table(p, MIXED)
 
+    def test_unreadable_csv_record_located(self, tmp_path):
+        # the csv module's own error, here a field over its size limit
+        p = write(tmp_path, 'red,1.0,a\n"' + "r" * 140_000 + '",2.0,b\n')
+        with pytest.raises(IngestionError, match=re.escape(
+                f"{p}: row 2: field larger than field limit (131072)")):
+            load_table(p, MIXED)
+
     def test_whitespace_delimiter_and_header(self, tmp_path):
         m = manifest_for(MIXED.columns, delimiter="whitespace", has_header=True)
         p = write(tmp_path, "color size label\nred 1.0 a\nblue  2.0\tb\n")

@@ -405,19 +405,25 @@ class TestDeterminismAndFailures:
             f.write("r,1,x,extra\n")
         gone = self.write_file_dataset(tmp_path, 40, name="gone")
         os.remove(gone.path)
-        config = quick_config("adherence", datasets=(bad, gone), variants=("kan",),
-                              runs=2, iterations=3)
+        huge = self.write_file_dataset(tmp_path, 40, name="huge")
+        with open(huge.path, "a") as f:    # a field the csv module will not read
+            f.write('"' + "r" * 140_000 + '",1,x\n')
+        config = quick_config("adherence", datasets=(bad, gone, huge),
+                              variants=("kan",), runs=2, iterations=3)
         serial = run_experiment(config)[1]
         parallel = run_experiment(replace(config, parallelism=2))[1]
-        assert parallel == serial and len(serial) == 4
+        assert parallel == serial and len(serial) == 6
         assert [r["error"] for r in serial] == 2 * [
             f"IngestionError: {bad.path}: row 41 has 4 fields, manifest 'bad' "
             f"declares 3 columns"] + 2 * [
             f"IngestionError: cannot open {gone.path}: [Errno 2] "
-            f"No such file or directory: {gone.path!r}"]
-        # the unparseable file's failure is kept; the missing file is tried again
+            f"No such file or directory: {gone.path!r}"] + 2 * [
+            f"IngestionError: {huge.path}: row 41: field larger than field "
+            f"limit (131072)"]
+        # the unparseable files' failures are kept; the missing file is tried again
         pid = str(os.getpid())
-        assert calls() == [(pid, bad.path), (pid, gone.path), (pid, gone.path)]
+        assert calls() == [(pid, bad.path), (pid, gone.path), (pid, huge.path),
+                           (pid, gone.path)]
 
     def test_file_dataset_parallel_equals_serial(self, tmp_path, monkeypatch):
         calls = self.spy_parses(monkeypatch, tmp_path)

@@ -7,7 +7,7 @@ from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.network import (FORWARD_BLOCK_ROWS, LayerNormParams, _layer_norm,
                             adherence_counts, input_basis)
 from kanagg.splines import make_grid
-from kanagg.training import predict
+from kanagg.training import backward, predict, softmax_cross_entropy
 
 from oracles import naive_edge, naive_network
 
@@ -15,6 +15,73 @@ from oracles import naive_edge, naive_network
 def small_net(aggs=("mean", "mean"), widths=(4, 10, 1), seed=0, **kw):
     return build_network(NetworkConfig(widths=widths, aggregators=aggs,
                                        seed=seed, **kw))
+
+
+def layer_arrays(layer):
+    """A layer's trainable arrays by name: coeffs, w_base, w_spline, then its
+    norm's gain and bias when it has one."""
+    arrays = {"coeffs": layer.coeffs, "w_base": layer.w_base,
+              "w_spline": layer.w_spline}
+    if layer.norm is not None:
+        arrays.update(gain=layer.norm.gain, bias=layer.norm.bias)
+    return arrays
+
+
+@pytest.mark.parametrize("layer_norm", [False, True])
+@pytest.mark.parametrize("widths", [(3, 4, 2), (3, 5, 4, 2)])
+class TestLayerObjects:
+    """Each layer is one KANLayer whose arrays, its norm's included, are
+    views of the flat vector that Network.views splits."""
+
+    def test_views_cover_the_vector_once(self, widths, layer_norm):
+        net = small_net(aggs=("sum",) * (len(widths) - 1), widths=widths,
+                        layer_norm=layer_norm)
+        vec = np.zeros_like(net.params)
+        layers = net.views(vec)
+        assert len(layers) == len(net.layers) == len(widths) - 1
+        for l, (layer, own) in enumerate(zip(layers, net.layers)):
+            hidden = l < len(layers) - 1
+            assert (layer.norm is not None) == (own.norm is not None) == (
+                layer_norm and hidden)
+            assert (layer.grid, layer.aggregator) == (own.grid, own.aggregator)
+            own_arrays = layer_arrays(own)
+            for name, a in layer_arrays(layer).items():
+                assert a.base is vec and own_arrays[name].base is net.params
+                assert a.shape == own_arrays[name].shape
+                a += 1.0          # a second view of an element would make it 2
+        np.testing.assert_array_equal(vec, 1.0)
+
+    def test_gradient_layers_mirror_parameter_layers(self, widths, layer_norm):
+        # each named gradient array holds the loss's derivative in the
+        # parameter array of the same layer and name
+        rng = np.random.default_rng(len(widths) + 2 * layer_norm)
+        net = small_net(aggs=("sum",) * (len(widths) - 1), widths=widths,
+                        layer_norm=layer_norm, seed=5)
+        net.params[...] += rng.normal(0.0, 0.2, net.params.size)
+        x = rng.uniform(-1.2, 1.2, (6, widths[0]))
+        labels = rng.integers(0, widths[-1], 6)
+
+        def loss():
+            return float(softmax_cross_entropy(forward(net, x), labels)[0].mean())
+
+        logits, trace = forward(net, x, trace=True)
+        grads = net.views(backward(net, trace, softmax_cross_entropy(logits, labels)[1]))
+        step = 1e-5
+        for grad, layer in zip(grads, net.layers):
+            own_arrays = layer_arrays(layer)
+            assert layer_arrays(grad).keys() == own_arrays.keys()
+            for name, g in layer_arrays(grad).items():
+                param = own_arrays[name]
+                assert g.shape == param.shape
+                index = tuple(s - 1 for s in param.shape)    # the last entry
+                orig = param[index]
+                param[index] = orig + step
+                hi = loss()
+                param[index] = orig - step
+                lo = loss()
+                param[index] = orig
+                assert g[index] == pytest.approx((hi - lo) / (2 * step),
+                                                 rel=1e-4, abs=1e-8), name
 
 
 class TestBuild:
@@ -29,15 +96,16 @@ class TestBuild:
         n_edges = 34 * 10 + 10 * 6
         expected = n_edges * (6 + 2) + 2 * 10  # coeffs+weights, then gain+bias
         assert net.params.shape == (expected,)
-        assert sum(v.size for v in net.views(net.params)) == expected
+        assert sum(a.size for layer in net.views(net.params)
+                   for a in layer_arrays(layer).values()) == expected
 
     def test_arrays_are_views_of_params(self):
         net = small_net(aggs=("sum", "sum"), widths=(3, 4, 2), layer_norm=True)
         rng = np.random.default_rng(2)
         # spread parameters and inputs so every basis function sees points
         net.params[...] = rng.normal(0.0, 1.0, net.params.size)
-        net.layer_norms[0].gain[...] = 2.0
-        net.layer_norms[0].bias[...] = 0.0
+        net.layers[0].norm.gain[...] = 2.0
+        net.layers[0].norm.bias[...] = 0.0
         x = rng.uniform(-3, 3, (200, 3))
         before = forward(net, x)
         for i in range(net.params.size):
@@ -57,7 +125,7 @@ class TestBuild:
                 layer.coeffs, rng.normal(0.0, 0.1, size=(n_out, n_in, n_basis)))
             np.testing.assert_array_equal(layer.w_base, np.ones((n_out, n_in)))
             np.testing.assert_array_equal(layer.w_spline, np.ones((n_out, n_in)))
-        ln = net.layer_norms[0]
+        ln = net.layers[0].norm
         np.testing.assert_array_equal(ln.gain, np.ones(4))
         np.testing.assert_array_equal(ln.bias, np.zeros(4))
 
@@ -131,12 +199,15 @@ class TestForward:
         plain = forward(net, x)
         traced, trace = forward(net, x, trace=True)
         np.testing.assert_array_equal(plain, traced)
-        assert trace.edge_outputs[0].shape == (5, 6, 3)
-        assert [v.shape for v in trace.inputs] == [(5, 3), (5, 6)]
+        first, second = trace.layers
         n = net.layers[0].grid.n_basis + 1     # B-spline values, then silu
-        assert [v.shape for v in trace.basis] == [(5, 3, n), (5, 6, n)]
-        assert [v.shape for v in trace.coeffs] == [(6, 3, n), (2, 6, n)]
-        assert trace.basis_deriv[0] is None and trace.basis_deriv[1].shape == (5, 6, n)
+        assert first.edge_outputs.shape == (5, 6, 3)
+        assert (first.inputs.shape, second.inputs.shape) == ((5, 3), (5, 6))
+        assert (first.basis.shape, second.basis.shape) == ((5, 3, n), (5, 6, n))
+        assert (first.coeffs.shape, second.coeffs.shape) == ((6, 3, n), (2, 6, n))
+        assert first.basis_deriv is None and second.basis_deriv.shape == (5, 6, n)
+        assert first.ln_zhat.shape == (5, 6) and first.ln_inv_std.shape == (5, 1)
+        assert second.ln_zhat is None and second.ln_inv_std is None
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(9)
@@ -171,8 +242,8 @@ class TestFoldedEdges:
             layer.w_base[...] = rng.normal(0.0, 1.0, layer.w_base.shape)
             layer.w_spline[...] = rng.normal(0.0, 1.0, layer.w_spline.shape)
         if layer_norm:
-            net.layer_norms[0].gain[...] = rng.normal(1.0, 0.3, 4)
-            net.layer_norms[0].bias[...] = rng.normal(0.0, 0.3, 4)
+            net.layers[0].norm.gain[...] = rng.normal(1.0, 0.3, 4)
+            net.layers[0].norm.bias[...] = rng.normal(0.0, 0.3, 4)
         # inside the grid range, in the band past it that the extended knots
         # cover when degree > 0, and past the last knot, where only the silu
         # residual is left
@@ -223,10 +294,10 @@ class TestCallerLayerZeroBasis:
         logits, trace = forward(net, x[rows], trace=True)
         given_logits, given = forward(net, x[rows], trace=True, basis0=block[rows])
         np.testing.assert_array_equal(given_logits, logits)
-        for name in ("basis", "edge_outputs", "inputs"):
-            for a, b in zip(getattr(given, name), getattr(trace, name)):
-                np.testing.assert_array_equal(a, b)
-        assert given.basis_deriv[0] is None
+        for a, b in zip(given.layers, trace.layers):
+            for name in ("basis", "edge_outputs", "inputs"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert given.layers[0].basis_deriv is None
 
     def test_mismatched_basis_rejected(self):
         net = small_net(aggs=("sum", "sum"), widths=(5, 6, 3), seed=37)
@@ -284,11 +355,11 @@ class TestLayerNorm:
         net = small_net(aggs=("sum", "sum"), widths=(3, 5, 2), layer_norm=True)
         x = np.random.default_rng(1).uniform(-1, 1, (4, 3))
         logits, trace = forward(net, x, trace=True)
-        hidden = trace.inputs[1]    # the next layer's spline inputs
+        hidden = trace.layers[1].inputs    # the next layer's spline inputs
         np.testing.assert_allclose(hidden.mean(axis=1), 0.0, atol=1e-9)
         # final logits are raw: the output layer's aggregation, not normalized
         assert not np.allclose(logits.mean(axis=1), 0.0, atol=1e-6)
-        np.testing.assert_array_equal(logits, trace.edge_outputs[1].sum(axis=2))
+        np.testing.assert_array_equal(logits, trace.layers[1].edge_outputs.sum(axis=2))
 
     def test_invalid(self):
         # a hidden layer is never empty
@@ -301,7 +372,7 @@ class TestRangeAdherence:
         net = small_net(widths=(2, len(values), 2))
         x = np.zeros((1, 2))
         _, trace = forward(net, x, trace=True)
-        trace.inputs[1] = np.asarray([values], dtype=float)
+        trace.layers[1].inputs = np.asarray([values], dtype=float)
         return trace
 
     def test_fraction_with_boundaries_inclusive(self):

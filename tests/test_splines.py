@@ -231,10 +231,10 @@ def edge_gradients(coeffs, w_base, w_spline, x, upstream):
     second.w_base[...] = w_base
     second.w_spline[...] = w_spline
     _, trace = forward(net, np.array([[X0]]), trace=True)
-    grads = net.views(backward(net, trace, np.array([[upstream]])))
-    d_x = grads[1][0, 0] / naive_silu(X0)
-    return (float(trace.inputs[1][0, 0]), float(d_x), grads[3][0, 0],
-            float(grads[4][0, 0]), float(grads[5][0, 0]))
+    d_first, d_second = net.views(backward(net, trace, np.array([[upstream]])))
+    d_x = d_first.w_base[0, 0] / naive_silu(X0)
+    return (float(trace.layers[1].inputs[0, 0]), float(d_x), d_second.coeffs[0, 0],
+            float(d_second.w_base[0, 0]), float(d_second.w_spline[0, 0]))
 
 
 def finite_difference(net, array, index, x, step):

@@ -82,12 +82,12 @@ class TestBackward:
         layer = net.layers[0]
         x = 0.62
         _, trace = forward(net, np.array([[x]]), trace=True)
-        grads = net.views(backward(net, trace, np.array([[1.0]])))
+        [grads] = net.views(backward(net, trace, np.array([[1.0]])))
         basis = naive_basis_vector(x, layer.grid)
-        np.testing.assert_allclose(grads[0][0, 0], layer.w_spline[0, 0] * basis,
+        np.testing.assert_allclose(grads.coeffs[0, 0], layer.w_spline[0, 0] * basis,
                                    atol=1e-14)
-        assert grads[1][0, 0] == pytest.approx(naive_silu(x), abs=1e-14)
-        assert grads[2][0, 0] == pytest.approx(
+        assert grads.w_base[0, 0] == pytest.approx(naive_silu(x), abs=1e-14)
+        assert grads.w_spline[0, 0] == pytest.approx(
             float(layer.coeffs[0, 0] @ basis), abs=1e-14)
 
     def test_mismatched_trace_rejected(self):
@@ -129,7 +129,7 @@ class TestBackward:
             return float(losses.mean())
 
         logits, trace = forward(net, xs, trace=True)
-        assert trace.basis_deriv[0] is None
+        assert trace.layers[0].basis_deriv is None
         _, d_logits = softmax_cross_entropy(logits, labels)
         grads = backward(net, trace, d_logits)
         assert grads.shape == net.params.shape
@@ -249,8 +249,8 @@ class TestTrain:
             batch = x[order[cursor: cursor + cfg.batch_size]]
             cursor += cfg.batch_size
             _, trace = forward(net, batch, trace=True)
-            for layer, ((lo, hi), hidden) in enumerate(zip(ranges, trace.inputs[1:])):
-                for value in hidden.ravel().tolist():
+            for layer, ((lo, hi), rec) in enumerate(zip(ranges, trace.layers[1:])):
+                for value in rec.inputs.ravel().tolist():
                     inside[layer] += lo <= value <= hi
                     total[layer] += 1
         return [i / n for i, n in zip(inside, total)]
