@@ -420,6 +420,10 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
     separation with large noise gives a weak-signal task whose optimum keeps
     activations moderate. As in preprocess, each feature is mapped onto
     [-1, 1] by its train min/max unless scale_features is False.
+
+    The feature matrix is built in place: no matrix-sized temporary lives
+    beside it, so building a dataset needs little more than the dataset
+    (scaling copies the train split's rows for their min/max).
     """
     if n_features < 2:
         raise ValueError(f"need at least 2 features, got {n_features}")
@@ -449,9 +453,14 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
                     patterns[c] = p
                     break
         y = rng.integers(0, n_classes, size=n_instances).astype(np.int64)
-        x = np.clip(patterns[y] * separation
-                    + rng.normal(0.0, noise, size=(n_instances, n_features)),
-                    -1.0, 1.0)
+        # clip(patterns[y] * separation + normal(0, noise)), built in x's own
+        # buffer: normal(0, noise) is 0.0 + noise * standard_normal, so the
+        # bits are the same, and each class's shift goes to its rows
+        x = rng.standard_normal((n_instances, n_features))
+        x *= noise
+        for c in range(n_classes):
+            np.add(x, patterns[c] * separation, out=x, where=(y == c)[:, np.newaxis])
+        np.clip(x, -1.0, 1.0, out=x)
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
 

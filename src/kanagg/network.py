@@ -13,8 +13,10 @@ An edge w_base * silu(x) + w_spline * sum_i c_i B_i(x) is the dot product of
 the extended basis [B_1(x), ..., B_n(x), silu(x)], built by splines.py in one
 buffer, with the folded coefficients [w_spline * c, w_base]; a layer is one
 (batch x n_basis+1) by (n_basis+1 x n_out) matrix product per input.
-Untraced forward passes (evaluation and prediction) run in fixed blocks of
-rows; traced passes keep every intermediate that backward reads.
+Untraced forward passes (evaluation and prediction) run in blocks of
+block_rows(net) rows, a fixed number of layer-0 points each, so a wide input
+gets shorter blocks; traced passes keep every intermediate that backward
+reads.
 
 Every trainable value lives in one float64 vector, Network.params, and only
 this module knows its layout: Network.views(vec) splits a vector laid out
@@ -36,7 +38,10 @@ from .aggregators import Aggregator, aggregate_batch
 from .splines import KnotGrid, basis_matrix, make_grid
 
 LAYER_NORM_EPS = 1e-5
-FORWARD_BLOCK_ROWS = 1024   # rows per block of an untraced forward pass
+# layer-0 points (rows x n_in) per block of an untraced forward pass and of
+# train's layer-0 basis: a block's buffers then have the same size whatever
+# the input width
+FORWARD_BLOCK_POINTS = 8192
 
 
 class ConfigError(ValueError):
@@ -228,6 +233,12 @@ def input_basis(net: Network, x: np.ndarray) -> np.ndarray:
     return basis_matrix(x, net.layers[0].grid, derivs=False)[0]
 
 
+def block_rows(net: Network) -> int:
+    """Rows per block: FORWARD_BLOCK_POINTS layer-0 points, at least one row
+    (273 rows at 30 inputs, 585 at 14, 1365 at 6)."""
+    return max(1, FORWARD_BLOCK_POINTS // net.n_in)
+
+
 def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None,
                   basis0: np.ndarray | None = None):
     """All layers on a block of rows; fills the trace when one is given.
@@ -256,13 +267,14 @@ def forward(net: Network, x, trace: bool = False, basis0=None):
     """Run the network on a (batch, n_in) array.
 
     Returns (batch, n_out) logits, or (logits, ForwardTrace) when trace=True.
-    Every step is row-wise, so the untraced pass runs FORWARD_BLOCK_ROWS rows
-    at a time, which bounds its memory by the block, not the batch; the
-    traced pass keeps the whole batch's intermediates for backward. A traced
-    pass may take layer 0's basis from the caller as basis0 =
-    input_basis(net, x), for example a slice of one built for many batches
-    at once; it then builds the basis of layers 1 and up only. An untraced
-    pass ignores basis0.
+    Every step is row-wise, so the untraced pass runs block_rows(net) rows at
+    a time, FORWARD_BLOCK_POINTS layer-0 points: besides the input and the
+    logits it holds one block's bases and edge outputs, whatever the batch
+    or the input width. The traced pass keeps the whole batch's
+    intermediates for backward. A traced pass may take layer 0's basis from
+    the caller as basis0 = input_basis(net, x), for example a slice of one
+    built for many batches at once; it then builds the basis of layers 1
+    and up only. An untraced pass ignores basis0.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.n_in:
@@ -277,8 +289,9 @@ def forward(net: Network, x, trace: bool = False, basis0=None):
         t = ForwardTrace(network=net)
         return _forward_rows(net, x, t, basis0), t
     logits = np.empty((x.shape[0], net.n_out))
-    for start in range(0, x.shape[0], FORWARD_BLOCK_ROWS):
-        rows = slice(start, start + FORWARD_BLOCK_ROWS)
+    step = block_rows(net)
+    for start in range(0, x.shape[0], step):
+        rows = slice(start, start + step)
         logits[rows] = _forward_rows(net, x[rows], None)
     return logits
 
@@ -288,12 +301,15 @@ def mean_to_scaled_sum(net: Network) -> Network:
 
     Scales w_base and w_spline by 1/n_in per layer, which divides each whole
     edge activation by the fan-in; the mean-aggregated original and this
-    sum-aggregated copy then compute identical outputs.
+    sum-aggregated copy then compute identical outputs. Each twin layer
+    takes the grid of the source layer, so a grid set on a layer after
+    build_network carries over.
     """
-    twin = build_network(replace(
-        net.config, aggregators=tuple(Aggregator.SUM if a is Aggregator.MEAN else a
-                                      for a in net.config.aggregators)))
-    twin.params[...] = net.params
+    config = replace(net.config, aggregators=tuple(
+        Aggregator.SUM if a is Aggregator.MEAN else a for a in net.config.aggregators))
+    twin = Network(config=config, params=net.params.copy(), layout=tuple(
+        (src.grid, aggregator, slots) for src, aggregator, (_, _, slots)
+        in zip(net.layers, config.aggregators, net.layout)))
     for src, dst in zip(net.layers, twin.layers):
         if src.aggregator is Aggregator.MEAN:
             scale = 1.0 / src.n_in

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregators import aggregate_batch_backward
-from .network import (FORWARD_BLOCK_ROWS, ConfigError, ForwardTrace, Network,
-                      adherence_counts, fold_coeffs_adjoint, forward, input_basis,
+from .network import (ConfigError, ForwardTrace, Network, adherence_counts,
+                      block_rows, fold_coeffs_adjoint, forward, input_basis,
                       per_input_matmul)
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -202,9 +202,17 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     Layer 0's spline inputs are training rows on a fixed grid, so their
     basis does not change as the parameters do: it is built for a block of
     upcoming batches at once (the rest of the epoch's order in whole
-    batches, at most FORWARD_BLOCK_ROWS rows and no further than the last
-    iteration), and each step's traced forward reads its slice of the block.
-    A reshuffle starts a new block.
+    batches, at most block_rows(net) rows, the same FORWARD_BLOCK_POINTS
+    layer-0 points that bound an untraced forward block, and no further
+    than the last iteration), and each step's traced forward reads its slice
+    of the block. A reshuffle starts a new block, and the old one is freed
+    before the new one is built.
+
+    Besides the dataset, a run holds one copy of the train split (features
+    and labels, for the batches), the parameters, Adam's moments, one
+    block and one step's trace. Evaluation frees the block and the trace,
+    scores the train split, drops its copy and then scores val and test,
+    each from its own copy of that split's rows.
     """
     cfg.validate()
     if data.n_features != net.n_in:
@@ -221,7 +229,7 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     state = adam_init(params)
     grads = np.empty_like(params)
     grad_views = net.views(grads)
-    batches_per_block = max(1, FORWARD_BLOCK_ROWS // cfg.batch_size)
+    batches_per_block = max(1, block_rows(net) // cfg.batch_size)
 
     losses = []
     inside = total = 0      # become per-hidden-layer count arrays at step one
@@ -236,6 +244,9 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
             block_start = cursor
             block_end = min(n_train, cursor + cfg.batch_size * min(
                 batches_per_block, cfg.iterations - it))
+            # the last trace holds a view of the old block: free both first,
+            # so a run never holds two blocks
+            block = trace = None
             block = input_basis(net, x_train[order[block_start: block_end]])
         batch_idx = order[cursor: cursor + cfg.batch_size]
         rows = slice(cursor - block_start, cursor - block_start + len(batch_idx))
@@ -263,11 +274,13 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     if not np.all(np.isfinite(params)):
         raise TrainingDiverged(cfg.iterations - 1, "non-finite parameters after update")
 
+    train_acc = evaluate(net, x_train, y_train, data.n_classes)
+    del x_train, y_train    # val and test each copy their own rows
     val_acc = (evaluate(net, data.features[data.val_idx], data.labels[data.val_idx],
                         data.n_classes) if len(data.val_idx) else float("nan"))
     return TrainResult(
         loss_curve=losses,
-        train_accuracy=evaluate(net, x_train, y_train, data.n_classes),
+        train_accuracy=train_acc,
         val_accuracy=val_acc,
         test_accuracy=evaluate(net, data.features[data.test_idx],
                                data.labels[data.test_idx], data.n_classes),

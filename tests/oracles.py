@@ -230,6 +230,36 @@ def naive_preprocess(cells, manifest, seed, scale_features=True):
     return splits, features, labels, len(vocab)
 
 
+def naive_gaussian_blobs(n_features, n_instances, seed, n_classes, separation,
+                         noise, scale_features=True):
+    """The gaussian-blobs recipe out of place, with the generator's draws in
+    its order: distinct sign patterns by rejection, labels, then
+    clip(patterns[y] * separation + normal(0, noise)), the 60/20/20 split
+    from the same generator, and per-cell scaling by the train min/max.
+    Returns (features as row lists, labels, (train, val, test))."""
+    rng = np.random.default_rng(seed)
+    patterns = []
+    while len(patterns) < n_classes:
+        p = rng.choice([-1.0, 1.0], size=n_features)
+        if not any(np.array_equal(p, q) for q in patterns):
+            patterns.append(p)
+    y = rng.integers(0, n_classes, size=n_instances)
+    x = np.clip(np.array(patterns)[y] * separation
+                + rng.normal(0.0, noise, size=(n_instances, n_features)), -1.0, 1.0)
+    perm = rng.permutation(n_instances).tolist()
+    n_val = round(n_instances * 0.2)
+    n_train = n_instances - n_val - round(n_instances * 0.2)
+    splits = perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
+    columns = x.T.tolist()
+    if scale_features:
+        for j, col in enumerate(columns):
+            lo = min(col[i] for i in splits[0])
+            hi = max(col[i] for i in splits[0])
+            columns[j] = [(v - lo) / (hi - lo) * 2.0 - 1.0 if hi > lo else 0.0
+                          for v in col]
+    return [list(row) for row in zip(*columns)], y.tolist(), splits
+
+
 def reference_adam(params, grad_fn, lr, beta1, beta2, eps, steps):
     """Plain-python Adam trajectory over a list of scalar parameters."""
     params = [float(p) for p in params]

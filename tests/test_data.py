@@ -14,7 +14,7 @@ from kanagg import IngestionError, PreprocessError, load_manifest, load_table, \
 from kanagg.cli import main as cli_main
 from kanagg.data import ColumnSpec, DatasetManifest, RawTable
 
-from oracles import naive_encode_categorical, naive_preprocess
+from oracles import naive_encode_categorical, naive_gaussian_blobs, naive_preprocess
 
 
 def manifest_for(columns, **kw):
@@ -458,6 +458,24 @@ class TestSynthetic:
             lo, hi = min(col[i] for i in train), max(col[i] for i in train)
             assert d.features[:, j].tolist() == [
                 (v - lo) / (hi - lo) * 2.0 - 1.0 for v in col]
+
+    @pytest.mark.parametrize("scale_features", [True, False])
+    @pytest.mark.parametrize("n_features, n_instances, n_classes, separation, noise", [
+        (5, 157, 2, 0.35, 0.12),
+        (30, 400, 3, 0.06, 0.45),
+        (7, 1000, 4, 0.5, 0.3),
+    ])
+    def test_blobs_equal_out_of_place_oracle(self, n_features, n_instances, n_classes,
+                                             separation, noise, scale_features):
+        d = synthetic_dataset("gaussian-blobs", n_features, n_instances, seed=12,
+                              n_classes=n_classes, separation=separation,
+                              noise=noise, scale_features=scale_features)
+        features, labels, splits = naive_gaussian_blobs(
+            n_features, n_instances, 12, n_classes, separation, noise, scale_features)
+        assert d.features.tolist() == features
+        assert d.labels.tolist() == labels
+        assert [s.tolist() for s in (d.train_idx, d.val_idx, d.test_idx)] == list(splits)
+        assert d.n_classes == n_classes
 
     def test_split_cover(self):
         d = synthetic_dataset("gaussian-blobs", 4, 123, seed=1)

@@ -218,6 +218,26 @@ def test_payload_rebuilt_from_records_alone(monkeypatch, mode, settings):
     assert json.dumps(rebuilt, sort_keys=True) == json.dumps(payload, sort_keys=True)
 
 
+def test_run_memory_is_bounded_by_its_dataset():
+    # a run holds its dataset, one train-split copy and one bounded block:
+    # its allocation peak stays a small multiple of the feature matrix
+    import tracemalloc
+    from kanagg.harness import _build_specs, _resolve_manifests, execute_run
+    n_instances, n_features = 20000, 30
+    config = quick_config("compare", variants=("kan",), runs=1, iterations=20,
+                          datasets=(blob_manifest("big-blobs", n_features, n_instances,
+                                                  separation=0.06, noise=0.45),))
+    spec, = _build_specs(config, _resolve_manifests(config))
+    tracemalloc.start()
+    try:
+        record = execute_run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record["status"] == "ok"
+    assert peak <= 2.6 * n_instances * n_features * 8
+
+
 class TestDeterminismAndFailures:
     def test_identical_config_identical_payload(self, tmp_path):
         config = quick_config("compare", variants=("kan", "kan-avg"), runs=2)

@@ -4,8 +4,8 @@ import pytest
 from kanagg import (Aggregator, ConfigError, NetworkConfig, build_network,
                     forward, mean_to_scaled_sum)
 from kanagg.aggregators import AGGREGATOR_NAMES
-from kanagg.network import (FORWARD_BLOCK_ROWS, LayerNormParams, _layer_norm,
-                            adherence_counts, input_basis)
+from kanagg.network import (FORWARD_BLOCK_POINTS, LayerNormParams, _layer_norm,
+                            adherence_counts, block_rows, input_basis)
 from kanagg.splines import make_grid
 from kanagg.training import backward, predict, softmax_cross_entropy
 
@@ -256,17 +256,23 @@ class TestFoldedEdges:
 
 
 class TestBlockedForward:
-    """Untraced forward runs in blocks of FORWARD_BLOCK_ROWS rows; traced
-    forward does not, and the two agree on every row."""
+    """Untraced forward runs in blocks of block_rows(net) rows, a fixed
+    number of layer-0 points; traced forward does not, and the two agree on
+    every row."""
+
+    def test_block_holds_a_fixed_number_of_layer0_points(self):
+        for n_in, rows in ((3, 2730), (6, 1365), (14, 585), (30, 273),
+                           (FORWARD_BLOCK_POINTS + 1, 1)):
+            assert block_rows(small_net(widths=(n_in, 2, 2))) == rows
 
     @pytest.mark.parametrize("layer_norm", [False, True])
     @pytest.mark.parametrize("agg", ["sum", "mean", "median", "multiply"])
     def test_blocked_equals_traced(self, agg, layer_norm):
         net = small_net(aggs=(agg, agg), widths=(5, 6, 3), seed=31,
                         layer_norm=layer_norm)
-        x = np.random.default_rng(32).uniform(-1.5, 1.5, (2500, 5))
-        b = FORWARD_BLOCK_ROWS
-        for n in (1, b - 1, b, b + 1, 2500):
+        b = block_rows(net)
+        x = np.random.default_rng(32).uniform(-1.5, 1.5, (2 * b + 7, 5))
+        for n in (1, b - 1, b, b + 1, len(x)):
             blocked = forward(net, x[:n])
             traced, _ = forward(net, x[:n], trace=True)
             assert blocked.shape == (n, 3)
@@ -275,10 +281,21 @@ class TestBlockedForward:
     @pytest.mark.parametrize("agg", ["sum", "mean", "median", "multiply"])
     def test_predict_same_in_one_call_or_row_by_row(self, agg):
         net = small_net(aggs=(agg, agg), widths=(5, 6, 3), seed=33, layer_norm=True)
-        x = np.random.default_rng(34).uniform(-1.5, 1.5, (FORWARD_BLOCK_ROWS + 40, 5))
+        x = np.random.default_rng(34).uniform(-1.5, 1.5, (block_rows(net) + 40, 5))
         together = predict(net, x, 3)
         one_by_one = np.concatenate([predict(net, row[np.newaxis], 3) for row in x])
         np.testing.assert_array_equal(together, one_by_one)
+
+    @pytest.mark.parametrize("n_in", [3, 14, 30])
+    def test_logits_same_in_one_call_or_row_by_row(self, n_in):
+        # two whole blocks and part of a third, so every block boundary and
+        # the short last block are crossed
+        net = small_net(aggs=("median", "mean"), widths=(n_in, 6, 3), seed=38,
+                        layer_norm=True)
+        b = block_rows(net)
+        x = np.random.default_rng(39).uniform(-1.5, 1.5, (2 * b + 5, n_in))
+        one_by_one = np.concatenate([forward(net, row[np.newaxis]) for row in x])
+        np.testing.assert_allclose(forward(net, x), one_by_one, rtol=1e-12, atol=1e-12)
 
 
 class TestCallerLayerZeroBasis:
@@ -323,6 +340,16 @@ class TestScaledSumEquivalence:
             x = rng.uniform(-2, 2, (20, widths[0]))
             np.testing.assert_allclose(forward(net, x), forward(twin, x),
                                        atol=1e-9)
+
+    def test_layer_grid_carries_over(self):
+        net = small_net(aggs=("mean", "mean"), widths=(3, 4, 2), seed=40)
+        net.layers[1].grid = make_grid(-2.0, 2.0)
+        twin = mean_to_scaled_sum(net)
+        assert twin.layers[1].grid is net.layers[1].grid
+        # hidden values past [-1, 1], where the two grids differ
+        x = np.random.default_rng(41).uniform(-2.0, 2.0, (50, 3))
+        np.testing.assert_allclose(forward(twin, x), forward(net, x),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_non_mean_layers_untouched(self):
         net = small_net(aggs=("mean", "norm"), widths=(3, 5, 2))

@@ -12,7 +12,7 @@ from kanagg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 import kanagg.network
 import kanagg.training
-from kanagg.network import FORWARD_BLOCK_ROWS
+from kanagg.network import block_rows
 from kanagg.splines import make_grid
 from oracles import naive_basis_vector, naive_silu, reference_adam, \
     reference_train, relative_error
@@ -305,19 +305,19 @@ class TestLayerZeroBlock:
     @pytest.mark.parametrize("n_instances, widths, layer_norm, iterations, batch", [
         (600, (4, 6, 3), False, 5, 32),       # fewer rows than one epoch
         (600, (4, 6, 3), False, 40, 32),      # 360 train rows: partial last batch
-        (2000, (4, 6, 3), False, 80, 32),     # several blocks per epoch
+        (2000, (16, 6, 3), False, 80, 32),    # 512-row blocks, 1200 train rows
         (60, (4, 6, 3), False, 6, 50),        # batch larger than the train split
         (600, (4, 6, 5, 3), True, 40, 32),    # layer norm
     ])
     def test_matches_per_step_reference(self, n_instances, widths, layer_norm,
                                         iterations, batch):
-        data = synthetic_dataset("gaussian-blobs", 4, n_instances, seed=3)
-        if n_instances == 2000:
-            assert len(data.train_idx) > FORWARD_BLOCK_ROWS
+        data = synthetic_dataset("gaussian-blobs", widths[0], n_instances, seed=3)
         cfg = TrainConfig(iterations=iterations, batch_size=batch, seed=7)
         aggs = ("median", "min", "max")[:len(widths) - 1]
         config = NetworkConfig(widths, aggs, layer_norm=layer_norm, seed=5)
         net, ref = build_network(config), build_network(config)
+        if n_instances == 2000:     # several blocks per epoch
+            assert len(data.train_idx) > 2 * block_rows(net)
         res = train(net, data, cfg)
         losses, adherence, accuracy = reference_train(ref, data, cfg)
         assert res.loss_curve == losses
