@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 from .aggregators import Aggregator
 from .splines import KnotGrid, make_grid
-from .network import (ConfigError, ForwardTrace, Network, NetworkConfig,
-                      build_network, forward, mean_to_scaled_sum)
+from .network import (ConfigError, ForwardTrace, Network, build_network,
+                      forward, mean_to_scaled_sum)
 from .training import (AdamState, TrainConfig, TrainResult, TrainingDiverged,
                        adam_init, adam_step, backward, evaluate,
                        softmax_cross_entropy, squared_error_on_index, train)
@@ -26,8 +26,8 @@ from .harness import ExperimentConfig, derive_seed, run_experiment, write_report
 
 __all__ = [
     "Aggregator", "KnotGrid", "make_grid",
-    "ConfigError", "ForwardTrace", "Network", "NetworkConfig",
-    "build_network", "forward", "mean_to_scaled_sum",
+    "ConfigError", "ForwardTrace", "Network", "build_network", "forward",
+    "mean_to_scaled_sum",
     "AdamState", "TrainConfig", "TrainResult", "TrainingDiverged",
     "adam_init", "adam_step", "backward", "evaluate",
     "softmax_cross_entropy", "squared_error_on_index", "train",

@@ -317,8 +317,11 @@ def _scale_columns(matrix: np.ndarray, train_rows):
     (a constant column maps to 0). A val/test value far outside a tiny train
     range overflows to +-inf, as the per-cell arithmetic does; the network
     then rejects it and the run fails."""
-    train = matrix[train_rows]
-    lo, hi = train.min(axis=0), train.max(axis=0)
+    # a row mask, not matrix[train_rows]: min/max read the train rows in place
+    train = np.zeros((len(matrix), 1), dtype=bool)
+    train[train_rows] = True
+    lo = matrix.min(axis=0, where=train, initial=np.inf)
+    hi = matrix.max(axis=0, where=train, initial=-np.inf)
     varying = hi > lo
     with np.errstate(over="ignore"):
         matrix -= lo
@@ -423,7 +426,7 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
 
     The feature matrix is built in place: no matrix-sized temporary lives
     beside it, so building a dataset needs little more than the dataset
-    (scaling copies the train split's rows for their min/max).
+    (scaling reads the train split's min/max in place).
     """
     if n_features < 2:
         raise ValueError(f"need at least 2 features, got {n_features}")

@@ -39,7 +39,7 @@ from . import __version__
 from .aggregators import AGGREGATOR_NAMES
 from .data import Dataset, DatasetManifest, load_manifest, load_table, preprocess, \
     synthetic_dataset
-from .network import NetworkConfig, build_network
+from .network import build_network
 from .stats import average_rank, rank_with_ties, wilcoxon_signed_rank
 from .training import TrainConfig, TrainingDiverged, train
 
@@ -211,12 +211,8 @@ def execute_run(spec: RunSpec) -> dict:
         record["warnings"] = data.warnings
         head_width = 1 if cfg.strict_replication else data.n_classes
         widths = (data.n_features, cfg.hidden_width, head_width)
-        net = build_network(NetworkConfig(
-            widths=widths,
-            aggregators=tuple(spec.aggregators),
-            layer_norm=spec.layer_norm,
-            seed=net_seed,
-        ))
+        net = build_network(widths, spec.aggregators, layer_norm=spec.layer_norm,
+                            seed=net_seed)
         result = train(net, data, TrainConfig(
             iterations=cfg.iterations, batch_size=cfg.batch_size,
             learning_rate=cfg.learning_rate, seed=train_seed))
@@ -237,11 +233,12 @@ def execute_run(spec: RunSpec) -> dict:
 
 def _run_plan(config: ExperimentConfig) -> list[tuple]:
     """The runs of one dataset as (label, aggregators per layer, layer_norm):
-    every "agg1|agg2" pair in a sweep, else the variants (a variant listed
-    twice shares its runs, so a variant can be compared with itself)."""
+    every "agg1|agg2" pair in a sweep, else the variants (an aggregator or
+    a variant listed twice runs once, so a variant can be compared with
+    itself)."""
     if config.mode == "sweep":
         return [(a1 + COMBO_SEP + a2, (a1, a2), False)
-                for a1, a2 in product(config.aggregators, repeat=2)]
+                for a1, a2 in product(dict.fromkeys(config.aggregators), repeat=2)]
     return [(v, (VARIANTS[v]["aggregator"],) * 2, VARIANTS[v]["layer_norm"])
             for v in dict.fromkeys(config.variants)]
 
@@ -268,6 +265,12 @@ def _execute_all(config: ExperimentConfig):
     """Run every spec of the experiment; returns (dataset names, records)."""
     config.validate()
     manifests = _resolve_manifests(config)
+    # run ids and seeds derive from the name; one manifest listed twice is
+    # one dataset, two that differ under one name are an error
+    named = {}
+    for m in manifests:
+        if named.setdefault(m.name, m) != m:
+            raise ValueError(f"two datasets are named {m.name!r}")
     if config.out_dir is not None:    # one that cannot be made fails before any run
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     specs = _build_specs(config, manifests)

@@ -18,10 +18,12 @@ block_rows(net) rows, a fixed number of layer-0 points each, so a wide input
 gets shorter blocks; traced passes keep every intermediate that backward
 reads.
 
-Every trainable value lives in one float64 vector, Network.params, and only
-this module knows its layout: Network.views(vec) splits a vector laid out
-like params into one KANLayer per layer, whose coeffs, w_base, w_spline and
-norm gain and bias are reshaped views of it, and Network.layers is
+A Network is its parameters and its layers. Every trainable value lives in
+one float64 vector, Network.params, laid out by Network.slots, which only
+this module reads. Each per-layer choice (grid, aggregator, a norm or none)
+is held once, by the layer's KANLayer: Network.views(vec) gives a copy of
+each layer whose coeffs, w_base, w_spline and norm gain and bias are
+reshaped views of a vector laid out like params, and Network.layers is
 views(params). Training updates and checks the whole network with one array
 operation, and backward writes each layer's gradient by field into the
 views of one gradient vector. A traced forward pass records one LayerTrace
@@ -46,30 +48,6 @@ FORWARD_BLOCK_POINTS = 8192
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    widths: tuple
-    aggregators: tuple
-    layer_norm: bool = False
-    grid_size: int = 3
-    degree: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        aggs = tuple(a if isinstance(a, Aggregator) else Aggregator(a)
-                     for a in self.aggregators)
-        object.__setattr__(self, "aggregators", aggs)
-
-    def validate(self):
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ConfigError(f"widths must be >= 2 entries, all >= 1: {self.widths}")
-        if len(self.aggregators) != len(self.widths) - 1:
-            raise ConfigError(
-                f"need {len(self.widths) - 1} aggregators for widths {self.widths}, "
-                f"got {len(self.aggregators)}")
 
 
 @dataclass
@@ -102,33 +80,36 @@ class KANLayer:
 
 @dataclass
 class Network:
-    config: NetworkConfig
     params: np.ndarray  # every trainable value; the layers' arrays are views of it
-    # per layer: (grid, aggregator, (start, stop, shape) in params of coeffs,
-    # w_base, w_spline, then gain and bias when the layer has a norm)
-    layout: tuple
-    layers: list = field(init=False)
+    # one per layer: each layer's grid, aggregator and whether it has a norm;
+    # __post_init__ rebinds their arrays to views of params
+    layers: list
+    # per layer: (start, stop, shape) in params of coeffs, w_base, w_spline,
+    # then gain and bias when the layer has a norm
+    slots: tuple
 
     def __post_init__(self):
         self.layers = self.views(self.params)
 
     @property
     def n_in(self) -> int:
-        return self.config.widths[0]
+        return self.layers[0].n_in
 
     @property
     def n_out(self) -> int:
-        return self.config.widths[-1]
+        return self.layers[-1].n_out
 
     def views(self, vec: np.ndarray) -> list[KANLayer]:
         """A vector laid out like params, as one KANLayer per layer whose
-        coeffs, w_base, w_spline and norm gain and bias are views of it."""
+        coeffs, w_base, w_spline and norm gain and bias are views of it; the
+        grid and aggregator of each are those of the network's layer."""
         layers = []
-        for grid, aggregator, slots in self.layout:
+        for layer, slots in zip(self.layers, self.slots):
             coeffs, w_base, w_spline, *norm = [vec[start:stop].reshape(shape)
                                                for start, stop, shape in slots]
-            layers.append(KANLayer(coeffs, w_base, w_spline, grid, aggregator,
-                                   LayerNormParams(*norm) if norm else None))
+            layers.append(replace(
+                layer, coeffs=coeffs, w_base=w_base, w_spline=w_spline,
+                norm=None if layer.norm is None else LayerNormParams(*norm)))
         return layers
 
 
@@ -164,30 +145,42 @@ class ForwardTrace:
     layers: list = field(default_factory=list)
 
 
-def build_network(config: NetworkConfig) -> Network:
-    """Deterministically initialize a network from its config seed.
+def build_network(widths, aggregators, layer_norm: bool = False,
+                  grid_size: int = 3, degree: int = 3, seed: int = 0) -> Network:
+    """Deterministically initialize a network from its seed.
 
+    One layer per width transition, with the aggregator given for it (an
+    Aggregator or its name); with layer_norm, every hidden layer has a norm.
+    Every layer's grid is make_grid(-1, 1, grid_size, degree).
     coeffs ~ Normal(0, 0.1), drawn layer by layer; w_base = w_spline = 1;
     layer-norm gain/bias = 1/0. Each layer's arrays, in that order, follow
     the previous layer's in params.
     """
-    config.validate()
-    rng = np.random.default_rng(config.seed)
-    grid = make_grid(-1.0, 1.0, config.grid_size, config.degree)
-    layout, arrays, start = [], [], 0
-    for l, aggregator in enumerate(config.aggregators):
-        n_in, n_out = config.widths[l: l + 2]
+    widths = tuple(int(w) for w in widths)
+    aggregators = tuple(Aggregator(a) for a in aggregators)
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise ConfigError(f"widths must be >= 2 entries, all >= 1: {widths}")
+    if len(aggregators) != len(widths) - 1:
+        raise ConfigError(f"need {len(widths) - 1} aggregators for widths {widths}, "
+                          f"got {len(aggregators)}")
+    rng = np.random.default_rng(seed)
+    grid = make_grid(-1.0, 1.0, grid_size, degree)
+    layers, slots, arrays, start = [], [], [], 0
+    for l, aggregator in enumerate(aggregators):
+        n_in, n_out = widths[l: l + 2]
         layer = [rng.normal(0.0, 0.1, size=(n_out, n_in, grid.n_basis)),
                  np.ones((n_out, n_in)), np.ones((n_out, n_in))]
-        if config.layer_norm and l < len(config.aggregators) - 1:
+        if layer_norm and l < len(aggregators) - 1:
             layer += [np.ones(n_out), np.zeros(n_out)]
-        slots = []
+        layer_slots = []
         for a in layer:
-            slots.append((start, start + a.size, a.shape))
+            layer_slots.append((start, start + a.size, a.shape))
             start += a.size
-        layout.append((grid, aggregator, tuple(slots)))
+        slots.append(tuple(layer_slots))
         arrays += [a.ravel() for a in layer]
-    return Network(config=config, params=np.concatenate(arrays), layout=tuple(layout))
+        layers.append(KANLayer(*layer[:3], grid, aggregator,
+                               LayerNormParams(*layer[3:]) if layer[3:] else None))
+    return Network(params=np.concatenate(arrays), layers=layers, slots=tuple(slots))
 
 
 def _layer_norm(v: np.ndarray, ln: LayerNormParams):
@@ -301,15 +294,13 @@ def mean_to_scaled_sum(net: Network) -> Network:
 
     Scales w_base and w_spline by 1/n_in per layer, which divides each whole
     edge activation by the fan-in; the mean-aggregated original and this
-    sum-aggregated copy then compute identical outputs. Each twin layer
-    takes the grid of the source layer, so a grid set on a layer after
-    build_network carries over.
+    sum-aggregated copy then compute identical outputs. Each twin layer is
+    the source layer with MEAN swapped for SUM, so its grid (also one set
+    after build_network) and its norm carry over.
     """
-    config = replace(net.config, aggregators=tuple(
-        Aggregator.SUM if a is Aggregator.MEAN else a for a in net.config.aggregators))
-    twin = Network(config=config, params=net.params.copy(), layout=tuple(
-        (src.grid, aggregator, slots) for src, aggregator, (_, _, slots)
-        in zip(net.layers, config.aggregators, net.layout)))
+    twin = Network(params=net.params.copy(), slots=net.slots, layers=[
+        replace(layer, aggregator=Aggregator.SUM)
+        if layer.aggregator is Aggregator.MEAN else layer for layer in net.layers])
     for src, dst in zip(net.layers, twin.layers):
         if src.aggregator is Aggregator.MEAN:
             scale = 1.0 / src.n_in

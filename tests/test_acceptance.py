@@ -12,11 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kanagg import (ExperimentConfig, NetworkConfig, backward,
-                    build_network, forward, load_manifest, load_table,
-                    mean_to_scaled_sum, preprocess, rank_with_ties,
-                    run_experiment, softmax_cross_entropy, wilcoxon_signed_rank,
-                    write_report)
+from kanagg import (ExperimentConfig, backward, build_network, forward,
+                    load_manifest, load_table, mean_to_scaled_sum, preprocess,
+                    rank_with_ties, run_experiment, softmax_cross_entropy,
+                    wilcoxon_signed_rank, write_report)
 from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.data import ColumnSpec, DatasetManifest
 from kanagg.splines import basis_matrix, make_grid
@@ -66,7 +65,7 @@ def test_criterion_2_gradient_integrity():
     n_points = 20
     for agg_i, agg in enumerate(AGGREGATOR_NAMES):
         rng = np.random.default_rng(500 + agg_i)
-        net = build_network(NetworkConfig((3, 4, 2), (agg, agg), seed=300 + agg_i))
+        net = build_network((3, 4, 2), (agg, agg), seed=300 + agg_i)
         for layer in net.layers:
             layer.w_base[...] = rng.normal(1.0, 0.25, layer.w_base.shape)
             layer.w_spline[...] = rng.normal(1.0, 0.25, layer.w_spline.shape)
@@ -106,9 +105,9 @@ def test_criterion_3_scaled_sum_identity():
     for _ in range(100):
         depth = int(rng.integers(2, 4))
         widths = tuple(int(rng.integers(1, 8)) for _ in range(depth + 1))
-        net = build_network(NetworkConfig(
+        net = build_network(
             widths, ("mean",) * depth, seed=int(rng.integers(1 << 30)),
-            grid_size=int(rng.choice([1, 3, 5])), degree=int(rng.choice([0, 1, 3]))))
+            grid_size=int(rng.choice([1, 3, 5])), degree=int(rng.choice([0, 1, 3])))
         for layer in net.layers:
             layer.coeffs[...] = rng.normal(0, 0.4, layer.coeffs.shape)
             layer.w_base[...] = rng.normal(size=layer.w_base.shape)

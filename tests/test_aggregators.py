@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kanagg import Aggregator, NetworkConfig, build_network, forward
+from kanagg import Aggregator, build_network, forward
 from kanagg.aggregators import AGGREGATOR_NAMES, aggregate_batch, \
     aggregate_batch_backward
 
@@ -79,7 +79,7 @@ class TestForward:
         # a zero fan-in and forward rejects non-finite input
         bad = np.asarray(bad, dtype=np.float64)
         with pytest.raises(ValueError):
-            net = build_network(NetworkConfig((bad.size, 1), ("sum",)))
+            net = build_network((bad.size, 1), ("sum",))
             forward(net, bad)
 
     @given(finite_vectors)

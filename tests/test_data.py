@@ -477,6 +477,22 @@ class TestSynthetic:
         assert [s.tolist() for s in (d.train_idx, d.val_idx, d.test_idx)] == list(splits)
         assert d.n_classes == n_classes
 
+    def test_build_peak_is_about_the_matrix(self):
+        # built and scaled in place: no matrix-sized temporary, and no copy
+        # of the train split's rows, lives beside the feature matrix
+        import tracemalloc
+        n_instances, n_features = 20000, 30
+        synthetic_dataset("gaussian-blobs", 4, 20, seed=3)   # lazy imports, untraced
+        tracemalloc.start()
+        try:
+            d = synthetic_dataset("gaussian-blobs", n_features, n_instances, seed=3,
+                                  separation=0.06, noise=0.45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.features.shape == (n_instances, n_features)
+        assert peak <= 1.3 * n_instances * n_features * 8
+
     def test_split_cover(self):
         d = synthetic_dataset("gaussian-blobs", 4, 123, seed=1)
         all_idx = np.concatenate([d.train_idx, d.val_idx, d.test_idx])

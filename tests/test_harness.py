@@ -47,6 +47,14 @@ class TestSweep:
         assert len(records) == 9
         assert {r["label"] for r in records} == set(payload["combinations"])
 
+    def test_repeated_aggregator_runs_once(self):
+        config = quick_config("sweep", aggregators=("sum", "mean", "sum"))
+        payload, records = run_experiment(config)
+        assert payload["combinations"] == ["sum|sum", "sum|mean", "mean|sum",
+                                           "mean|mean"]
+        assert len(records) == 4
+        assert all(row["mean_rank"] is not None for row in payload["rank_table"])
+
     def test_full_nine_gives_81(self):
         config = quick_config("sweep")
         from kanagg.harness import _build_specs, _resolve_manifests
@@ -307,6 +315,19 @@ class TestDeterminismAndFailures:
                 run_experiment(config)
             with pytest.raises(IngestionError, match="'bad'"):
                 DatasetManifest(name="bad", synthetic=spec)
+
+    def test_duplicate_dataset_names_rejected_before_any_run(self, monkeypatch):
+        # run ids and seeds derive from the name: two datasets named alike
+        # would share them, and the report would mix their runs
+        from kanagg import harness
+        monkeypatch.setattr(harness, "execute_run",
+                            lambda spec: pytest.fail("a run started"))
+        xor = DatasetManifest(name="x", synthetic={
+            "kind": "xor", "n_features": 3, "n_instances": 60})
+        config = quick_config("compare", variants=("kan", "kan-avg"), runs=1,
+                              datasets=(blob_manifest("x"), xor))
+        with pytest.raises(ValueError, match="^two datasets are named 'x'$"):
+            run_experiment(config)
 
     def test_each_manifest_loaded_once_per_sweep(self, tmp_path, monkeypatch):
         from kanagg import harness
@@ -575,6 +596,19 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("kanagg: error: manifest ")
         assert "typo.json" in err and "delimter" in err
+        assert not out.exists()
+
+    def test_duplicate_dataset_names_are_one_line_error(self, tmp_path, capsys):
+        blobs = self._write_synth_manifest(tmp_path)
+        xor = tmp_path / "xor.json"
+        xor.write_text(json.dumps({"name": "cli-blobs", "synthetic": {
+            "kind": "xor", "n_features": 3, "n_instances": 60}}))
+        out = tmp_path / "out"
+        rc = cli_main(["compare", "--dataset", str(blobs), "--dataset", str(xor),
+                       "--iterations", "5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "kanagg: error: two datasets are named 'cli-blobs'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("case", [

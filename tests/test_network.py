@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kanagg import (Aggregator, ConfigError, NetworkConfig, build_network,
-                    forward, mean_to_scaled_sum)
+from kanagg import (Aggregator, ConfigError, build_network, forward,
+                    mean_to_scaled_sum)
 from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.network import (FORWARD_BLOCK_POINTS, LayerNormParams, _layer_norm,
                             adherence_counts, block_rows, input_basis)
@@ -13,8 +13,7 @@ from oracles import naive_edge, naive_network
 
 
 def small_net(aggs=("mean", "mean"), widths=(4, 10, 1), seed=0, **kw):
-    return build_network(NetworkConfig(widths=widths, aggregators=aggs,
-                                       seed=seed, **kw))
+    return build_network(widths=widths, aggregators=aggs, seed=seed, **kw)
 
 
 def layer_arrays(layer):
@@ -91,13 +90,22 @@ class TestBuild:
         assert net.layers[1].coeffs.shape[:2] == (1, 10)
 
     def test_parameter_count_matches_shape_arithmetic(self):
-        net = build_network(NetworkConfig((34, 10, 6), ("sum", "sum"),
-                                          layer_norm=True, grid_size=3, degree=3))
+        net = build_network((34, 10, 6), ("sum", "sum"),
+                            layer_norm=True, grid_size=3, degree=3)
         n_edges = 34 * 10 + 10 * 6
         expected = n_edges * (6 + 2) + 2 * 10  # coeffs+weights, then gain+bias
         assert net.params.shape == (expected,)
         assert sum(a.size for layer in net.views(net.params)
                    for a in layer_arrays(layer).values()) == expected
+
+    def test_layer_object_is_the_one_holder_of_its_grid(self):
+        # a grid set after build_network is the grid of every view of that
+        # layer and of the scaled-sum twin: no second copy holds the old one
+        net = small_net(aggs=("mean", "mean"), widths=(3, 4, 2), seed=40)
+        net.layers[1].grid = grid = make_grid(-2.0, 2.0)
+        assert net.views(np.zeros_like(net.params))[1].grid is grid
+        assert mean_to_scaled_sum(net).layers[1].grid is grid
+        assert not hasattr(net, "config") and not hasattr(net, "layout")
 
     def test_arrays_are_views_of_params(self):
         net = small_net(aggs=("sum", "sum"), widths=(3, 4, 2), layer_norm=True)
@@ -140,13 +148,13 @@ class TestBuild:
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
-            build_network(NetworkConfig((4,), ("sum",)))
+            build_network((4,), ("sum",))
         with pytest.raises(ConfigError):
-            build_network(NetworkConfig((4, 0, 2), ("sum", "sum")))
+            build_network((4, 0, 2), ("sum", "sum"))
         with pytest.raises(ConfigError):
-            build_network(NetworkConfig((4, 10, 2), ("sum",)))
+            build_network((4, 10, 2), ("sum",))
         with pytest.raises(ValueError):
-            NetworkConfig((4, 10, 2), ("sum", "nope"))
+            build_network((4, 10, 2), ("sum", "nope"))
 
 
 class TestForward:
@@ -160,7 +168,7 @@ class TestForward:
             np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_single_edge_network_matches_edge_oracle(self):
-        net = build_network(NetworkConfig((1, 1), ("sum",), seed=3))
+        net = build_network((1, 1), ("sum",), seed=3)
         layer = net.layers[0]
         x = 0.37
         out = forward(net, np.array([[x]]))
@@ -170,9 +178,9 @@ class TestForward:
 
     def test_aggregation_of_one_value_is_identity_for_location_kinds(self):
         for agg in ("sum", "mean", "min", "max", "median"):
-            net = build_network(NetworkConfig((1, 1), (agg,), seed=3))
+            net = build_network((1, 1), (agg,), seed=3)
             out = forward(net, np.array([[0.4]]))
-            ref = forward(build_network(NetworkConfig((1, 1), ("sum",), seed=3)),
+            ref = forward(build_network((1, 1), ("sum",), seed=3),
                           np.array([[0.4]]))
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
@@ -328,10 +336,10 @@ class TestScaledSumEquivalence:
         rng = np.random.default_rng(10)
         for _ in range(30):
             widths = tuple(int(rng.integers(1, 8)) for _ in range(3))
-            net = build_network(NetworkConfig(
+            net = build_network(
                 widths, ("mean", "mean"), seed=int(rng.integers(1 << 30)),
                 grid_size=int(rng.choice([1, 3, 5])),
-                degree=int(rng.choice([0, 1, 3]))))
+                degree=int(rng.choice([0, 1, 3])))
             for layer in net.layers:  # move away from the all-ones init
                 layer.w_base[...] = rng.normal(size=layer.w_base.shape)
                 layer.w_spline[...] = rng.normal(size=layer.w_spline.shape)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kanagg import NetworkConfig, backward, build_network, forward, make_grid
+from kanagg import backward, build_network, forward, make_grid
 from kanagg.splines import basis_matrix
 
 from oracles import naive_basis_vector, naive_edge, naive_silu, relative_error
@@ -204,7 +204,7 @@ X0 = 1.0
 
 
 def single_edge(coeffs, w_base, w_spline):
-    net = build_network(NetworkConfig((1, 1), ("sum",)))
+    net = build_network((1, 1), ("sum",))
     layer = net.layers[0]
     layer.coeffs[0, 0] = coeffs
     layer.w_base[0, 0] = w_base
@@ -223,7 +223,7 @@ def phi(net, x):
 def edge_gradients(coeffs, w_base, w_spline, x, upstream):
     """(h, d_x, d_coeffs, d_w_base, d_w_spline) of the edge at h ~= x, each
     scaled by upstream, from backward of a [1, 1, 1] sum network."""
-    net = build_network(NetworkConfig((1, 1, 1), ("sum", "sum")))
+    net = build_network((1, 1, 1), ("sum", "sum"))
     first, second = net.layers
     first.coeffs[...] = 0.0
     first.w_base[...] = x / naive_silu(X0)

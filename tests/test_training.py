@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kanagg import (ConfigError, NetworkConfig, TrainConfig, TrainingDiverged,
-                    adam_init, adam_step, backward, build_network, evaluate,
-                    forward, softmax_cross_entropy, squared_error_on_index,
+from kanagg import (ConfigError, TrainConfig, TrainingDiverged, adam_init,
+                    adam_step, backward, build_network, evaluate, forward,
+                    softmax_cross_entropy, squared_error_on_index,
                     synthetic_dataset, train)
 from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -68,7 +68,7 @@ class TestSoftmaxCrossEntropy:
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
-        net = build_network(NetworkConfig((3, 4, 2), ("mean", "mean"), seed=0))
+        net = build_network((3, 4, 2), ("mean", "mean"), seed=0)
         x = np.random.default_rng(1).uniform(-1, 1, (5, 3))
         _, trace = forward(net, x, trace=True)
         grads = backward(net, trace, np.zeros((5, 2)))
@@ -78,7 +78,7 @@ class TestBackward:
         # phi(x) = w_base silu(x) + w_spline sum_i c_i B_i(x) is linear in
         # each parameter block, so its partials are w_spline B(x), silu(x)
         # and sum_i c_i B_i(x)
-        net = build_network(NetworkConfig((1, 1), ("sum",), seed=5))
+        net = build_network((1, 1), ("sum",), seed=5)
         layer = net.layers[0]
         x = 0.62
         _, trace = forward(net, np.array([[x]]), trace=True)
@@ -91,8 +91,8 @@ class TestBackward:
             float(layer.coeffs[0, 0] @ basis), abs=1e-14)
 
     def test_mismatched_trace_rejected(self):
-        net_a = build_network(NetworkConfig((3, 4, 2), ("mean", "mean"), seed=0))
-        net_b = build_network(NetworkConfig((3, 4, 2), ("mean", "mean"), seed=0))
+        net_a = build_network((3, 4, 2), ("mean", "mean"), seed=0)
+        net_b = build_network((3, 4, 2), ("mean", "mean"), seed=0)
         x = np.zeros((2, 3))
         _, trace = forward(net_a, x, trace=True)
         with pytest.raises(ValueError):
@@ -115,8 +115,7 @@ class TestBackward:
     @staticmethod
     def _check_gradients(agg, layer_norm, seed, widths=(3, 4, 2), n_points=4):
         rng = np.random.default_rng(seed)
-        net = build_network(NetworkConfig(widths, (agg, agg),
-                                          layer_norm=layer_norm, seed=seed))
+        net = build_network(widths, (agg, agg), layer_norm=layer_norm, seed=seed)
         for layer in net.layers:  # move off the all-ones init, keep non-degenerate
             layer.w_base[...] = rng.normal(1.0, 0.3, layer.w_base.shape)
             layer.w_spline[...] = rng.normal(1.0, 0.3, layer.w_spline.shape)
@@ -186,20 +185,20 @@ class TestAdam:
 class TestTrain:
     def test_xor_sanity(self):
         data = synthetic_dataset("xor", 2, 200, seed=3)
-        net = build_network(NetworkConfig((2, 10, 2), ("mean", "mean"), seed=11))
+        net = build_network((2, 10, 2), ("mean", "mean"), seed=11)
         res = train(net, data, TrainConfig(iterations=500, seed=7))
         assert res.train_accuracy >= 0.95
         assert res.head == "softmax"
 
     def test_separable_blobs_sanity(self):
         data = synthetic_dataset("gaussian-blobs", 6, 400, seed=8, n_classes=3)
-        net = build_network(NetworkConfig((6, 10, 3), ("mean", "mean"), seed=15))
+        net = build_network((6, 10, 3), ("mean", "mean"), seed=15)
         res = train(net, data, TrainConfig(iterations=300, seed=4))
         assert res.test_accuracy >= 0.9
 
     def test_zero_learning_rate_is_identity(self):
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=1)
-        net = build_network(NetworkConfig((4, 6, 3), ("mean", "mean"), seed=2))
+        net = build_network((4, 6, 3), ("mean", "mean"), seed=2)
         before = net.params.copy()
         acc_before = evaluate(net, data.features[data.test_idx],
                               data.labels[data.test_idx], data.n_classes)
@@ -211,7 +210,7 @@ class TestTrain:
         data = synthetic_dataset("gaussian-blobs", 4, 150, seed=5)
         curves = []
         for _ in range(2):
-            net = build_network(NetworkConfig((4, 8, 3), ("sum", "sum"), seed=9))
+            net = build_network((4, 8, 3), ("sum", "sum"), seed=9)
             res = train(net, data, TrainConfig(iterations=60, seed=13))
             curves.append(res.loss_curve)
         assert curves[0] == curves[1]
@@ -221,15 +220,14 @@ class TestTrain:
             drops = []
             for seed in range(5):
                 data = synthetic_dataset("xor", 2, 200, seed=100 + seed)
-                net = build_network(NetworkConfig((2, 10, 2), (agg, agg),
-                                                  seed=200 + seed))
+                net = build_network((2, 10, 2), (agg, agg), seed=200 + seed)
                 res = train(net, data, TrainConfig(iterations=50, seed=seed))
                 drops.append(res.loss_curve[-1] - res.loss_curve[0])
             assert np.mean(drops) <= 0.0, f"{agg} did not descend: {drops}"
 
     def test_scalar_head_strict_mode(self):
         data = synthetic_dataset("gaussian-blobs", 4, 200, seed=6)
-        net = build_network(NetworkConfig((4, 8, 1), ("mean", "mean"), seed=4))
+        net = build_network((4, 8, 1), ("mean", "mean"), seed=4)
         res = train(net, data, TrainConfig(iterations=300, seed=1))
         assert res.head == "scalar-index"
         assert res.test_accuracy >= 0.5  # weak head, but must beat chance on blobs
@@ -260,8 +258,7 @@ class TestTrain:
         # replay of train's batch order with plain counts gives the same pool
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
         cfg = TrainConfig(iterations=20, batch_size=16, learning_rate=0.0, seed=0)
-        net = build_network(NetworkConfig((4, 6, 5, 3), ("sum", "sum", "sum"),
-                                          seed=1))
+        net = build_network((4, 6, 5, 3), ("sum", "sum", "sum"), seed=1)
         res = train(net, data, cfg)   # 72 train rows: batches of 16 and 8
         assert res.adherence == self._replayed_adherence(
             net, data, cfg, [(-1.0, 1.0), (-1.0, 1.0)])
@@ -272,8 +269,7 @@ class TestTrain:
         # in range, while hidden vector 1 still counts against layer 2's grid
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
         cfg = TrainConfig(iterations=20, batch_size=16, learning_rate=0.0, seed=0)
-        net = build_network(NetworkConfig((4, 6, 5, 3), ("sum", "sum", "sum"),
-                                          seed=1))
+        net = build_network((4, 6, 5, 3), ("sum", "sum", "sum"), seed=1)
         net.layers[1].grid = make_grid(-2.0, 2.0)
         res = train(net, data, cfg)
         assert res.adherence == self._replayed_adherence(
@@ -283,17 +279,17 @@ class TestTrain:
 
     def test_dimension_mismatch_rejected(self):
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
-        net = build_network(NetworkConfig((5, 6, 3), ("mean", "mean"), seed=1))
+        net = build_network((5, 6, 3), ("mean", "mean"), seed=1)
         with pytest.raises(ConfigError):
             train(net, data, TrainConfig(iterations=5))
-        bad_head = build_network(NetworkConfig((4, 6, 2), ("mean", "mean"), seed=1))
+        bad_head = build_network((4, 6, 2), ("mean", "mean"), seed=1)
         with pytest.raises(ConfigError):
             train(bad_head, data, TrainConfig(iterations=5))
 
     def test_divergence_detected(self):
         # one step at this rate pushes w_spline * coeffs past float64 range
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
-        net = build_network(NetworkConfig((4, 6, 3), ("sum", "sum"), seed=1))
+        net = build_network((4, 6, 3), ("sum", "sum"), seed=1)
         with pytest.raises(TrainingDiverged), np.errstate(all="ignore"):
             train(net, data, TrainConfig(iterations=200, learning_rate=1e160, seed=0))
 
@@ -314,8 +310,8 @@ class TestLayerZeroBlock:
         data = synthetic_dataset("gaussian-blobs", widths[0], n_instances, seed=3)
         cfg = TrainConfig(iterations=iterations, batch_size=batch, seed=7)
         aggs = ("median", "min", "max")[:len(widths) - 1]
-        config = NetworkConfig(widths, aggs, layer_norm=layer_norm, seed=5)
-        net, ref = build_network(config), build_network(config)
+        net, ref = [build_network(widths, aggs, layer_norm=layer_norm, seed=5)
+                    for _ in range(2)]
         if n_instances == 2000:     # several blocks per epoch
             assert len(data.train_idx) > 2 * block_rows(net)
         res = train(net, data, cfg)
@@ -345,7 +341,7 @@ class TestLayerZeroBlock:
 
         monkeypatch.setattr(kanagg.network, "basis_matrix", counted)
         monkeypatch.setattr(kanagg.training, "evaluate", marked)
-        net = build_network(NetworkConfig((4, 6, 3), ("sum", "sum"), seed=1))
+        net = build_network((4, 6, 3), ("sum", "sum"), seed=1)
         train(net, data, TrainConfig(iterations=40, batch_size=32, seed=0))
         assert evaluating
         assert calls == {"layer0": 4, "layer1": 40}
@@ -353,7 +349,7 @@ class TestLayerZeroBlock:
 
 class TestEvaluate:
     def test_perfect_and_constant_predictors(self):
-        net = build_network(NetworkConfig((2, 4, 2), ("mean", "mean"), seed=0))
+        net = build_network((2, 4, 2), ("mean", "mean"), seed=0)
         x = np.random.default_rng(0).uniform(-1, 1, (40, 2))
         logits = forward(net, x)
         labels = logits.argmax(axis=1)
@@ -367,7 +363,7 @@ class TestEvaluate:
         assert evaluate(net, x, balanced, 2) == 0.5  # argmax ties -> class 0
 
     def test_invariant_to_positive_rescaling(self):
-        net = build_network(NetworkConfig((3, 5, 4), ("sum", "sum"), seed=2))
+        net = build_network((3, 5, 4), ("sum", "sum"), seed=2)
         x = np.random.default_rng(1).uniform(-1, 1, (30, 3))
         labels = np.random.default_rng(2).integers(0, 4, 30)
         base = evaluate(net, x, labels, 4)
@@ -377,6 +373,6 @@ class TestEvaluate:
         assert evaluate(net, x, labels, 4) == base
 
     def test_empty_set_rejected(self):
-        net = build_network(NetworkConfig((2, 3, 2), ("sum", "sum"), seed=0))
+        net = build_network((2, 3, 2), ("sum", "sum"), seed=0)
         with pytest.raises(ValueError):
             evaluate(net, np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
