@@ -4,10 +4,11 @@
     kanagg compare    --dataset m.json [...] [--variants kan kan-avg ...]
     kanagg adherence  --dataset m.json [...] [--variants ...]
 
-A JSON file passed via --config supplies defaults; explicit flags win.
-KANAGG_OUT sets the default output directory. Each verb writes report.json,
-runs.jsonl (one record per run, including any dataset warnings) and
-summary.txt there. Exit code is 0 only when every run completed, 1 when a
+`adherence` is `compare` with one run per variant by default. A JSON file
+passed via --config supplies defaults; explicit flags win. KANAGG_OUT sets
+the default output directory. Each verb writes report.json, runs.jsonl (one
+record per run, including any dataset warnings), summary.txt and
+adherence.tsv there. Exit code is 0 only when every run completed, 1 when a
 run failed, and 2 when the config, a flag value or a manifest is invalid (one
 `kanagg: error: ...` line on stderr).
 """
@@ -71,12 +72,16 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
         raise ValueError(f"invalid experiment settings: {exc}") from exc
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kanagg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for mode in MODES:
         _add_run_flags(sub.add_parser(mode))
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         config = _experiment_config(args.command, args)

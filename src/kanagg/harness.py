@@ -1,4 +1,4 @@
-"""Experiment harness: aggregator sweep, variant comparison, range adherence.
+"""Experiment harness: aggregator sweep and variant comparison.
 
 `run_experiment(config)` is the one entry point. It runs every training job:
 an independent (dataset, combination, run-index) job with seeds derived by
@@ -8,15 +8,19 @@ is loaded once per experiment, and the output directory made, before any run
 starts (a manifest checks itself when it is built); every run carries its
 manifest and the experiment config, and materializes the dataset from them.
 The process that plans an experiment parses each dataset file once, before
-any run starts, and keeps the tables of its last experiment's files: a later
-experiment reuses a table while the manifest and the file's size and
+any run starts, and keeps the tables of the files of its last experiment; a
+later experiment reuses a table while the manifest and the file's size and
 modification time are unchanged. Pool workers receive those tables when they
 start and never parse; each run splits and preprocesses its table with its
 own seed. A file that cannot be parsed fails every run of it with the same
-error. Every run records
-the share of each hidden layer's values that stayed in the range of the grid
-of the layer that reads them. The report of `config.mode` is a pure function
-of the run records, in any order, so it can be rebuilt from stored records.
+error. Every run records the share of each hidden layer's values that stayed
+in the range of the grid of the layer that reads them.
+
+The report is a pure function of the run records, in any order, so it can be
+rebuilt from stored records. Every mode's report holds the same cells: per
+(dataset, run label), the mean test accuracy and the pooled in-range shares.
+A sweep adds its ranks and a compare its Wilcoxon tests; `adherence` is
+`compare` with one run per variant by default.
 """
 
 from __future__ import annotations
@@ -110,6 +114,9 @@ class ExperimentConfig:
                        if not isinstance(x, str) or x not in known]
             if unknown:
                 raise ValueError(f"unknown {name} {unknown}; choose from {sorted(known)}")
+        planned = "aggregators" if self.mode == "sweep" else "variants"
+        if not getattr(self, planned):
+            raise ValueError(f"{planned} is empty: a {self.mode} plans its runs from it")
 
 
 def derive_seed(*parts) -> int:
@@ -271,6 +278,7 @@ def _execute_all(config: ExperimentConfig):
     for m in manifests:
         if named.setdefault(m.name, m) != m:
             raise ValueError(f"two datasets are named {m.name!r}")
+    manifests = list(named.values())
     if config.out_dir is not None:    # one that cannot be made fails before any run
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     specs = _build_specs(config, manifests)
@@ -294,39 +302,51 @@ def _config_payload(config: ExperimentConfig, datasets) -> dict:
     return d
 
 
-def _decisions(config: ExperimentConfig) -> dict:
-    return {
-        "head": "scalar-index" if config.strict_replication else "softmax",
-        "loss": ("squared-error-on-label-index" if config.strict_replication
-                 else "softmax-cross-entropy"),
-        "feature_scaling": not config.strict_replication,
-        "adherence_window": "whole-run",
-        "runs_per_config": config.runs_per_config(),
-    }
+# The cells and each report below are built from `runs`: dataset -> label ->
+# run index -> record, over the successful runs, each label's runs in run_id
+# order.
+
+def _cells(config: ExperimentConfig, datasets, runs) -> dict:
+    """The (dataset, label) cells every report holds: the test accuracy of
+    each planned label on each dataset, and the pooled in-range shares of the
+    datasets with a successful run, ordered by feature count."""
+    labels = [label for label, _, _ in _run_plan(config)]
+    accuracy = {}
+    for ds in datasets:
+        accuracy[ds] = {}
+        for label in labels:
+            ok = [r["test_accuracy"] for r in runs.get(ds, {}).get(label, {}).values()]
+            accuracy[ds][label] = {
+                "mean": float(np.mean(ok)) if ok else None,
+                "std": float(np.std(ok)) if ok else None,   # population std
+                "n": len(ok),
+            }
+    features = {ds: r["n_features"] for ds, per_label in runs.items()
+                for by_index in per_label.values() for r in by_index.values()}
+    adherence = {}
+    for ds in sorted(features, key=lambda ds: (features[ds], ds)):
+        adherence[ds] = {"n_features": features[ds], "variants": {
+            label: np.mean([r["adherence"] for r in runs[ds][label].values()],
+                           axis=0).tolist()
+            for label in labels if label in runs[ds]}}
+    return {"datasets": datasets, "accuracy": accuracy, "adherence": adherence}
 
 
-# Each report below is built from `runs`: dataset -> label -> run index ->
-# record, over the successful runs, each label's runs in run_id order.
-
-def _sweep_report(config: ExperimentConfig, datasets, runs) -> dict:
+def _sweep_report(config: ExperimentConfig, cells, runs) -> dict:
     """Rank the aggregator combinations on each dataset by mean test accuracy."""
     plan = _run_plan(config)
     combos = [label for label, _, _ in plan]
-    mean_acc = {ds: {} for ds in datasets}
+    datasets = cells["datasets"]
     ranks = {ds: {} for ds in datasets}
     rank_matrix = np.full((len(combos), len(datasets)), np.nan)
     for d, ds in enumerate(datasets):
-        per_combo = runs.get(ds, {})
-        present = [c for c in combos if c in per_combo]
+        present = [c for c in combos if cells["accuracy"][ds][c]["mean"] is not None]
         if not present:
             continue
-        scores = np.array([float(np.mean([r["test_accuracy"]
-                                          for r in per_combo[c].values()]))
-                           for c in present])
+        scores = np.array([cells["accuracy"][ds][c]["mean"] for c in present])
         ds_ranks = rank_with_ties(scores, higher_is_better=True)
         ranks[ds] = dict(zip(present, ds_ranks.tolist()))
-        for c, s, r in zip(present, scores, ds_ranks):
-            mean_acc[ds][c] = float(s)
+        for c, r in zip(present, ds_ranks):
             rank_matrix[combos.index(c), d] = r
 
     means, stds = average_rank(rank_matrix)
@@ -341,10 +361,7 @@ def _sweep_report(config: ExperimentConfig, datasets, runs) -> dict:
             "per_dataset": {ds: (None if np.isnan(rank_matrix[i, d]) else rank_matrix[i, d])
                             for d, ds in enumerate(datasets)},
         })
-    return {"combinations": combos, "datasets": datasets,
-            "mean_test_accuracy": mean_acc,
-            "ranks": ranks,
-            "rank_table": rank_table}
+    return {"combinations": combos, "ranks": ranks, "rank_table": rank_table}
 
 
 def _sweep_table(payload) -> list[str]:
@@ -358,23 +375,15 @@ def _sweep_table(payload) -> list[str]:
     return lines
 
 
-def _compare_report(config: ExperimentConfig, datasets, runs) -> dict:
-    """KAN / KAN+LayerNorm / KAN-AVG accuracy with pairwise Wilcoxon tests."""
+def _compare_report(config: ExperimentConfig, cells, runs) -> dict:
+    """Pairwise Wilcoxon tests of the variants' test accuracies on each
+    dataset; marks the winner's accuracy cell of each significant pair."""
     variants = list(config.variants)
-    summary = {}
     tests = {}
-    for ds in datasets:
+    for ds in cells["datasets"]:
         # variant -> run index -> test accuracy, in run index order
         acc = {v: {i: by_index[i]["test_accuracy"] for i in sorted(by_index)}
                for v, by_index in runs.get(ds, {}).items()}
-        summary[ds] = {}
-        for v in variants:
-            ok = list(acc.get(v, {}).values())
-            summary[ds][v] = {
-                "mean": float(np.mean(ok)) if ok else None,
-                "std": float(np.std(ok)) if ok else None,   # population std
-                "n": len(ok),
-            }
         tests[ds] = {}
         for i, va in enumerate(variants):
             for vb in variants[i + 1:]:
@@ -395,14 +404,14 @@ def _compare_report(config: ExperimentConfig, datasets, runs) -> dict:
                 if res.significant:
                     ma, mb = float(np.mean(a)), float(np.mean(b))
                     winner, loser = (va, vb) if ma > mb else (vb, va)
-                    summary[ds][winner].setdefault(
+                    cells["accuracy"][ds][winner].setdefault(
                         "significantly_better_than", []).append(loser)
-    return {"datasets": datasets, "variants": variants,
-            "accuracy": summary, "wilcoxon": tests}
+    return {"variants": variants, "wilcoxon": tests}
 
 
 def _compare_table(payload) -> list[str]:
-    """summary.txt lines of a compare: mean and std accuracy per variant."""
+    """summary.txt lines of a compare: mean and std accuracy per variant, then
+    the in-range shares per variant and hidden layer."""
     variants = payload["variants"]
     lines = ["dataset".ljust(16) + "".join(v.rjust(26) for v in variants)]
     for ds in payload["datasets"]:
@@ -417,33 +426,12 @@ def _compare_table(payload) -> list[str]:
                              f"{marks}".rjust(26))
         lines.append(ds.ljust(16) + "".join(cells))
     lines.append("(one * per variant beaten with p < 0.05)")
-    return lines
-
-
-def _adherence_report(config: ExperimentConfig, datasets, runs) -> dict:
-    """Pooled in-range fractions of hidden-layer values, per dataset/variant;
-    the datasets with a successful run, ordered by feature count."""
-    features = {ds: r["n_features"] for ds, per_label in runs.items()
-                for by_index in per_label.values() for r in by_index.values()}
-    table = {}
-    for ds in sorted(features, key=lambda ds: (features[ds], ds)):
-        table[ds] = {"n_features": features[ds], "variants": {}}
-        for v in config.variants:
-            if v in runs[ds]:
-                fractions = [r["adherence"] for r in runs[ds][v].values()]
-                table[ds]["variants"][v] = np.mean(fractions, axis=0).tolist()
-    return {"datasets": list(table), "variants": list(config.variants),
-            "adherence": table}
-
-
-def _adherence_table(payload) -> list[str]:
-    """summary.txt lines of an adherence run: in-range shares per variant."""
-    lines = ["dataset".ljust(16) + "features".rjust(9)
-             + "".join(v.rjust(16) for v in payload["variants"])]
-    for ds in payload["datasets"]:
-        info = payload["adherence"][ds]
+    lines.append("in-range share of each hidden layer, pooled over the run:")
+    lines.append("dataset".ljust(16) + "features".rjust(9)
+                 + "".join(v.rjust(16) for v in variants))
+    for ds, info in payload["adherence"].items():
         cells = []
-        for v in payload["variants"]:
+        for v in variants:
             fracs = info["variants"].get(v)
             cells.append(("/".join(f"{f:.4f}" for f in fracs) if fracs
                           else "failed").rjust(16))
@@ -453,7 +441,8 @@ def _adherence_table(payload) -> list[str]:
 
 
 def _adherence_tsv(payload) -> str:
-    """adherence.tsv: one plot-data row per (dataset, variant, hidden layer)."""
+    """adherence.tsv: one plot-data row per (dataset, run label, hidden layer);
+    the `variant` column holds the label."""
     lines = ["dataset\tn_features\tvariant\tlayer\tfraction\n"]
     for ds, info in payload["adherence"].items():
         for v, fracs in info["variants"].items():
@@ -464,15 +453,14 @@ def _adherence_tsv(payload) -> str:
 
 class Mode(NamedTuple):
     runs: int          # default runs per (dataset, combination)
-    report: Callable   # (config, datasets, runs) -> the mode's payload fields
+    report: Callable   # (config, cells, runs) -> its own payload fields; may mark cells
     table: Callable    # payload -> its summary.txt lines
-    files: tuple = ()  # (file name, payload -> its text) of each extra report file
 
 
+# `adherence` is `compare` with one run per variant by default
 MODES = {"sweep": Mode(1, _sweep_report, _sweep_table),
          "compare": Mode(20, _compare_report, _compare_table),
-         "adherence": Mode(1, _adherence_report, _adherence_table,
-                           (("adherence.tsv", _adherence_tsv),))}
+         "adherence": Mode(1, _compare_report, _compare_table)}
 
 
 def _payload(config: ExperimentConfig, datasets, records) -> dict:
@@ -485,15 +473,17 @@ def _payload(config: ExperimentConfig, datasets, records) -> dict:
             runs.setdefault(r["dataset"], {}).setdefault(
                 r["label"], {})[r["run_index"]] = r
     cfg = _config_payload(config, datasets)
+    cells = _cells(config, datasets, runs)
+    fields = MODES[config.mode].report(config, cells, runs)
     return {
         "mode": config.mode,
         "config": cfg,
         "config_hash": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
-        "decisions": _decisions(config),
         "failures": [r for r in records if r["status"] == "failed"],
         "n_runs": len(records),
-        **MODES[config.mode].report(config, datasets, runs),
+        **cells,
+        **fields,
     }
 
 
@@ -507,8 +497,7 @@ def run_experiment(config: ExperimentConfig):
 # report files
 
 def summarize(payload: dict) -> str:
-    lines = [f"kanagg {payload['mode']} report  (config {payload['config_hash'][:12]})",
-             f"decisions: {json.dumps(payload['decisions'], sort_keys=True)}"]
+    lines = [f"kanagg {payload['mode']} report  (config {payload['config_hash'][:12]})"]
     if payload["failures"]:
         lines.append(f"FAILED RUNS: {len(payload['failures'])} "
                      f"(see runs.jsonl; exit code is non-zero)")
@@ -519,8 +508,8 @@ def summarize(payload: dict) -> str:
 
 
 def write_report(payload: dict, records, out_dir) -> Path:
-    """Persist report.json (payload + timestamp header), runs.jsonl, summary.txt
-    and the extra files its mode names in MODES."""
+    """Persist report.json (payload + timestamp header), runs.jsonl,
+    summary.txt and adherence.tsv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -533,6 +522,5 @@ def write_report(payload: dict, records, out_dir) -> Path:
         for r in records:
             f.write(json.dumps(r, sort_keys=True) + "\n")
     (out / "summary.txt").write_text(summarize(payload))
-    for name, render in MODES[payload["mode"]].files:
-        (out / name).write_text(render(payload))
+    (out / "adherence.tsv").write_text(_adherence_tsv(payload))
     return out

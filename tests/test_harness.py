@@ -10,6 +10,7 @@ from kanagg import ExperimentConfig, IngestionError, derive_seed, load_manifest,
     load_table, run_experiment, write_report
 from kanagg.cli import main as cli_main
 from kanagg.data import ColumnSpec, DatasetManifest
+from kanagg.harness import summarize
 
 
 def blob_manifest(name="mini-blobs", n_features=4, n_instances=160, n_classes=2,
@@ -84,7 +85,8 @@ class TestSweep:
         config = quick_config("sweep", aggregators=("sum", "mean"))
         payload, records = run_experiment(config)
         ds = payload["datasets"][0]
-        for combo, mean_acc in payload["mean_test_accuracy"][ds].items():
+        for combo, cell in payload["accuracy"][ds].items():
+            mean_acc = cell["mean"]
             run_accs = [r["test_accuracy"] for r in records
                         if r["label"] == combo and r["status"] == "ok"]
             assert mean_acc == pytest.approx(float(np.mean(run_accs)))
@@ -100,7 +102,7 @@ class TestSweep:
         combos = payload["combinations"]
         # recompute each dataset's ranks from the reported accuracies
         for ds in payload["datasets"]:
-            accs = np.array([payload["mean_test_accuracy"][ds][c] for c in combos])
+            accs = np.array([payload["accuracy"][ds][c]["mean"] for c in combos])
             expected = ranker(accs, higher_is_better=True)
             got = np.array([payload["ranks"][ds][c] for c in combos])
             np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -179,10 +181,11 @@ class TestAdherence:
     def test_report_and_plot_rows(self, tmp_path):
         config = quick_config(
             "adherence", variants=("kan", "kan-avg"),
-            datasets=(blob_manifest("small", 4, 160),
-                      blob_manifest("wide", 8, 160)))
+            datasets=(blob_manifest("wide", 8, 160),
+                      blob_manifest("small", 4, 160)))
         payload, records = run_experiment(config)
-        assert payload["datasets"] == ["small", "wide"]  # ordered by n_features
+        assert payload["datasets"] == ["wide", "small"]          # config order
+        assert list(payload["adherence"]) == ["small", "wide"]   # by n_features
         assert "plot_rows" not in payload
         out = write_report(payload, records, tmp_path / "adh")
         tsv = (out / "adherence.tsv").read_text().splitlines()
@@ -224,6 +227,60 @@ def test_payload_rebuilt_from_records_alone(monkeypatch, mode, settings):
                         lambda spec: pytest.fail("a run started"))
     rebuilt = harness._payload(config, ["wide", "mini-blobs", "gone"], records[::-1])
     assert json.dumps(rebuilt, sort_keys=True) == json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("mode, settings", [
+    ("sweep", {"aggregators": ("sum", "mean"), "runs": 2}),
+    ("compare", {"variants": ("kan", "kan-avg"), "runs": 3}),
+    ("adherence", {"variants": ("kan-avg", "kan"), "runs": 2}),
+])
+def test_every_mode_reports_accuracy_and_adherence_cells(tmp_path, mode, settings):
+    gone = DatasetManifest(
+        name="gone", path="/nonexistent/gone.csv",
+        columns=(ColumnSpec("a", "feature", "numeric"),
+                 ColumnSpec("y", "target", "categorical")))
+    config = quick_config(mode, iterations=5, **settings,
+                          datasets=(blob_manifest("wide", 6), blob_manifest(), gone))
+    payload, records = run_experiment(config)
+    out = write_report(payload, records, tmp_path / mode)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "adherence.tsv", "report.json", "runs.jsonl", "summary.txt"]
+    # every cell is a plain-loop mean over the successful records
+    labels = {r["label"] for r in records}
+    assert payload["datasets"] == ["wide", "mini-blobs", "gone"]
+    for ds in payload["datasets"]:
+        assert set(payload["accuracy"][ds]) == labels
+        for label, cell in payload["accuracy"][ds].items():
+            accs = [r["test_accuracy"] for r in records if r["status"] == "ok"
+                    and r["dataset"] == ds and r["label"] == label]
+            assert cell["n"] == len(accs)
+            if not accs:
+                assert cell["mean"] is None and cell["std"] is None
+                continue
+            mean = sum(accs) / len(accs)
+            std = math.sqrt(sum((a - mean) ** 2 for a in accs) / len(accs))
+            assert cell["mean"] == pytest.approx(mean, abs=1e-12)
+            assert cell["std"] == pytest.approx(std, abs=1e-12)
+    assert list(payload["adherence"]) == ["mini-blobs", "wide"]   # by n_features
+    for ds, info in payload["adherence"].items():
+        assert info["n_features"] == {"wide": 6, "mini-blobs": 4}[ds]
+        assert set(info["variants"]) == labels
+        for label, fracs in info["variants"].items():
+            shares = [r["adherence"][0] for r in records
+                      if r["dataset"] == ds and r["label"] == label]
+            assert fracs == pytest.approx([sum(shares) / len(shares)], abs=1e-12)
+    report = json.loads((out / "report.json").read_text())["payload"]
+    assert summarize(report) == (out / "summary.txt").read_text()
+
+
+def test_adherence_is_compare_with_one_run_by_default():
+    settings = {"variants": ("kan", "kan-avg"), "iterations": 5,
+                "datasets": (blob_manifest("wide", 6), blob_manifest())}
+    adherence, adherence_records = run_experiment(quick_config("adherence", **settings))
+    compare, compare_records = run_experiment(quick_config("compare", runs=1, **settings))
+    assert adherence_records == compare_records and len(compare_records) == 4
+    assert {key for key in adherence.keys() | compare.keys()
+            if adherence.get(key) != compare.get(key)} == {"mode", "config", "config_hash"}
 
 
 def test_run_memory_is_bounded_by_its_dataset():
@@ -422,7 +479,9 @@ class TestDeterminismAndFailures:
         payload, records = run_experiment(quick_config(
             "adherence", datasets=(a, blob_manifest(), b, a), variants=("kan",),
             runs=2, iterations=3, parallelism=2))
-        assert len(records) == 8 and not payload["failures"]
+        # a listed twice is one dataset: 3 datasets x 2 runs
+        assert len(records) == 6 and not payload["failures"]
+        assert payload["datasets"] == ["a", "mini-blobs", "b"]
         assert sorted(calls()) == [(str(os.getpid()), a.path),
                                    (str(os.getpid()), b.path)]
 
@@ -524,7 +583,9 @@ class TestCli:
         assert rc == 0
         payload = json.loads((out / "report.json").read_text())["payload"]
         assert payload["config"]["runs"] == 2
-        assert payload["decisions"]["head"] == "softmax"
+        assert payload["config"]["strict_replication"] is False
+        runs = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
+        assert {(r["head"], r["feature_scaling"]) for r in runs} == {("softmax", True)}
 
     def test_adherence_verb(self, tmp_path):
         manifest = self._write_synth_manifest(tmp_path)
@@ -577,11 +638,11 @@ class TestCli:
                        "--out", str(out)])
         assert rc == 0
         payload = json.loads((out / "report.json").read_text())["payload"]
-        assert payload["decisions"]["head"] == "scalar-index"
-        assert payload["decisions"]["feature_scaling"] is False
+        assert payload["config"]["strict_replication"] is True
         run = [json.loads(l) for l in
                (out / "runs.jsonl").read_text().splitlines()][0]
         assert run["widths"][-1] == 1
+        assert run["head"] == "scalar-index"
         assert run["feature_scaling"] is False
 
     def test_malformed_manifest_is_one_line_error(self, tmp_path, capsys):
@@ -618,7 +679,8 @@ class TestCli:
         "string-runs", "float-iterations", "nan-learning-rate", "bool-batch-size",
         "string-strict-replication", "array-config", "null-config",
         "number-dataset", "object-dataset", "list-variant", "list-aggregator",
-        "string-missing-values", "number-out-dir", "out-under-a-file"])
+        "string-missing-values", "number-out-dir", "out-under-a-file",
+        "empty-variants", "empty-aggregators"])
     def test_invalid_settings_are_one_line_errors(self, tmp_path, capsys, case):
         manifest = str(self._write_synth_manifest(tmp_path))
         na_manifest = tmp_path / "na.json"
@@ -674,7 +736,13 @@ class TestCli:
                                "out_dir must be a path, got 5"),
             "out-under-a-file": (None, ["--dataset", manifest,
                                         "--out", f"{manifest}/out"], "Not a directory"),
+            # the first ran nothing and exited 0, the second failed after its runs
+            "empty-variants": ({"datasets": [manifest], "variants": []}, [],
+                               "variants is empty: a compare plans its runs from it"),
+            "empty-aggregators": ({"datasets": [manifest], "aggregators": []}, [],
+                                  "aggregators is empty: a sweep plans its runs from it"),
         }[case]
+        mode = "sweep" if case == "empty-aggregators" else "compare"
         if settings is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(settings if isinstance(settings, str)
@@ -682,7 +750,7 @@ class TestCli:
             flags = ["--config", str(cfg), *flags]
         out = tmp_path / "out"
         own_out = "--out" in flags or isinstance(settings, dict) and "out_dir" in settings
-        rc = cli_main(["compare", *flags, *([] if own_out else ["--out", str(out)])])
+        rc = cli_main([mode, *flags, *([] if own_out else ["--out", str(out)])])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("kanagg: error: ")
