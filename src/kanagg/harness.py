@@ -1,8 +1,10 @@
 """Experiment harness: aggregator sweep and variant comparison.
 
 `run_experiment(config)` is the one entry point. It runs every training job:
-an independent (dataset, combination, run-index) job with seeds derived by
-hashing those coordinates together with the global seed, so runs are
+an independent job given by its coordinates alone, a RunSpec of (dataset,
+run label, run index, config). `execute_run` derives the run's id, its seeds
+(by hashing the coordinates together with the global seed) and its network
+(from `_run_plan`, the one label -> network plan) from them, so runs are
 reproducible in isolation and embarrassingly parallel. Each dataset manifest
 is loaded once per experiment, and the output directory made, before any run
 starts (a manifest checks itself when it is built); every run carries its
@@ -125,12 +127,6 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
 
 
-def _resolve_manifests(config: ExperimentConfig) -> list[DatasetManifest]:
-    """config.datasets as manifests; each path is loaded once."""
-    return [s if isinstance(s, DatasetManifest) else load_manifest(s)
-            for s in config.datasets]
-
-
 # The tables of the current experiment's file-backed datasets: manifest ->
 # ((size, mtime_ns) of the file when it was parsed, or None when it could not
 # be stat'ed; its RawTable, or the exception that parsing it raised). The
@@ -185,41 +181,39 @@ def load_dataset(manifest: DatasetManifest, data_seed: int,
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything one worker needs; picklable for process pools."""
+    """One run's coordinates, from which execute_run derives everything else
+    about it; picklable for process pools."""
 
-    run_id: str
     manifest: DatasetManifest
-    label: str                   # "agg1|agg2" combo or variant name
-    aggregators: tuple           # per layer transition
-    layer_norm: bool
+    label: str                   # "agg1|agg2" combo or variant name: a key of _run_plan
     run_index: int
-    base_seed: int
-    config: ExperimentConfig     # hidden width, training settings, strict replication
+    config: ExperimentConfig     # seed, hidden width, training, strict replication
 
 
 def execute_run(spec: RunSpec) -> dict:
     """Train one network; never raises, failures become failed records."""
+    cfg, name = spec.config, spec.manifest.name
+    base_seed = derive_seed(cfg.seed, name, spec.label, spec.run_index)
+    aggregators, layer_norm = _run_plan(cfg)[spec.label]
     record = {
-        "run_id": spec.run_id,
-        "dataset": spec.manifest.name,
+        "run_id": f"{name}{COMBO_SEP}{spec.label}{COMBO_SEP}{spec.run_index}",
+        "dataset": name,
         "label": spec.label,
         "run_index": spec.run_index,
-        "seed": spec.base_seed,
+        "seed": base_seed,
         "status": "ok",
         "error": None,
     }
     try:
-        data_seed = derive_seed(spec.base_seed, "data")
-        net_seed = derive_seed(spec.base_seed, "net")
-        train_seed = derive_seed(spec.base_seed, "train")
-        cfg = spec.config
+        data_seed = derive_seed(base_seed, "data")
+        net_seed = derive_seed(base_seed, "net")
+        train_seed = derive_seed(base_seed, "train")
         scale_features = not cfg.strict_replication
         data = load_dataset(spec.manifest, data_seed, scale_features=scale_features)
         record["warnings"] = data.warnings
         head_width = 1 if cfg.strict_replication else data.n_classes
         widths = (data.n_features, cfg.hidden_width, head_width)
-        net = build_network(widths, spec.aggregators, layer_norm=spec.layer_norm,
-                            seed=net_seed)
+        net = build_network(widths, aggregators, layer_norm=layer_norm, seed=net_seed)
         result = train(net, data, TrainConfig(
             iterations=cfg.iterations, batch_size=cfg.batch_size,
             learning_rate=cfg.learning_rate, seed=train_seed))
@@ -229,7 +223,7 @@ def execute_run(spec: RunSpec) -> dict:
             n_features=data.n_features,
             n_classes=data.n_classes,
             feature_scaling=scale_features,
-            layer_norm=spec.layer_norm,
+            layer_norm=layer_norm,
             final_loss=result.loss_curve[-1],
         )
     except (TrainingDiverged, ValueError, OSError) as exc:
@@ -238,50 +232,34 @@ def execute_run(spec: RunSpec) -> dict:
     return record
 
 
-def _run_plan(config: ExperimentConfig) -> list[tuple]:
-    """The runs of one dataset as (label, aggregators per layer, layer_norm):
-    every "agg1|agg2" pair in a sweep, else the variants (an aggregator or
-    a variant listed twice runs once, so a variant can be compared with
-    itself)."""
+def _run_plan(config: ExperimentConfig) -> dict:
+    """The runs of one dataset, label -> (aggregators per layer, layer_norm):
+    every "agg1|agg2" pair in a sweep, else the variants (a label is a key,
+    so an aggregator or a variant listed twice runs once, and a variant can
+    be compared with itself)."""
     if config.mode == "sweep":
-        return [(a1 + COMBO_SEP + a2, (a1, a2), False)
-                for a1, a2 in product(dict.fromkeys(config.aggregators), repeat=2)]
-    return [(v, (VARIANTS[v]["aggregator"],) * 2, VARIANTS[v]["layer_norm"])
-            for v in dict.fromkeys(config.variants)]
-
-
-def _build_specs(config: ExperimentConfig, manifests) -> list[RunSpec]:
-    return [
-        RunSpec(
-            run_id=f"{manifest.name}{COMBO_SEP}{label}{COMBO_SEP}{i}",
-            manifest=manifest,
-            label=label,
-            aggregators=aggs,
-            layer_norm=layer_norm,
-            run_index=i,
-            base_seed=derive_seed(config.seed, manifest.name, label, i),
-            config=config,
-        )
-        for manifest in manifests
-        for label, aggs, layer_norm in _run_plan(config)
-        for i in range(config.runs_per_config())
-    ]
+        return {a1 + COMBO_SEP + a2: ((a1, a2), False)
+                for a1, a2 in product(config.aggregators, repeat=2)}
+    return {v: ((VARIANTS[v]["aggregator"],) * 2, VARIANTS[v]["layer_norm"])
+            for v in config.variants}
 
 
 def _execute_all(config: ExperimentConfig):
     """Run every spec of the experiment; returns (dataset names, records)."""
     config.validate()
-    manifests = _resolve_manifests(config)
-    # run ids and seeds derive from the name; one manifest listed twice is
-    # one dataset, two that differ under one name are an error
+    # each path is loaded once; run ids and seeds derive from the name, so
+    # one manifest listed twice is one dataset, two that differ under one
+    # name are an error
     named = {}
-    for m in manifests:
+    for source in config.datasets:
+        m = source if isinstance(source, DatasetManifest) else load_manifest(source)
         if named.setdefault(m.name, m) != m:
             raise ValueError(f"two datasets are named {m.name!r}")
     manifests = list(named.values())
     if config.out_dir is not None:    # one that cannot be made fails before any run
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    specs = _build_specs(config, manifests)
+    specs = [RunSpec(m, label, i, config) for m in manifests
+             for label in _run_plan(config) for i in range(config.runs_per_config())]
     _refresh_tables(manifests)
     # wall-clock timing stays out of the records so runs.jsonl is reproducible
     if config.parallelism > 1:
@@ -310,7 +288,7 @@ def _cells(config: ExperimentConfig, datasets, runs) -> dict:
     """The (dataset, label) cells every report holds: the test accuracy of
     each planned label on each dataset, and the pooled in-range shares of the
     datasets with a successful run, ordered by feature count."""
-    labels = [label for label, _, _ in _run_plan(config)]
+    labels = list(_run_plan(config))
     accuracy = {}
     for ds in datasets:
         accuracy[ds] = {}
@@ -335,7 +313,7 @@ def _cells(config: ExperimentConfig, datasets, runs) -> dict:
 def _sweep_report(config: ExperimentConfig, cells, runs) -> dict:
     """Rank the aggregator combinations on each dataset by mean test accuracy."""
     plan = _run_plan(config)
-    combos = [label for label, _, _ in plan]
+    combos = list(plan)
     datasets = cells["datasets"]
     ranks = {ds: {} for ds in datasets}
     rank_matrix = np.full((len(combos), len(datasets)), np.nan)
@@ -352,7 +330,7 @@ def _sweep_report(config: ExperimentConfig, cells, runs) -> dict:
     means, stds = average_rank(rank_matrix)
     rank_table = []
     for i in np.argsort(means, kind="stable").tolist():   # ties keep combo order
-        layer1, layer2 = plan[i][1]
+        layer1, layer2 = plan[combos[i]][0]
         rank_table.append({
             "layer1": layer1,
             "layer2": layer2,

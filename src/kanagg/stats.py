@@ -27,27 +27,23 @@ def rank_with_ties(scores, higher_is_better: bool = True) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
     key = -s if higher_is_better else s
-    order = np.argsort(key, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and key[order[j + 1]] == key[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0   # mean of positions i..j, 1-based
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(key, return_inverse=True, return_counts=True)
+    # a tie group at sorted positions i..j (1-based) ranks (i + j) / 2
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[group]
 
 
 def average_rank(per_dataset_ranks) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of each row across datasets. NaN entries
-    (failed runs) are ignored per row."""
+    (failed runs) are ignored per row; a row with no finite rank gets NaN."""
     m = np.asarray(per_dataset_ranks, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a 2-D rank matrix, got shape {m.shape}")
-    with np.errstate(invalid="ignore"):
-        means = np.nanmean(m, axis=1)
-        stds = np.nanstd(m, axis=1)
+    ranked = np.isfinite(m).any(axis=1)
+    means = np.full(m.shape[0], np.nan)
+    stds = np.full(m.shape[0], np.nan)
+    means[ranked] = np.nanmean(m[ranked], axis=1)
+    stds[ranked] = np.nanstd(m[ranked], axis=1)
     return means, stds
 
 

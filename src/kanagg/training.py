@@ -86,11 +86,11 @@ def softmax_cross_entropy(logits, label):
     if np.any(labels < 0) or np.any(labels >= z.shape[1]):
         raise ValueError(f"label out of range for {z.shape[1]} logits")
     shifted = z - z.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    softmax = expz / expz.sum(axis=1, keepdims=True)
+    d = np.exp(shifted)
+    total = d.sum(axis=1, keepdims=True)
     rows = np.arange(z.shape[0])
-    losses = np.log(expz.sum(axis=1)) - shifted[rows, labels]
-    d = softmax.copy()
+    losses = np.log(total[:, 0]) - shifted[rows, labels]
+    d /= total                   # the softmax
     d[rows, labels] -= 1.0
     return losses, d
 
@@ -236,38 +236,41 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     order = rng.permutation(n_train)
     # the block holds layer 0's basis of order[block_start: block_end]
     cursor = block_start = block_end = 0
-    for it in range(cfg.iterations):
-        if cursor >= n_train:
-            order = rng.permutation(n_train)
-            cursor = block_end = 0
-        if cursor >= block_end:
-            block_start = cursor
-            block_end = min(n_train, cursor + cfg.batch_size * min(
-                batches_per_block, cfg.iterations - it))
-            # the last trace holds a view of the old block: free both first,
-            # so a run never holds two blocks
-            block = trace = None
-            block = input_basis(net, x_train[order[block_start: block_end]])
-        batch_idx = order[cursor: cursor + cfg.batch_size]
-        rows = slice(cursor - block_start, cursor - block_start + len(batch_idx))
-        cursor += cfg.batch_size
+    # a diverging step overflows before the checks below turn its
+    # non-finite logits or loss into TrainingDiverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.iterations):
+            if cursor >= n_train:
+                order = rng.permutation(n_train)
+                cursor = block_end = 0
+            if cursor >= block_end:
+                block_start = cursor
+                block_end = min(n_train, cursor + cfg.batch_size * min(
+                    batches_per_block, cfg.iterations - it))
+                # the last trace holds a view of the old block: free both first,
+                # so a run never holds two blocks
+                block = trace = None
+                block = input_basis(net, x_train[order[block_start: block_end]])
+            batch_idx = order[cursor: cursor + cfg.batch_size]
+            rows = slice(cursor - block_start, cursor - block_start + len(batch_idx))
+            cursor += cfg.batch_size
 
-        logits, trace = forward(net, x_train[batch_idx], trace=True,
-                                basis0=block[rows])
-        if not np.all(np.isfinite(logits)):
-            raise TrainingDiverged(it, f"non-finite logits at iteration {it}")
-        per_sample, d_logits = loss_fn(logits, y_train[batch_idx])
-        loss = float(per_sample.mean())
-        if not np.isfinite(loss):
-            raise TrainingDiverged(it, f"non-finite loss at iteration {it}")
-        losses.append(loss)
+            logits, trace = forward(net, x_train[batch_idx], trace=True,
+                                    basis0=block[rows])
+            if not np.all(np.isfinite(logits)):
+                raise TrainingDiverged(it, f"non-finite logits at iteration {it}")
+            per_sample, d_logits = loss_fn(logits, y_train[batch_idx])
+            loss = float(per_sample.mean())
+            if not np.isfinite(loss):
+                raise TrainingDiverged(it, f"non-finite loss at iteration {it}")
+            losses.append(loss)
 
-        i, n = adherence_counts(trace)
-        inside = inside + i
-        total = total + n
+            i, n = adherence_counts(trace)
+            inside = inside + i
+            total = total + n
 
-        backward(net, trace, d_logits, views=grad_views)
-        adam_step(params, grads, state, cfg)
+            backward(net, trace, d_logits, views=grad_views)
+            adam_step(params, grads, state, cfg)
     # evaluation allocates its own blocks: free this one and the last trace
     del block, trace
 

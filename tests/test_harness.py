@@ -39,6 +39,28 @@ class TestSeeds:
                  for ds in ("a", "b") for combo in ("x", "y") for i in range(3)}
         assert len(seeds) == 12
 
+    @pytest.mark.parametrize("mode, settings", [
+        ("sweep", {"aggregators": ("sum", "mean")}),
+        ("compare", {"variants": ("kan", "kan-avg"), "runs": 2}),
+    ])
+    def test_records_carry_seeds_and_ids_of_their_coordinates(self, mode, settings):
+        config = quick_config(mode, iterations=2, **settings)
+        _, records = run_experiment(config)
+        assert len(records) == 4
+        for r in records:
+            assert r["seed"] == derive_seed(config.seed, r["dataset"], r["label"],
+                                            r["run_index"])
+            assert r["run_id"] == f"{r['dataset']}|{r['label']}|{r['run_index']}"
+
+    def test_a_run_reproduces_in_isolation(self):
+        from kanagg.harness import RunSpec, execute_run
+        config = quick_config("compare", variants=("kan", "kan-avg"), runs=2,
+                              iterations=10)
+        _, records = run_experiment(config)
+        manifest, = config.datasets
+        assert [execute_run(RunSpec(manifest, r["label"], r["run_index"], config))
+                for r in records] == records
+
 
 class TestSweep:
     def test_enumerates_cartesian_product(self):
@@ -58,9 +80,8 @@ class TestSweep:
 
     def test_full_nine_gives_81(self):
         config = quick_config("sweep")
-        from kanagg.harness import _build_specs, _resolve_manifests
-        specs = _build_specs(config, _resolve_manifests(config))
-        assert len(specs) == 81
+        from kanagg.harness import _run_plan
+        assert len(_run_plan(config)) == 81
 
     def test_ranks_are_valid_tied_permutation(self):
         config = quick_config("sweep", aggregators=("sum", "mean", "min"))
@@ -287,12 +308,12 @@ def test_run_memory_is_bounded_by_its_dataset():
     # a run holds its dataset, one train-split copy and one bounded block:
     # its allocation peak stays a small multiple of the feature matrix
     import tracemalloc
-    from kanagg.harness import _build_specs, _resolve_manifests, execute_run
+    from kanagg.harness import RunSpec, execute_run
     n_instances, n_features = 20000, 30
     config = quick_config("compare", variants=("kan",), runs=1, iterations=20,
                           datasets=(blob_manifest("big-blobs", n_features, n_instances,
                                                   separation=0.06, noise=0.45),))
-    spec, = _build_specs(config, _resolve_manifests(config))
+    spec = RunSpec(config.datasets[0], "kan", 0, config)
     tracemalloc.start()
     try:
         record = execute_run(spec)
@@ -326,16 +347,18 @@ class TestDeterminismAndFailures:
         assert rs == rp
 
     def test_failed_runs_recorded_and_excluded(self):
-        config = quick_config("compare", variants=("kan", "kan-avg"), runs=2,
-                              learning_rate=1e160)
-        with np.errstate(all="ignore"):
+        # a diverging run ends as a failure record, with no RuntimeWarning
+        # (the suite makes one an error, in pool workers too)
+        for parallelism in (1, 2):
+            config = quick_config("compare", variants=("kan", "kan-avg"), runs=2,
+                                  learning_rate=1e160, parallelism=parallelism)
             payload, records = run_experiment(config)
-        assert len(payload["failures"]) == 4
-        assert all(r["status"] == "failed" for r in records)
-        assert all("iteration" in r["error"] or "logits" in r["error"]
-                   for r in records)
-        ds = payload["datasets"][0]
-        assert payload["accuracy"][ds]["kan"]["mean"] is None
+            assert len(payload["failures"]) == 4
+            assert all(r["status"] == "failed" for r in records)
+            assert all("iteration" in r["error"] or "logits" in r["error"]
+                       for r in records)
+            ds = payload["datasets"][0]
+            assert payload["accuracy"][ds]["kan"]["mean"] is None
 
     def test_sweep_with_unreadable_dataset(self):
         broken = DatasetManifest(
@@ -354,6 +377,19 @@ class TestDeterminismAndFailures:
         assert len(ok_ranks) == 4                      # healthy dataset unaffected
         for row in payload["rank_table"]:
             assert row["per_dataset"]["gone"] is None
+
+    def test_sweep_whose_only_dataset_is_unreadable(self):
+        # every combination failed everywhere: no ranks and no RuntimeWarning
+        broken = DatasetManifest(
+            name="gone", path="/nonexistent/gone.csv",
+            columns=(ColumnSpec("a", "feature", "numeric"),
+                     ColumnSpec("y", "target", "categorical")))
+        payload, records = run_experiment(quick_config(
+            "sweep", aggregators=("sum", "mean"), datasets=(broken,)))
+        assert len(payload["failures"]) == len(records) == 4
+        assert payload["ranks"] == {"gone": {}}
+        assert all(row["mean_rank"] is None and row["std_rank"] is None
+                   for row in payload["rank_table"])
 
     def test_malformed_synthetic_manifest_rejected_before_any_run(
             self, tmp_path, monkeypatch):

@@ -68,6 +68,13 @@ class TestAverageRank:
         means, _ = average_rank(np.array([[1.0, np.nan], [2.0, 2.0]]))
         assert means[0] == 1.0 and means[1] == 2.0
 
+    def test_row_without_ranks_is_nan_without_warning(self):
+        # a combination that failed on every dataset: the suite turns numpy's
+        # empty-slice RuntimeWarnings into errors
+        means, stds = average_rank(np.array([[1.0, np.nan], [np.nan, np.nan]]))
+        assert means[0] == 1.0 and stds[0] == 0.0
+        assert np.isnan(means[1]) and np.isnan(stds[1])
+
     def test_rank_table_structure(self):
         ranks = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
         means, stds = average_rank(ranks)
