@@ -56,12 +56,16 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
         if not isinstance(settings, dict):
             raise ValueError(f"config {args.config}: top level is a "
                              f"{type(settings).__name__}, not an object")
+        nulls = sorted(k for k, v in settings.items() if v is None)
+        if nulls:
+            raise ValueError(f"config {args.config}: keys {nulls} are null; "
+                             f"leave a key out for its default")
     settings.update({k: v for k, v in vars(args).items()
                      if v is not None and k not in ("command", "config")})
     settings["mode"] = mode
     settings.setdefault("out_dir", str(Path(DEFAULT_OUT) / mode))
     for key in ("datasets", "variants", "aggregators"):
-        if settings.get(key) is None:
+        if key not in settings:
             continue
         if not isinstance(settings[key], list):   # tuple() would split a string
             raise ValueError(f"{key} must be a list, got {settings[key]!r}")

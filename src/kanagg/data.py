@@ -151,6 +151,11 @@ class DatasetManifest:
             if keys:
                 raise IngestionError(
                     f"manifest {self.name!r}: synthetic spec has {problem} {keys}")
+        try:
+            _check_synthetic(**spec)
+        except ValueError as exc:
+            raise IngestionError(
+                f"manifest {self.name!r}: synthetic spec: {exc}") from None
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -410,6 +415,20 @@ def preprocess(raw: RawTable, manifest: DatasetManifest, seed: int,
     )
 
 
+def _check_synthetic(kind: str, n_features: int, n_instances: int,
+                     n_classes: int = 3, **_):
+    """Raise ValueError unless synthetic_dataset can build data from these
+    arguments (n_classes defaults as there; the other keywords are free)."""
+    if kind not in ("xor", "gaussian-blobs"):
+        raise ValueError(f"unknown synthetic kind {kind!r}")
+    if n_features < 2:
+        raise ValueError(f"need at least 2 features, got {n_features}")
+    if n_instances < 10:
+        raise ValueError(f"need at least 10 instances, got {n_instances}")
+    if kind == "gaussian-blobs" and not 2 <= n_classes <= 2 ** min(n_features, 20):
+        raise ValueError(f"cannot place {n_classes} distinct classes")
+
+
 def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
                       n_classes: int = 3, separation: float = 0.35,
                       noise: float = 0.12, scale_features: bool = True) -> Dataset:
@@ -428,10 +447,7 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
     beside it, so building a dataset needs little more than the dataset
     (scaling reads the train split's min/max in place).
     """
-    if n_features < 2:
-        raise ValueError(f"need at least 2 features, got {n_features}")
-    if n_instances < 10:
-        raise ValueError(f"need at least 10 instances, got {n_instances}")
+    _check_synthetic(kind, n_features, n_instances, n_classes)
     rng = np.random.default_rng(seed)
     if kind == "xor":
         x = rng.uniform(-1.0, 1.0, size=(n_instances, n_features))
@@ -442,9 +458,7 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
                 margin + np.abs(x[tight, j]))
         y = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(np.int64)
         n_classes = 2
-    elif kind == "gaussian-blobs":
-        if not 2 <= n_classes <= 2 ** min(n_features, 20):
-            raise ValueError(f"cannot place {n_classes} distinct classes")
+    else:    # gaussian-blobs
         seen = set()
         patterns = np.empty((n_classes, n_features))
         for c in range(n_classes):
@@ -464,8 +478,6 @@ def synthetic_dataset(kind: str, n_features: int, n_instances: int, seed: int,
         for c in range(n_classes):
             np.add(x, patterns[c] * separation, out=x, where=(y == c)[:, np.newaxis])
         np.clip(x, -1.0, 1.0, out=x)
-    else:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
 
     train_rows, val_rows, test_rows = _split(n_instances, rng)
     if scale_features:

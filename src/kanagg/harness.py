@@ -22,7 +22,8 @@ The report is a pure function of the run records, in any order, so it can be
 rebuilt from stored records. Every mode's report holds the same cells: per
 (dataset, run label), the mean test accuracy and the pooled in-range shares.
 A sweep adds its ranks and a compare its Wilcoxon tests; `adherence` is
-`compare` with one run per variant by default.
+`compare` with one run per variant by default. summary.txt is one table of
+those cells for every mode, one row per run label.
 """
 
 from __future__ import annotations
@@ -342,17 +343,6 @@ def _sweep_report(config: ExperimentConfig, cells, runs) -> dict:
     return {"combinations": combos, "ranks": ranks, "rank_table": rank_table}
 
 
-def _sweep_table(payload) -> list[str]:
-    """summary.txt lines of a sweep: the ranked combinations."""
-    lines = [f"{'layer1':>10} {'layer2':>10} {'mean rank':>10} {'std':>8}"]
-    for row in payload["rank_table"]:
-        if row["mean_rank"] is None:
-            continue
-        lines.append(f"{row['layer1']:>10} {row['layer2']:>10} "
-                     f"{row['mean_rank']:>10.2f} {row['std_rank']:>8.2f}")
-    return lines
-
-
 def _compare_report(config: ExperimentConfig, cells, runs) -> dict:
     """Pairwise Wilcoxon tests of the variants' test accuracies on each
     dataset; marks the winner's accuracy cell of each significant pair."""
@@ -387,37 +377,6 @@ def _compare_report(config: ExperimentConfig, cells, runs) -> dict:
     return {"variants": variants, "wilcoxon": tests}
 
 
-def _compare_table(payload) -> list[str]:
-    """summary.txt lines of a compare: mean and std accuracy per variant, then
-    the in-range shares per variant and hidden layer."""
-    variants = payload["variants"]
-    lines = ["dataset".ljust(16) + "".join(v.rjust(26) for v in variants)]
-    for ds in payload["datasets"]:
-        cells = []
-        for v in variants:
-            s = payload["accuracy"][ds][v]
-            if s["mean"] is None:
-                cells.append("failed".rjust(26))
-            else:
-                marks = "*" * len(s.get("significantly_better_than", []))
-                cells.append(f"{100 * s['mean']:.2f}% ±{100 * s['std']:.2f}"
-                             f"{marks}".rjust(26))
-        lines.append(ds.ljust(16) + "".join(cells))
-    lines.append("(one * per variant beaten with p < 0.05)")
-    lines.append("in-range share of each hidden layer, pooled over the run:")
-    lines.append("dataset".ljust(16) + "features".rjust(9)
-                 + "".join(v.rjust(16) for v in variants))
-    for ds, info in payload["adherence"].items():
-        cells = []
-        for v in variants:
-            fracs = info["variants"].get(v)
-            cells.append(("/".join(f"{f:.4f}" for f in fracs) if fracs
-                          else "failed").rjust(16))
-        lines.append(ds.ljust(16) + str(info["n_features"]).rjust(9)
-                     + "".join(cells))
-    return lines
-
-
 def _adherence_tsv(payload) -> str:
     """adherence.tsv: one plot-data row per (dataset, run label, hidden layer);
     the `variant` column holds the label."""
@@ -429,16 +388,17 @@ def _adherence_tsv(payload) -> str:
     return "".join(lines)
 
 
+# A mode is its default run count and its report fields; every mode's
+# summary.txt is the same table of the cells
 class Mode(NamedTuple):
     runs: int          # default runs per (dataset, combination)
     report: Callable   # (config, cells, runs) -> its own payload fields; may mark cells
-    table: Callable    # payload -> its summary.txt lines
 
 
 # `adherence` is `compare` with one run per variant by default
-MODES = {"sweep": Mode(1, _sweep_report, _sweep_table),
-         "compare": Mode(20, _compare_report, _compare_table),
-         "adherence": Mode(1, _compare_report, _compare_table)}
+MODES = {"sweep": Mode(1, _sweep_report),
+         "compare": Mode(20, _compare_report),
+         "adherence": Mode(1, _compare_report)}
 
 
 def _payload(config: ExperimentConfig, datasets, records) -> dict:
@@ -474,6 +434,38 @@ def run_experiment(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # report files
 
+def _table(payload) -> list[str]:
+    """summary.txt's table of the (dataset, label) cells: one row per run
+    label (a sweep's in rank order, led by its mean rank and std), and per
+    dataset the label's mean test accuracy and its in-range share per hidden
+    layer."""
+    header = "label".ljust(20)
+    if "rank_table" in payload:
+        header += f"{'mean rank':>10}{'std':>8}"
+        rows = {}
+        for r in payload["rank_table"]:    # None: the label failed everywhere
+            rows[f"{r['layer1']}{COMBO_SEP}{r['layer2']}"] = [
+                "-".rjust(width) if x is None else f"{x:{width}.2f}"
+                for x, width in ((r["mean_rank"], 10), (r["std_rank"], 8))]
+    else:
+        rows = {v: [] for v in payload["variants"]}
+    for ds in payload["datasets"]:
+        info = payload["adherence"].get(ds, {"n_features": "-", "variants": {}})
+        header += ds.rjust(24) + f"in range ({info['n_features']})".rjust(18)
+        for label, cells in rows.items():
+            s = payload["accuracy"][ds][label]
+            accuracy = "failed" if s["mean"] is None else (
+                f"{100 * s['mean']:.2f}% ±{100 * s['std']:.2f}"
+                + "*" * len(s.get("significantly_better_than", [])))
+            fracs = info["variants"].get(label)
+            cells += [accuracy.rjust(24),
+                      ("/".join(f"{f:.4f}" for f in fracs) if fracs else "-").rjust(18)]
+    lines = [header] + [label.ljust(20) + "".join(cells) for label, cells in rows.items()]
+    if "wilcoxon" in payload:
+        lines.append("(one * per label beaten with p < 0.05)")
+    return lines
+
+
 def summarize(payload: dict) -> str:
     lines = [f"kanagg {payload['mode']} report  (config {payload['config_hash'][:12]})"]
     if payload["failures"]:
@@ -481,7 +473,7 @@ def summarize(payload: dict) -> str:
                      f"(see runs.jsonl; exit code is non-zero)")
         for r in payload["failures"]:
             lines.append(f"  {r['run_id']}: {r['error']}")
-    lines += MODES[payload["mode"]].table(payload)
+    lines += _table(payload)
     return "\n".join(lines) + "\n"
 
 

@@ -30,10 +30,6 @@ HEAD_SCALAR_INDEX = "scalar-index"  # widths [.., 1], squared error on the label
 class TrainingDiverged(RuntimeError):
     """Loss or parameters became non-finite; the run is reported as failed."""
 
-    def __init__(self, iteration, message):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -60,7 +56,7 @@ def adam_init(params: np.ndarray) -> AdamState:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              cfg: TrainConfig):
+              cfg: TrainConfig) -> None:
     """Standard Adam update with bias correction on one parameter vector,
     updated in place."""
     state.t += 1
@@ -73,16 +69,16 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     v *= b2
     v += (1.0 - b2) * grads * grads
     params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return params, state
 
 
 def softmax_cross_entropy(logits, label):
     """Stabilized -log softmax(logits)[label] of (batch, C) logits and a
-    label vector; returns per-sample (losses, d_logits), not averaged."""
+    label vector; returns per-sample (losses, d_logits), not averaged.
+    Non-finite logits are the caller's to reject."""
     z = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(label, dtype=np.int64)
-    if z.ndim != 2 or not np.all(np.isfinite(z)):
-        raise ValueError("logits must be a finite (batch, classes) array")
+    if z.ndim != 2:
+        raise ValueError("logits must be a (batch, classes) array")
     if np.any(labels < 0) or np.any(labels >= z.shape[1]):
         raise ValueError(f"label out of range for {z.shape[1]} logits")
     shifted = z - z.max(axis=1, keepdims=True)
@@ -258,11 +254,11 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
             logits, trace = forward(net, x_train[batch_idx], trace=True,
                                     basis0=block[rows])
             if not np.all(np.isfinite(logits)):
-                raise TrainingDiverged(it, f"non-finite logits at iteration {it}")
+                raise TrainingDiverged(f"non-finite logits at iteration {it}")
             per_sample, d_logits = loss_fn(logits, y_train[batch_idx])
             loss = float(per_sample.mean())
             if not np.isfinite(loss):
-                raise TrainingDiverged(it, f"non-finite loss at iteration {it}")
+                raise TrainingDiverged(f"non-finite loss at iteration {it}")
             losses.append(loss)
 
             i, n = adherence_counts(trace)
@@ -275,7 +271,7 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     del block, trace
 
     if not np.all(np.isfinite(params)):
-        raise TrainingDiverged(cfg.iterations - 1, "non-finite parameters after update")
+        raise TrainingDiverged("non-finite parameters after update")
 
     train_acc = evaluate(net, x_train, y_train, data.n_classes)
     del x_train, y_train    # val and test each copy their own rows

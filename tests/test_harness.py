@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -294,6 +295,68 @@ def test_every_mode_reports_accuracy_and_adherence_cells(tmp_path, mode, setting
     assert summarize(report) == (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("mode, settings", [
+    ("sweep", {"aggregators": ("sum", "mean")}),
+    ("compare", {"variants": ("kan", "kan-layernorm", "kan-avg"), "runs": 6}),
+])
+def test_summary_rows_are_the_cells(tmp_path, monkeypatch, mode, settings):
+    # every (mean, mean) network fails to build, so one label has no
+    # successful run anywhere; "gone" has none for any label
+    from kanagg import harness
+    build = harness.build_network
+
+    def build_unless_mean(widths, aggregators, **kw):
+        if tuple(aggregators) == ("mean", "mean"):
+            raise ValueError("no mean network")
+        return build(widths, aggregators, **kw)
+
+    monkeypatch.setattr(harness, "build_network", build_unless_mean)
+    gone = DatasetManifest(
+        name="gone", path="/nonexistent/gone.csv",
+        columns=(ColumnSpec("a", "feature", "numeric"),
+                 ColumnSpec("y", "target", "categorical")))
+    config = quick_config(mode, iterations=10, seed=1, **settings, datasets=(
+        blob_manifest("wide", 6, noise=0.5, n_classes=3), blob_manifest(), gone))
+    payload, records = run_experiment(config)
+    out = write_report(payload, records, tmp_path)
+    lines = (out / "summary.txt").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("label"))
+    header = lines[start]
+    for ds, n in (("wide", 6), ("mini-blobs", 4), ("gone", "-")):
+        assert f"{ds}      in range ({n})" in header
+    failing = "mean|mean" if mode == "sweep" else "kan-avg"
+    if mode == "sweep":
+        labels = [f"{r['layer1']}|{r['layer2']}" for r in payload["rank_table"]]
+        ranks = [["-" if x is None else f"{x:.2f}"
+                  for x in (r["mean_rank"], r["std_rank"])] for r in payload["rank_table"]]
+        assert ranks[-1] == ["-", "-"] and labels[-1] == "mean|mean"
+    else:
+        labels, ranks = list(config.variants), [[]] * 3
+        assert lines[-1] == "(one * per label beaten with p < 0.05)"
+        lines = lines[:-1]
+    rows = lines[start + 1:]
+    assert [row.split()[0] for row in rows] == labels
+    stars = 0
+    for row, label, rank in zip(rows, labels, ranks):
+        expected = [label, *rank]
+        for ds in payload["datasets"]:
+            cell = payload["accuracy"][ds][label]
+            marks = len(cell.get("significantly_better_than", []))
+            stars += marks
+            info = payload["adherence"].get(ds, {"variants": {}})
+            fracs = info["variants"].get(label)
+            expected += [
+                "failed" if cell["mean"] is None else
+                f"{100 * cell['mean']:.2f}% ±{100 * cell['std']:.2f}" + "*" * marks,
+                "-" if fracs is None else "/".join(f"{f:.4f}" for f in fracs)]
+            if label == failing or ds == "gone":
+                assert expected[-2:] == ["failed", "-"]
+        assert re.split(r"\s{2,}", row.strip()) == expected
+    assert "".join(rows).count("*") == stars
+    # at these seeds kan-layernorm beats kan on "wide" in all six runs
+    assert stars == (mode == "compare")
+
+
 def test_adherence_is_compare_with_one_run_by_default():
     settings = {"variants": ("kan", "kan-avg"), "iterations": 5,
                 "datasets": (blob_manifest("wide", 6), blob_manifest())}
@@ -399,15 +462,27 @@ class TestDeterminismAndFailures:
         monkeypatch.setattr(harness, "execute_run",
                             lambda spec: pytest.fail("a run started"))
         bad = tmp_path / "bad.json"
-        for spec in ({"kind": "gaussian-blobs", "n_instances": 100},
-                     {"kind": "gaussian-blobs", "n_features": 4,
-                      "n_instances": 100, "nosie": 0.3}):
+        # the last four passed these checks, then failed every run
+        for spec, problem in (
+                ({"kind": "gaussian-blobs", "n_instances": 100},
+                 "missing keys ['n_features']"),
+                ({"kind": "gaussian-blobs", "n_features": 4,
+                  "n_instances": 100, "nosie": 0.3}, "unknown keys ['nosie']"),
+                ({"kind": "blobs", "n_features": 4, "n_instances": 100},
+                 "unknown synthetic kind 'blobs'"),
+                ({"kind": "gaussian-blobs", "n_features": 4, "n_instances": 5},
+                 "need at least 10 instances, got 5"),
+                ({"kind": "xor", "n_features": 1, "n_instances": 100},
+                 "need at least 2 features, got 1"),
+                ({"kind": "gaussian-blobs", "n_features": 4, "n_instances": 100,
+                  "n_classes": 1}, "cannot place 1 distinct classes")):
             bad.write_text(json.dumps({"name": "bad", "synthetic": spec}))
             config = quick_config("sweep", datasets=(blob_manifest(), str(bad)))
             with pytest.raises(IngestionError, match=r"bad\.json: manifest 'bad'"):
                 run_experiment(config)
-            with pytest.raises(IngestionError, match="'bad'"):
+            with pytest.raises(IngestionError, match="'bad'") as raised:
                 DatasetManifest(name="bad", synthetic=spec)
+            assert problem in str(raised.value)
 
     def test_duplicate_dataset_names_rejected_before_any_run(self, monkeypatch):
         # run ids and seeds derive from the name: two datasets named alike
@@ -716,7 +791,8 @@ class TestCli:
         "string-strict-replication", "array-config", "null-config",
         "number-dataset", "object-dataset", "list-variant", "list-aggregator",
         "string-missing-values", "number-out-dir", "out-under-a-file",
-        "empty-variants", "empty-aggregators"])
+        "empty-variants", "empty-aggregators", "null-variants", "null-aggregators",
+        "null-out-dir"])
     def test_invalid_settings_are_one_line_errors(self, tmp_path, capsys, case):
         manifest = str(self._write_synth_manifest(tmp_path))
         na_manifest = tmp_path / "na.json"
@@ -777,8 +853,17 @@ class TestCli:
                                "variants is empty: a compare plans its runs from it"),
             "empty-aggregators": ({"datasets": [manifest], "aggregators": []}, [],
                                   "aggregators is empty: a sweep plans its runs from it"),
+            # the first two ended in a TypeError traceback, the third after its runs
+            "null-variants": ({"datasets": [manifest], "variants": None}, [],
+                              "keys ['variants'] are null; "
+                              "leave a key out for its default"),
+            "null-aggregators": ({"datasets": [manifest], "aggregators": None}, [],
+                                 "keys ['aggregators'] are null"),
+            "null-out-dir": ({"datasets": [manifest], "out_dir": None},
+                             ["--runs", "1", "--iterations", "2"],
+                             "keys ['out_dir'] are null"),
         }[case]
-        mode = "sweep" if case == "empty-aggregators" else "compare"
+        mode = "sweep" if case.endswith("-aggregators") else "compare"
         if settings is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(settings if isinstance(settings, str)
