@@ -1,16 +1,17 @@
 """Command-line harness.
 
-    kanagg sweep      --dataset m.json [...] [--runs N] [--iterations N] ...
+    kanagg sweep      --dataset m.json [...] [--aggregators sum mean ...] [--runs N] ...
     kanagg compare    --dataset m.json [...] [--variants kan kan-avg ...]
     kanagg adherence  --dataset m.json [...] [--variants ...]
 
-`adherence` is `compare` with one run per variant by default. A JSON file
-passed via --config supplies defaults; explicit flags win. KANAGG_OUT sets
-the default output directory. Each verb writes report.json, runs.jsonl (one
-record per run, including any dataset warnings), summary.txt and
-adherence.tsv there. Exit code is 0 only when every run completed, 1 when a
-run failed, and 2 when the config, a flag value or a manifest is invalid (one
-`kanagg: error: ...` line on stderr).
+`adherence` is `compare` with one run per variant by default; no verb offers
+the flag of the setting its mode does not plan from. A JSON file passed via
+--config supplies defaults; explicit flags win. KANAGG_OUT sets the default
+output directory. Each verb writes report.json, runs.jsonl (one record per
+run, including any dataset warnings), summary.txt and adherence.tsv there,
+then prints summary.txt, which a reader may stop (`| head`). Exit code is 0
+only when every run completed, 1 when a run failed, and 2 when the config, a
+flag value or a manifest is invalid (one `kanagg: error: ...` line on stderr).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .harness import MODES, VARIANTS, ExperimentConfig, run_experiment, write_re
 DEFAULT_OUT = os.environ.get("KANAGG_OUT", "kanagg-out")
 
 
-def _add_run_flags(p: argparse.ArgumentParser):
+def _add_run_flags(p: argparse.ArgumentParser, mode: str):
     """The run flags; each one's dest is the ExperimentConfig field it sets."""
     p.add_argument("--config", help="JSON file with ExperimentConfig defaults")
     p.add_argument("--dataset", dest="datasets", action="append", default=None,
@@ -36,10 +37,10 @@ def _add_run_flags(p: argparse.ArgumentParser):
                    help="runs per (dataset, combination)")
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="global seed")
-    p.add_argument("--variants", nargs="+", default=None,
-                   choices=sorted(VARIANTS), help="compare/adherence variants")
-    p.add_argument("--aggregators", nargs="+", default=None,
-                   choices=AGGREGATOR_NAMES, help="sweep aggregator subset")
+    plans = MODES[mode].plans
+    known = sorted(VARIANTS) if plans == "variants" else AGGREGATOR_NAMES
+    p.add_argument(f"--{plans}", nargs="+", default=None, choices=known,
+                   help=f"the {plans} a {mode} runs")
     p.add_argument("--strict-replication", action="store_true", default=None,
                    help="[n_in,10,1] head, squared-error loss, no feature scaling")
     p.add_argument("--out", dest="out_dir", default=None, metavar="OUT",
@@ -65,11 +66,8 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
     settings["mode"] = mode
     settings.setdefault("out_dir", str(Path(DEFAULT_OUT) / mode))
     for key in ("datasets", "variants", "aggregators"):
-        if key not in settings:
-            continue
-        if not isinstance(settings[key], list):   # tuple() would split a string
-            raise ValueError(f"{key} must be a list, got {settings[key]!r}")
-        settings[key] = tuple(settings[key])
+        if isinstance(settings.get(key), list):   # validate rejects any other type
+            settings[key] = tuple(settings[key])
     try:
         return ExperimentConfig(**settings)
     except TypeError as exc:    # an unknown config-file key, or no dataset
@@ -80,7 +78,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kanagg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for mode in MODES:
-        _add_run_flags(sub.add_parser(mode))
+        _add_run_flags(sub.add_parser(mode), mode)
     return parser
 
 
@@ -96,8 +94,13 @@ def main(argv=None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     out = write_report(payload, records, config.out_dir)
-    print((out / "summary.txt").read_text(), end="")
-    print(f"report written to {out}")
+    try:
+        print((out / "summary.txt").read_text(), end="")
+        print(f"report written to {out}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped (`| head`); devnull takes the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     failed = len(payload["failures"])
     if failed:
         print(f"{failed} run(s) failed", file=sys.stderr)

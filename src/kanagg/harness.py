@@ -19,11 +19,13 @@ error. Every run records the share of each hidden layer's values that stayed
 in the range of the grid of the layer that reads them.
 
 The report is a pure function of the run records, in any order, so it can be
-rebuilt from stored records. Every mode's report holds the same cells: per
+rebuilt from stored records; it holds each fact once, and its config only the
+settings the runs read. Every mode's report holds the same cells: per
 (dataset, run label), the mean test accuracy and the pooled in-range shares.
-A sweep adds its ranks and a compare its Wilcoxon tests; `adherence` is
-`compare` with one run per variant by default. summary.txt is one table of
-those cells for every mode, one row per run label.
+A sweep adds each dataset's ranks and a (label, mean rank, std rank) row per
+label, a compare its Wilcoxon tests; `adherence` is `compare` with one run
+per variant by default. summary.txt is one table of those cells for every
+mode, one row per run label.
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ class ExperimentConfig:
                              f"{self.strict_replication!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
+        for name in ("datasets", "variants", "aggregators"):   # not a lone string
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         if not self.datasets:
             raise ValueError("need at least one dataset manifest")
         bad = [d for d in self.datasets
@@ -117,7 +122,7 @@ class ExperimentConfig:
                        if not isinstance(x, str) or x not in known]
             if unknown:
                 raise ValueError(f"unknown {name} {unknown}; choose from {sorted(known)}")
-        planned = "aggregators" if self.mode == "sweep" else "variants"
+        planned = MODES[self.mode].plans
         if not getattr(self, planned):
             raise ValueError(f"{planned} is empty: a {self.mode} plans its runs from it")
 
@@ -235,10 +240,10 @@ def execute_run(spec: RunSpec) -> dict:
 
 def _run_plan(config: ExperimentConfig) -> dict:
     """The runs of one dataset, label -> (aggregators per layer, layer_norm):
-    every "agg1|agg2" pair in a sweep, else the variants (a label is a key,
-    so an aggregator or a variant listed twice runs once, and a variant can
-    be compared with itself)."""
-    if config.mode == "sweep":
+    every "agg1|agg2" pair of the aggregators, or the variants, as the mode
+    plans (a label is a key, so an aggregator or a variant listed twice runs
+    once, and a variant can be compared with itself)."""
+    if MODES[config.mode].plans == "aggregators":
         return {a1 + COMBO_SEP + a2: ((a1, a2), False)
                 for a1, a2 in product(config.aggregators, repeat=2)}
     return {v: ((VARIANTS[v]["aggregator"],) * 2, VARIANTS[v]["layer_norm"])
@@ -273,10 +278,11 @@ def _execute_all(config: ExperimentConfig):
 
 
 def _config_payload(config: ExperimentConfig, datasets) -> dict:
-    d = asdict(config)
+    """The settings the runs read; of the two planning settings, the mode's."""
+    plans = MODES[config.mode].plans
+    d = {k: v for k, v in asdict(config).items() if k == plans
+         or k not in ("out_dir", "parallelism", "variants", "aggregators")}
     d["datasets"] = datasets
-    d.pop("out_dir")
-    d.pop("parallelism")
     d["runs"] = config.runs_per_config()
     return d
 
@@ -312,34 +318,24 @@ def _cells(config: ExperimentConfig, datasets, runs) -> dict:
 
 
 def _sweep_report(config: ExperimentConfig, cells, runs) -> dict:
-    """Rank the aggregator combinations on each dataset by mean test accuracy."""
-    plan = _run_plan(config)
-    combos = list(plan)
+    """Rank the aggregator combinations on each dataset by mean test accuracy,
+    then each combination's mean and std rank over the datasets it ran on."""
+    combos = list(_run_plan(config))
     datasets = cells["datasets"]
-    ranks = {ds: {} for ds in datasets}
-    rank_matrix = np.full((len(combos), len(datasets)), np.nan)
-    for d, ds in enumerate(datasets):
-        present = [c for c in combos if cells["accuracy"][ds][c]["mean"] is not None]
-        if not present:
-            continue
-        scores = np.array([cells["accuracy"][ds][c]["mean"] for c in present])
-        ds_ranks = rank_with_ties(scores, higher_is_better=True)
-        ranks[ds] = dict(zip(present, ds_ranks.tolist()))
-        for c, r in zip(present, ds_ranks):
-            rank_matrix[combos.index(c), d] = r
-
-    means, stds = average_rank(rank_matrix)
-    rank_table = []
-    for i in np.argsort(means, kind="stable").tolist():   # ties keep combo order
-        layer1, layer2 = plan[combos[i]][0]
-        rank_table.append({
-            "layer1": layer1,
-            "layer2": layer2,
-            "mean_rank": None if np.isnan(means[i]) else round(means[i], 6),
-            "std_rank": None if np.isnan(stds[i]) else round(stds[i], 6),
-            "per_dataset": {ds: (None if np.isnan(rank_matrix[i, d]) else rank_matrix[i, d])
-                            for d, ds in enumerate(datasets)},
-        })
+    ranks = {}
+    for ds in datasets:
+        scores = {c: cell["mean"] for c, cell in cells["accuracy"][ds].items()
+                  if cell["mean"] is not None}
+        ranks[ds] = {}
+        if scores:
+            ranks[ds] = dict(zip(scores, rank_with_ties(list(scores.values())).tolist()))
+    means, stds = average_rank([[ranks[ds].get(c, math.nan) for ds in datasets]
+                                for c in combos])
+    # ties keep plan order; None: the label failed on every dataset
+    rank_table = [{"label": combos[i],
+                   "mean_rank": None if np.isnan(means[i]) else round(means[i], 6),
+                   "std_rank": None if np.isnan(stds[i]) else round(stds[i], 6)}
+                  for i in np.argsort(means, kind="stable").tolist()]
     return {"combinations": combos, "ranks": ranks, "rank_table": rank_table}
 
 
@@ -349,19 +345,17 @@ def _compare_report(config: ExperimentConfig, cells, runs) -> dict:
     variants = list(config.variants)
     tests = {}
     for ds in cells["datasets"]:
-        # variant -> run index -> test accuracy, in run index order
-        acc = {v: {i: by_index[i]["test_accuracy"] for i in sorted(by_index)}
-               for v, by_index in runs.get(ds, {}).items()}
         tests[ds] = {}
         for i, va in enumerate(variants):
             for vb in variants[i + 1:]:
-                pair_idx = [k for k in acc.get(va, {}) if k in acc.get(vb, {})]
+                ra, rb = runs.get(ds, {}).get(va, {}), runs.get(ds, {}).get(vb, {})
+                pair_idx = sorted(ra.keys() & rb.keys())   # runs paired by index
                 key = f"{va} vs {vb}"
                 if not pair_idx:
                     tests[ds][key] = None
                     continue
-                a = [acc[va][k] for k in pair_idx]
-                b = [acc[vb][k] for k in pair_idx]
+                a = [ra[k]["test_accuracy"] for k in pair_idx]
+                b = [rb[k]["test_accuracy"] for k in pair_idx]
                 res = wilcoxon_signed_rank(a, b)
                 tests[ds][key] = {
                     "w_plus": res.w_plus, "w_minus": res.w_minus,
@@ -388,17 +382,19 @@ def _adherence_tsv(payload) -> str:
     return "".join(lines)
 
 
-# A mode is its default run count and its report fields; every mode's
-# summary.txt is the same table of the cells
+# A mode is the setting it plans its run labels from (its config, config_hash
+# and CLI verb carry no other), its default run count and its report fields;
+# every mode's summary.txt is the same table of the cells
 class Mode(NamedTuple):
+    plans: str         # "aggregators" or "variants": the ExperimentConfig field
     runs: int          # default runs per (dataset, combination)
     report: Callable   # (config, cells, runs) -> its own payload fields; may mark cells
 
 
 # `adherence` is `compare` with one run per variant by default
-MODES = {"sweep": Mode(1, _sweep_report),
-         "compare": Mode(20, _compare_report),
-         "adherence": Mode(1, _compare_report)}
+MODES = {"sweep": Mode("aggregators", 1, _sweep_report),
+         "compare": Mode("variants", 20, _compare_report),
+         "adherence": Mode("variants", 1, _compare_report)}
 
 
 def _payload(config: ExperimentConfig, datasets, records) -> dict:
@@ -442,11 +438,10 @@ def _table(payload) -> list[str]:
     header = "label".ljust(20)
     if "rank_table" in payload:
         header += f"{'mean rank':>10}{'std':>8}"
-        rows = {}
-        for r in payload["rank_table"]:    # None: the label failed everywhere
-            rows[f"{r['layer1']}{COMBO_SEP}{r['layer2']}"] = [
-                "-".rjust(width) if x is None else f"{x:{width}.2f}"
-                for x, width in ((r["mean_rank"], 10), (r["std_rank"], 8))]
+        rows = {r["label"]: [
+            "-".rjust(width) if x is None else f"{x:{width}.2f}"
+            for x, width in ((r["mean_rank"], 10), (r["std_rank"], 8))]
+            for r in payload["rank_table"]}
     else:
         rows = {v: [] for v in payload["variants"]}
     for ds in payload["datasets"]:

@@ -33,10 +33,10 @@ def rank_with_ties(scores, higher_is_better: bool = True) -> np.ndarray:
     return (ends - (counts - 1) / 2)[group]
 
 
-def average_rank(per_dataset_ranks) -> tuple[np.ndarray, np.ndarray]:
+def average_rank(ranks) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of each row across datasets. NaN entries
     (failed runs) are ignored per row; a row with no finite rank gets NaN."""
-    m = np.asarray(per_dataset_ranks, dtype=np.float64)
+    m = np.asarray(ranks, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a 2-D rank matrix, got shape {m.shape}")
     ranked = np.isfinite(m).any(axis=1)

@@ -2,7 +2,10 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from kanagg import ExperimentConfig, IngestionError, derive_seed, load_manifest,
 from kanagg.cli import main as cli_main
 from kanagg.data import ColumnSpec, DatasetManifest
 from kanagg.harness import summarize
+from oracles import sort_based_ranks
 
 
 def blob_manifest(name="mini-blobs", n_features=4, n_instances=160, n_classes=2,
@@ -26,6 +30,32 @@ def quick_config(mode, **kw):
     kw.setdefault("iterations", 30)
     kw.setdefault("seed", 7)
     return ExperimentConfig(mode=mode, **kw)
+
+
+def assert_rank_table(payload):
+    """Each rank_table row is (label, mean rank, std rank): the plain mean and
+    population std of the label's ranks on the datasets that ranked it, rows
+    in (mean rank, plan position) order, and summary.txt's rows in that order."""
+    position = {c: i for i, c in enumerate(payload["combinations"])}
+    keys = []
+    for row in payload["rank_table"]:
+        assert set(row) == {"label", "mean_rank", "std_rank"}
+        got = [payload["ranks"][ds][row["label"]] for ds in payload["datasets"]
+               if row["label"] in payload["ranks"][ds]]
+        if not got:    # failed everywhere: ranked last
+            assert row["mean_rank"] is None and row["std_rank"] is None
+            keys.append((math.inf, position[row["label"]]))
+            continue
+        mean = sum(got) / len(got)
+        std = math.sqrt(sum((r - mean) ** 2 for r in got) / len(got))
+        assert row["mean_rank"] == pytest.approx(mean, abs=1e-6)
+        assert row["std_rank"] == pytest.approx(std, abs=1e-6)
+        keys.append((row["mean_rank"], position[row["label"]]))
+    assert keys == sorted(keys) and len(keys) == len(position)
+    lines = summarize(payload).splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("label"))
+    assert [line.split()[0] for line in lines[start + 1:]] == \
+        [row["label"] for row in payload["rank_table"]]
 
 
 class TestSeeds:
@@ -94,14 +124,9 @@ class TestSweep:
         n = len(ranks)
         assert sum(ranks) == pytest.approx(n * (n + 1) / 2)
         assert ranks[0] >= 1.0 and ranks[-1] <= n
-        table = payload["rank_table"]
-        means = [row["mean_rank"] for row in table]
+        means = [row["mean_rank"] for row in payload["rank_table"]]
         assert len(set(means)) < len(means)      # these seeds give tied means
-        # sorted by mean rank, tied means in combinations order
-        position = {c: i for i, c in enumerate(payload["combinations"])}
-        keys = [(row["mean_rank"], position[f"{row['layer1']}|{row['layer2']}"])
-                for row in table]
-        assert keys == sorted(keys)
+        assert_rank_table(payload)               # tied means in plan order
 
     def test_accuracies_recomputable_from_records(self):
         config = quick_config("sweep", aggregators=("sum", "mean"))
@@ -115,24 +140,20 @@ class TestSweep:
             assert 0.0 <= mean_acc <= 1.0
 
     def test_multi_dataset_rank_aggregation(self):
-        from kanagg.stats import rank_with_ties as ranker
         config = quick_config(
             "sweep", aggregators=("sum", "mean", "norm"),
             datasets=(blob_manifest("ds-a", 4, 160),
                       blob_manifest("ds-b", 6, 160)))
         payload, _ = run_experiment(config)
         combos = payload["combinations"]
-        # recompute each dataset's ranks from the reported accuracies
+        # each dataset's ranks are the oracle's ranks of the reported accuracies
         for ds in payload["datasets"]:
-            accs = np.array([payload["accuracy"][ds][c]["mean"] for c in combos])
-            expected = ranker(accs, higher_is_better=True)
-            got = np.array([payload["ranks"][ds][c] for c in combos])
+            accs = [payload["accuracy"][ds][c]["mean"] for c in combos]
+            expected = sort_based_ranks(accs, higher_is_better=True)
+            got = [payload["ranks"][ds][c] for c in combos]
             np.testing.assert_allclose(got, expected, atol=1e-12)
-        # mean/std rows aggregate the two per-dataset ranks
-        for row in payload["rank_table"]:
-            pair = [row["per_dataset"][ds] for ds in payload["datasets"]]
-            assert row["mean_rank"] == pytest.approx(np.mean(pair), abs=1e-6)
-            assert row["std_rank"] == pytest.approx(np.std(pair), abs=1e-6)
+        # each row aggregates the label's two per-dataset ranks
+        assert_rank_table(payload)
 
 
 def test_sweep_and_compare_records_carry_adherence():
@@ -326,7 +347,8 @@ def test_summary_rows_are_the_cells(tmp_path, monkeypatch, mode, settings):
         assert f"{ds}      in range ({n})" in header
     failing = "mean|mean" if mode == "sweep" else "kan-avg"
     if mode == "sweep":
-        labels = [f"{r['layer1']}|{r['layer2']}" for r in payload["rank_table"]]
+        assert_rank_table(payload)
+        labels = [r["label"] for r in payload["rank_table"]]
         ranks = [["-" if x is None else f"{x:.2f}"
                   for x in (r["mean_rank"], r["std_rank"])] for r in payload["rank_table"]]
         assert ranks[-1] == ["-", "-"] and labels[-1] == "mean|mean"
@@ -365,6 +387,22 @@ def test_adherence_is_compare_with_one_run_by_default():
     assert adherence_records == compare_records and len(compare_records) == 4
     assert {key for key in adherence.keys() | compare.keys()
             if adherence.get(key) != compare.get(key)} == {"mode", "config", "config_hash"}
+
+
+@pytest.mark.parametrize("mode, plans, unread", [
+    ("sweep", {"aggregators": ("sum", "mean")}, {"variants": ("kan-avg",)}),
+    ("compare", {"variants": ("kan", "kan-avg"), "runs": 2}, {"aggregators": ("sum",)}),
+    ("adherence", {"variants": ("kan",)}, {"aggregators": ("sum",)}),
+])
+def test_config_holds_only_the_planning_setting_of_its_mode(mode, plans, unread):
+    # the other planning setting leaves every record as it is, so it used to
+    # change config_hash alone
+    config = quick_config(mode, iterations=2, **plans)
+    payload, records = run_experiment(config)
+    other, other_records = run_experiment(replace(config, **unread))
+    assert other_records == records and other == payload
+    assert set(unread).isdisjoint(payload["config"])
+    assert set(plans) <= set(payload["config"])
 
 
 def test_run_memory_is_bounded_by_its_dataset():
@@ -438,8 +476,9 @@ class TestDeterminismAndFailures:
         assert payload["ranks"]["gone"] == {}
         ok_ranks = payload["ranks"][blob_manifest().name]
         assert len(ok_ranks) == 4                      # healthy dataset unaffected
-        for row in payload["rank_table"]:
-            assert row["per_dataset"]["gone"] is None
+        # every row's ranks come from the healthy dataset alone
+        assert_rank_table(payload)
+        assert all(row["std_rank"] == 0.0 for row in payload["rank_table"])
 
     def test_sweep_whose_only_dataset_is_unreadable(self):
         # every combination failed everywhere: no ranks and no RuntimeWarning
@@ -659,6 +698,17 @@ class TestDeterminismAndFailures:
                 quick_config("compare", **bad).validate()
         quick_config("compare", learning_rate=0.0).validate()   # lr = 0 is legal
 
+    @pytest.mark.parametrize("name, value", [
+        ("datasets", "manifests/synth-xor.json"), ("variants", "kan"),
+        ("aggregators", "sum"), ("datasets", blob_manifest())])
+    def test_list_settings_must_be_lists(self, name, value):
+        # a string used to be read as its characters: manifest 'm', variant 'k'
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a list, "
+                                                       f"got {value!r}")):
+            quick_config("compare", **{name: value}).validate()
+        quick_config("compare", datasets=[blob_manifest()], variants=["kan"],
+                     aggregators=["sum"]).validate()    # a list is one
+
 
 class TestCli:
     def _write_synth_manifest(self, tmp_path, **extra):
@@ -877,6 +927,48 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("kanagg: error: ")
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--variants", "kan"],
+        ["compare", "--aggregators", "sum"],
+        ["adherence", "--aggregators", "sum"]])
+    def test_verb_offers_only_its_planning_flag(self, capsys, argv):
+        # every verb used to accept both flags and ignore the one its mode
+        # does not plan from
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken, code", [(False, 0), (True, 1)])
+    def test_closed_stdout_is_not_a_failure(self, tmp_path, broken, code):
+        # a reader that stops early (`kanagg ... | head -1`) used to leave a
+        # BrokenPipeError traceback and a non-zero exit; the exit code still
+        # tells whether every run completed
+        import kanagg
+        manifest = self._write_synth_manifest(tmp_path)
+        if broken:
+            manifest.write_text(json.dumps({
+                "name": "broken", "path": "missing.csv", "columns": [
+                    {"name": "a", "role": "feature", "type": "numeric"},
+                    {"name": "y", "role": "target", "type": "categorical"}]}))
+        src = str(Path(kanagg.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read, write = os.pipe()
+        os.close(read)      # every write to the child's stdout fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kanagg.cli", "compare", "--dataset",
+                 str(manifest), "--variants", "kan", "--runs", "1",
+                 "--iterations", "2", "--out", str(tmp_path / "out")],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert (tmp_path / "out" / "summary.txt").exists()
 
     def test_config_validated_once(self, tmp_path, monkeypatch):
         calls = []
