@@ -9,12 +9,13 @@ reproducible in isolation and embarrassingly parallel. Each dataset manifest
 is loaded once per experiment, and the output directory made, before any run
 starts (a manifest checks itself when it is built); every run carries its
 manifest and the experiment config, and materializes the dataset from them.
-The process that plans an experiment parses each dataset file once, before
-any run starts, and keeps the tables of the files of its last experiment; a
-later experiment reuses a table while the manifest and the file's size and
-modification time are unchanged. Pool workers receive those tables when they
-start and never parse; each run splits and preprocesses its table with its
-own seed. A file that cannot be parsed fails every run of it with the same
+A dataset file's table comes from one lookup, `_file_table`, which keeps a
+parsed table while the file's size and modification time are unchanged. The
+process that plans an experiment keeps only its files' tables and looks each
+up before any run starts; pool workers receive those tables when they start.
+A run reads its file's held table, and looks it up only when none is held (a
+run started on its own); it splits and preprocesses the table with its own
+seed. A file that cannot be parsed fails every run of it with the same
 error. Every run records the share of each hidden layer's values that stayed
 in the range of the grid of the layer that reads them.
 
@@ -58,8 +59,9 @@ VARIANTS = {
     "kan-avg": {"aggregator": "mean", "layer_norm": False},
 }
 COMBO_SEP = "|"
-INT_SETTINGS = ("runs", "iterations", "batch_size", "hidden_width", "seed",
-                "parallelism")
+# each integer setting and its least value (None: any integer)
+INT_SETTINGS = {"runs": 1, "iterations": 1, "batch_size": 1, "hidden_width": 1,
+                "seed": None, "parallelism": 1}
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,9 @@ class ExperimentConfig:
     variants: tuple = ("kan", "kan-layernorm", "kan-avg")
     aggregators: tuple = AGGREGATOR_NAMES
     runs: int | None = None        # per (dataset, combination); mode default
-    iterations: int = 2000
-    batch_size: int = 32
-    learning_rate: float = 0.01
+    iterations: int = TrainConfig.iterations
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
     hidden_width: int = 10
     seed: int = 0
     strict_replication: bool = False
@@ -85,15 +87,19 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         # settings from a JSON config file arrive with whatever type it gave
-        for name in INT_SETTINGS:
+        for name, least in INT_SETTINGS.items():
             value = getattr(self, name)
             if name == "runs" and value is None:    # the mode's default
                 continue
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        # lr = 0 is legal: it must leave parameters bit-identical
         lr = self.learning_rate
-        if not isinstance(lr, Real) or isinstance(lr, bool) or not math.isfinite(lr):
-            raise ValueError(f"learning_rate must be a finite number, got {lr!r}")
+        if not isinstance(lr, Real) or isinstance(lr, bool) or not (
+                math.isfinite(lr) and lr >= 0):
+            raise ValueError(f"learning_rate must be a finite number >= 0, got {lr!r}")
         if not isinstance(self.strict_replication, bool):
             raise ValueError("strict_replication must be true or false, got "
                              f"{self.strict_replication!r}")
@@ -108,14 +114,6 @@ class ExperimentConfig:
                if not isinstance(d, (str, os.PathLike, DatasetManifest))]
         if bad:
             raise ValueError(f"datasets must be manifest paths, got {bad}")
-        if self.runs_per_config() < 1:
-            raise ValueError("runs must be >= 1")
-        if self.hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        TrainConfig(iterations=self.iterations, batch_size=self.batch_size,
-                    learning_rate=self.learning_rate).validate()
         for name, known in (("variants", VARIANTS), ("aggregators", AGGREGATOR_NAMES)):
             # a non-string entry is unknown; testing that first never hashes a list
             unknown = [x for x in getattr(self, name)
@@ -133,11 +131,11 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
 
 
-# The tables of the current experiment's file-backed datasets: manifest ->
-# ((size, mtime_ns) of the file when it was parsed, or None when it could not
-# be stat'ed; its RawTable, or the exception that parsing it raised). The
-# process that plans an experiment fills it, and hands it to each pool worker
-# through the pool's initializer; a run only reads it.
+# The held tables of file-backed datasets: manifest -> ((size, mtime_ns) of
+# the file when it was parsed, or None when it could not be stat'ed; its
+# RawTable, or the exception that parsing it raised). `_file_table` fills it;
+# the process that plans an experiment hands it to each pool worker through
+# the pool's initializer.
 _tables = {}
 
 
@@ -146,31 +144,25 @@ def _set_tables(tables: dict):
     _tables = tables
 
 
-def _file_stamp(path):
+def _file_table(manifest: DatasetManifest):
+    """The table of a file-backed manifest: the held one while the file's
+    size and modification time are those it was parsed at, else the file
+    parsed now, and held. A file that cannot be stat'ed is parsed again at
+    every lookup."""
     try:
-        st = os.stat(path)
+        st = os.stat(manifest.path)
+        stamp = st.st_size, st.st_mtime_ns
     except OSError:        # load_table raises the IngestionError that names it
-        return None
-    return st.st_size, st.st_mtime_ns
-
-
-def _refresh_tables(manifests):
-    """Make `_tables` hold the table of every file-backed manifest of one
-    experiment. A table of the last experiment is kept while its file's size
-    and modification time are unchanged; every other file is parsed once,
-    here, after the tables this experiment does not use are dropped."""
-    global _tables
-    stamps = {m: _file_stamp(m.path) for m in manifests if m.synthetic is None}
-    _tables = {m: entry for m, entry in _tables.items()
-               if entry[0] is not None and stamps.get(m) == entry[0]}
-    for m, stamp in stamps.items():
-        if m in _tables:
-            continue
-        try:
-            table = load_table(m.path, m)
-        except (ValueError, OSError) as exc:   # each run of it records the failure
-            table = exc.with_traceback(None)   # not the parser's frames
-        _tables[m] = (stamp, table)
+        stamp = None
+    held = _tables.get(manifest)
+    if held is not None and stamp is not None and held[0] == stamp:
+        return held[1]
+    try:
+        table = load_table(manifest.path, manifest)
+    except (ValueError, OSError) as exc:   # each run of it records the failure
+        table = exc.with_traceback(None)   # not the parser's frames
+    _tables[manifest] = (stamp, table)
+    return table
 
 
 def load_dataset(manifest: DatasetManifest, data_seed: int,
@@ -179,7 +171,8 @@ def load_dataset(manifest: DatasetManifest, data_seed: int,
     if manifest.synthetic is not None:
         return synthetic_dataset(seed=data_seed, scale_features=scale_features,
                                  **manifest.synthetic)
-    table = _tables[manifest][1]
+    held = _tables.get(manifest)      # a run never stats a file with a held table
+    table = _file_table(manifest) if held is None else held[1]
     if isinstance(table, Exception):    # raised again by every run of the file
         raise table.with_traceback(None)
     return preprocess(table, manifest, data_seed, scale_features=scale_features)
@@ -266,7 +259,11 @@ def _execute_all(config: ExperimentConfig):
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     specs = [RunSpec(m, label, i, config) for m in manifests
              for label in _run_plan(config) for i in range(config.runs_per_config())]
-    _refresh_tables(manifests)
+    # this experiment's files only, each parsed here at most once
+    files = [m for m in manifests if m.synthetic is None]
+    _set_tables({m: _tables[m] for m in files if m in _tables})
+    for m in files:
+        _file_table(m)
     # wall-clock timing stays out of the records so runs.jsonl is reproducible
     if config.parallelism > 1:
         with ProcessPoolExecutor(max_workers=config.parallelism,
@@ -348,9 +345,11 @@ def _compare_report(config: ExperimentConfig, cells, runs) -> dict:
         tests[ds] = {}
         for i, va in enumerate(variants):
             for vb in variants[i + 1:]:
+                key = f"{va} vs {vb}"
+                if key in tests[ds] or f"{vb} vs {va}" in tests[ds]:
+                    continue     # a variant listed twice: each pair is tested once
                 ra, rb = runs.get(ds, {}).get(va, {}), runs.get(ds, {}).get(vb, {})
                 pair_idx = sorted(ra.keys() & rb.keys())   # runs paired by index
-                key = f"{va} vs {vb}"
                 if not pair_idx:
                     tests[ds][key] = None
                     continue

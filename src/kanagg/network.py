@@ -19,15 +19,15 @@ gets shorter blocks; traced passes keep every intermediate that backward
 reads.
 
 A Network is its parameters and its layers. Every trainable value lives in
-one float64 vector, Network.params, laid out by Network.slots, which only
-this module reads. Each per-layer choice (grid, aggregator, a norm or none)
-is held once, by the layer's KANLayer: Network.views(vec) gives a copy of
-each layer whose coeffs, w_base, w_spline and norm gain and bias are
-reshaped views of a vector laid out like params, and Network.layers is
-views(params). Training updates and checks the whole network with one array
-operation, and backward writes each layer's gradient by field into the
-views of one gradient vector. A traced forward pass records one LayerTrace
-per layer.
+one float64 vector, Network.params, laid out layer by layer as each layer's
+coeffs, w_base, w_spline, then norm gain and bias. Each per-layer choice
+(grid, aggregator, a norm or none) and array shape is held once, by the
+layer's KANLayer: Network.views(vec) gives a copy of each layer whose
+coeffs, w_base, w_spline and norm gain and bias are reshaped views of a
+vector laid out like params, and Network.layers is views(params). Training
+updates and checks the whole network with one array operation, and backward
+writes each layer's gradient by field into the views of one gradient
+vector. A traced forward pass records one LayerTrace per layer.
 """
 
 from __future__ import annotations
@@ -81,12 +81,10 @@ class KANLayer:
 @dataclass
 class Network:
     params: np.ndarray  # every trainable value; the layers' arrays are views of it
-    # one per layer: each layer's grid, aggregator and whether it has a norm;
-    # __post_init__ rebinds their arrays to views of params
+    # one per layer, in layout order: each layer's grid, aggregator, whether it
+    # has a norm and its arrays' shapes; __post_init__ rebinds its arrays to
+    # views of params
     layers: list
-    # per layer: (start, stop, shape) in params of coeffs, w_base, w_spline,
-    # then gain and bias when the layer has a norm
-    slots: tuple
 
     def __post_init__(self):
         self.layers = self.views(self.params)
@@ -103,10 +101,14 @@ class Network:
         """A vector laid out like params, as one KANLayer per layer whose
         coeffs, w_base, w_spline and norm gain and bias are views of it; the
         grid and aggregator of each are those of the network's layer."""
-        layers = []
-        for layer, slots in zip(self.layers, self.slots):
-            coeffs, w_base, w_spline, *norm = [vec[start:stop].reshape(shape)
-                                               for start, stop, shape in slots]
+        layers, start = [], 0
+        for layer in self.layers:
+            norm = () if layer.norm is None else (layer.norm.gain, layer.norm.bias)
+            parts = []
+            for a in (layer.coeffs, layer.w_base, layer.w_spline, *norm):
+                parts.append(vec[start: start + a.size].reshape(a.shape))
+                start += a.size
+            coeffs, w_base, w_spline, *norm = parts
             layers.append(replace(
                 layer, coeffs=coeffs, w_base=w_base, w_spline=w_spline,
                 norm=None if layer.norm is None else LayerNormParams(*norm)))
@@ -165,22 +167,17 @@ def build_network(widths, aggregators, layer_norm: bool = False,
                           f"got {len(aggregators)}")
     rng = np.random.default_rng(seed)
     grid = make_grid(-1.0, 1.0, grid_size, degree)
-    layers, slots, arrays, start = [], [], [], 0
+    layers, arrays = [], []
     for l, aggregator in enumerate(aggregators):
         n_in, n_out = widths[l: l + 2]
         layer = [rng.normal(0.0, 0.1, size=(n_out, n_in, grid.n_basis)),
                  np.ones((n_out, n_in)), np.ones((n_out, n_in))]
         if layer_norm and l < len(aggregators) - 1:
             layer += [np.ones(n_out), np.zeros(n_out)]
-        layer_slots = []
-        for a in layer:
-            layer_slots.append((start, start + a.size, a.shape))
-            start += a.size
-        slots.append(tuple(layer_slots))
         arrays += [a.ravel() for a in layer]
         layers.append(KANLayer(*layer[:3], grid, aggregator,
                                LayerNormParams(*layer[3:]) if layer[3:] else None))
-    return Network(params=np.concatenate(arrays), layers=layers, slots=tuple(slots))
+    return Network(params=np.concatenate(arrays), layers=layers)
 
 
 def _layer_norm(v: np.ndarray, ln: LayerNormParams):
@@ -298,7 +295,7 @@ def mean_to_scaled_sum(net: Network) -> Network:
     the source layer with MEAN swapped for SUM, so its grid (also one set
     after build_network) and its norm carry over.
     """
-    twin = Network(params=net.params.copy(), slots=net.slots, layers=[
+    twin = Network(params=net.params.copy(), layers=[
         replace(layer, aggregator=Aggregator.SUM)
         if layer.aggregator is Aggregator.MEAN else layer for layer in net.layers])
     for src, dst in zip(net.layers, twin.layers):

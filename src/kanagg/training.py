@@ -275,12 +275,11 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
 
     train_acc = evaluate(net, x_train, y_train, data.n_classes)
     del x_train, y_train    # val and test each copy their own rows
-    val_acc = (evaluate(net, data.features[data.val_idx], data.labels[data.val_idx],
-                        data.n_classes) if len(data.val_idx) else float("nan"))
     return TrainResult(
         loss_curve=losses,
         train_accuracy=train_acc,
-        val_accuracy=val_acc,
+        val_accuracy=evaluate(net, data.features[data.val_idx],
+                              data.labels[data.val_idx], data.n_classes),
         test_accuracy=evaluate(net, data.features[data.test_idx],
                                data.labels[data.test_idx], data.n_classes),
         head=head,

@@ -234,6 +234,13 @@ class TestPreprocess:
         assert (len(data.train_idx), len(data.val_idx), len(data.test_idx)) \
             == (61, 20, 20)
 
+    def test_val_and_test_splits_are_the_same_size(self):
+        # so an empty val split always comes with an empty test split
+        from kanagg.data import _split
+        for n in range(1, 201):
+            _, val, test = _split(n, np.random.default_rng(n))
+            assert len(val) == len(test)
+
     def test_affine_scaling_from_train_minmax(self, tmp_path):
         # values 2..10 among train rows map to [-1, 1]; 6 maps to 0
         rows = "\n".join(f"c,{v},{l}" for v, l in

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from kanagg import ExperimentConfig, IngestionError, derive_seed, load_manifest,
     load_table, run_experiment, write_report
 from kanagg.cli import main as cli_main
 from kanagg.data import ColumnSpec, DatasetManifest
-from kanagg.harness import summarize
+from kanagg.harness import INT_SETTINGS, summarize
 from oracles import sort_based_ranks
 
 
@@ -211,6 +211,21 @@ class TestComparison:
         assert report["wilcoxon"] == payload["wilcoxon"]
         lines = (out / "runs.jsonl").read_text().splitlines()
         assert [json.loads(line) for line in lines] == records
+
+    def test_variant_listed_twice_pairs_once(self):
+        # each unordered pair used to be tested once per listing: kan vs kan-avg
+        # and kan-avg vs kan, and kan beat kan-avg twice
+        config = quick_config("compare", variants=("kan", "kan-avg", "kan"), runs=8,
+                              seed=1, datasets=(DatasetManifest(
+                                  name="synth-xor", synthetic={
+                                      "kind": "xor", "n_features": 2,
+                                      "n_instances": 400}),))
+        payload, records = run_experiment(config)
+        assert len(records) == 16 and not payload["failures"]
+        assert list(payload["wilcoxon"]["synth-xor"]) == ["kan vs kan-avg", "kan vs kan"]
+        for cell in payload["accuracy"]["synth-xor"].values():
+            beaten = cell.get("significantly_better_than", [])
+            assert len(beaten) == len(set(beaten))
 
     def test_three_way_pairs(self):
         config = quick_config("compare", runs=2)
@@ -675,6 +690,32 @@ class TestDeterminismAndFailures:
         assert calls() == [(pid, bad.path), (pid, gone.path), (pid, huge.path),
                            (pid, gone.path)]
 
+    def test_file_run_reproduces_in_isolation(self, tmp_path, monkeypatch):
+        # a run started outside an experiment used to raise KeyError: only
+        # an experiment put its file's table where the run reads it
+        from kanagg import harness
+        from kanagg.harness import RunSpec, execute_run
+        manifest = self.write_file_dataset(tmp_path, 40)
+        config = quick_config("compare", datasets=(manifest,),
+                              variants=("kan", "kan-avg"), runs=2, iterations=5)
+        payload, records = run_experiment(config)
+        assert len(records) == 4 and not payload["failures"]
+        specs = [RunSpec(manifest, r["label"], r["run_index"], config) for r in records]
+        monkeypatch.setattr(harness, "_tables", {})
+        assert [execute_run(s) for s in specs] == records
+        other = self.write_file_dataset(tmp_path, 60, name="other")
+        run_experiment(replace(config, datasets=(other,)))
+        assert manifest not in harness._tables
+        assert [execute_run(s) for s in specs] == records
+
+    def test_two_row_file_fails_on_its_empty_evaluation_split(self, tmp_path):
+        # the 2-row split has empty val and test splits; evaluating either fails
+        manifest = self.write_file_dataset(tmp_path, 2)
+        _, records = run_experiment(quick_config(
+            "compare", datasets=(manifest,), variants=("kan",), runs=1, iterations=3))
+        assert [(r["status"], r["error"]) for r in records] == [
+            ("failed", "ValueError: evaluation set is empty")]
+
     def test_file_dataset_parallel_equals_serial(self, tmp_path, monkeypatch):
         calls = self.spy_parses(monkeypatch, tmp_path)
         manifest = self.write_file_dataset(tmp_path, 200)
@@ -697,6 +738,11 @@ class TestDeterminismAndFailures:
             with pytest.raises(ValueError):
                 quick_config("compare", **bad).validate()
         quick_config("compare", learning_rate=0.0).validate()   # lr = 0 is legal
+
+    def test_int_settings_are_the_integer_fields(self):
+        # annotations are postponed, so a field's type is its source text
+        assert set(INT_SETTINGS) == {f.name for f in fields(ExperimentConfig)
+                                     if f.type in ("int", "int | None")}
 
     @pytest.mark.parametrize("name, value", [
         ("datasets", "manifests/synth-xor.json"), ("variants", "kan"),
@@ -859,13 +905,14 @@ class TestCli:
             "missing-manifest": (None, ["--dataset", str(tmp_path / "missing.json")],
                                  "missing.json"),
             "zero-iterations": (None, ["--dataset", manifest, "--iterations", "0"],
-                                "invalid training config"),
+                                "iterations must be >= 1"),
             "zero-hidden-width": ({"datasets": [manifest], "hidden_width": 0}, [],
                                   "hidden_width must be >= 1"),
             "zero-batch-size": ({"datasets": [manifest], "batch_size": 0}, [],
-                                "invalid training config"),
+                                "batch_size must be >= 1"),
             "negative-learning-rate": ({"datasets": [manifest], "learning_rate": -1},
-                                       [], "invalid training config"),
+                                       [], "learning_rate must be a finite number "
+                                           ">= 0, got -1"),
             "negative-parallelism": ({"datasets": [manifest], "parallelism": -2}, [],
                                      "parallelism must be >= 1"),
             "string-datasets": ({"datasets": manifest}, [], "datasets must be a list"),
@@ -926,6 +973,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("kanagg: error: ")
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, least", [
+        ("runs", 1), ("iterations", 1), ("batch_size", 1), ("hidden_width", 1),
+        ("parallelism", 1)])
+    def test_integer_setting_below_its_least_value(self, tmp_path, capsys, name, least):
+        # iterations and batch_size were checked by TrainConfig, whose message
+        # named the whole training config
+        manifest = str(self._write_synth_manifest(tmp_path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"datasets": [manifest], name: least - 1}))
+        out = tmp_path / "out"
+        assert cli_main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"kanagg: error: {name} must be >= {least}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
