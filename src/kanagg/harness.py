@@ -36,7 +36,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import product
 from numbers import Integral, Real
@@ -266,6 +265,8 @@ def _execute_all(config: ExperimentConfig):
         _file_table(m)
     # wall-clock timing stays out of the records so runs.jsonl is reproducible
     if config.parallelism > 1:
+        # imported here: a serial run never needs the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.parallelism,
                                  initializer=_set_tables, initargs=(_tables,)) as pool:
             records = list(pool.map(execute_run, specs, chunksize=1))

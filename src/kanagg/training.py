@@ -6,8 +6,9 @@ of its extended basis with its folded coefficients (network.py maps those
 gradients back onto the edge parameters). backward writes each layer's
 gradient by field into a KANLayer of Network.views of one gradient vector,
 so it never sees the vector's layout; Adam updates that whole vector in one
-pass, one mini-batch per iteration, batches drawn by seeded shuffling with a
-reshuffle at every epoch boundary.
+pass. train runs epochs of blocks of steps: an epoch is one seeded shuffle
+of the train split, a block holds the features, labels and layer-0 basis of
+its rows, and a step is one mini-batch slice of its block.
 """
 
 from __future__ import annotations
@@ -190,25 +191,14 @@ def evaluate(net: Network, features, labels, n_classes: int) -> float:
 def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     """Train in place for cfg.iterations mini-batch Adam steps.
 
-    Deterministic given (network init, cfg.seed, data). Every step also
-    counts the hidden values inside the range of the grid that reads them,
-    pooled into TrainResult.adherence. Raises TrainingDiverged as soon as
-    the batch loss stops being finite.
-
-    Layer 0's spline inputs are training rows on a fixed grid, so their
-    basis does not change as the parameters do: it is built for a block of
-    upcoming batches at once (the rest of the epoch's order in whole
-    batches, at most block_rows(net) rows, the same FORWARD_BLOCK_POINTS
-    layer-0 points that bound an untraced forward block, and no further
-    than the last iteration), and each step's traced forward reads its slice
-    of the block. A reshuffle starts a new block, and the old one is freed
-    before the new one is built.
-
-    Besides the dataset, a run holds one copy of the train split (features
-    and labels, for the batches), the parameters, Adam's moments, one
-    block and one step's trace. Evaluation frees the block and the trace,
-    scores the train split, drops its copy and then scores val and test,
-    each from its own copy of that split's rows.
+    Deterministic given (network init, cfg.seed, data). A block is at most
+    block_rows(net) rows in whole batches; layer 0's grid is fixed, so its
+    basis of a block's rows holds for every step of the block. Every step
+    also counts the hidden values inside the range of the grid that reads
+    them, pooled into TrainResult.adherence. Raises TrainingDiverged as
+    soon as the batch loss stops being finite. Besides the dataset, training
+    holds one block and one step's trace; evaluation copies one split at a
+    time.
     """
     cfg.validate()
     if data.n_features != net.n_in:
@@ -218,70 +208,64 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     loss_fn = (softmax_cross_entropy if head == HEAD_SOFTMAX
                else squared_error_on_index)
 
-    x_train, y_train = data.features[data.train_idx], data.labels[data.train_idx]
-    n_train = len(y_train)
+    n_train = len(data.train_idx)
     rng = np.random.default_rng(cfg.seed)
     params = net.params
     state = adam_init(params)
     grads = np.empty_like(params)
     grad_views = net.views(grads)
-    batches_per_block = max(1, block_rows(net) // cfg.batch_size)
+    block_size = cfg.batch_size * max(1, block_rows(net) // cfg.batch_size)
 
     losses = []
     inside = total = 0      # become per-hidden-layer count arrays at step one
-    order = rng.permutation(n_train)
-    # the block holds layer 0's basis of order[block_start: block_end]
-    cursor = block_start = block_end = 0
     # a diverging step overflows before the checks below turn its
     # non-finite logits or loss into TrainingDiverged
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(cfg.iterations):
-            if cursor >= n_train:
-                order = rng.permutation(n_train)
-                cursor = block_end = 0
-            if cursor >= block_end:
-                block_start = cursor
-                block_end = min(n_train, cursor + cfg.batch_size * min(
-                    batches_per_block, cfg.iterations - it))
-                # the last trace holds a view of the old block: free both first,
+        while len(losses) < cfg.iterations:
+            order = data.train_idx[rng.permutation(n_train)]
+            # the last epoch ends at the last step's batch
+            order = order[:cfg.batch_size * (cfg.iterations - len(losses))]
+            for start in range(0, len(order), block_size):
+                rows = order[start: start + block_size]
+                # the last trace holds views of the old block: free both first,
                 # so a run never holds two blocks
-                block = trace = None
-                block = input_basis(net, x_train[order[block_start: block_end]])
-            batch_idx = order[cursor: cursor + cfg.batch_size]
-            rows = slice(cursor - block_start, cursor - block_start + len(batch_idx))
-            cursor += cfg.batch_size
+                x = y = block = trace = None
+                x, y = data.features[rows], data.labels[rows]
+                block = input_basis(net, x)
+                for b in range(0, len(rows), cfg.batch_size):
+                    batch = slice(b, b + cfg.batch_size)
+                    logits, trace = forward(net, x[batch], trace=True,
+                                            basis0=block[batch])
+                    if not np.all(np.isfinite(logits)):
+                        raise TrainingDiverged(
+                            f"non-finite logits at iteration {len(losses)}")
+                    per_sample, d_logits = loss_fn(logits, y[batch])
+                    loss = float(per_sample.mean())
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged(
+                            f"non-finite loss at iteration {len(losses)}")
+                    losses.append(loss)
 
-            logits, trace = forward(net, x_train[batch_idx], trace=True,
-                                    basis0=block[rows])
-            if not np.all(np.isfinite(logits)):
-                raise TrainingDiverged(f"non-finite logits at iteration {it}")
-            per_sample, d_logits = loss_fn(logits, y_train[batch_idx])
-            loss = float(per_sample.mean())
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at iteration {it}")
-            losses.append(loss)
+                    i, n = adherence_counts(trace)
+                    inside = inside + i
+                    total = total + n
 
-            i, n = adherence_counts(trace)
-            inside = inside + i
-            total = total + n
-
-            backward(net, trace, d_logits, views=grad_views)
-            adam_step(params, grads, state, cfg)
+                    backward(net, trace, d_logits, views=grad_views)
+                    adam_step(params, grads, state, cfg)
     # evaluation allocates its own blocks: free this one and the last trace
-    del block, trace
+    del x, y, block, trace
 
     if not np.all(np.isfinite(params)):
         raise TrainingDiverged("non-finite parameters after update")
 
-    train_acc = evaluate(net, x_train, y_train, data.n_classes)
-    del x_train, y_train    # val and test each copy their own rows
+    train_acc, val_acc, test_acc = (
+        evaluate(net, data.features[idx], data.labels[idx], data.n_classes)
+        for idx in (data.train_idx, data.val_idx, data.test_idx))
     return TrainResult(
         loss_curve=losses,
         train_accuracy=train_acc,
-        val_accuracy=evaluate(net, data.features[data.val_idx],
-                              data.labels[data.val_idx], data.n_classes),
-        test_accuracy=evaluate(net, data.features[data.test_idx],
-                               data.labels[data.test_idx], data.n_classes),
+        val_accuracy=val_acc,
+        test_accuracy=test_acc,
         head=head,
         adherence=(inside / total).tolist(),
     )

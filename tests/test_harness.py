@@ -421,8 +421,9 @@ def test_config_holds_only_the_planning_setting_of_its_mode(mode, plans, unread)
 
 
 def test_run_memory_is_bounded_by_its_dataset():
-    # a run holds its dataset, one train-split copy and one bounded block:
-    # its allocation peak stays a small multiple of the feature matrix
+    # a run holds its dataset and, while training, one bounded block; its
+    # evaluation copies one split at a time: its allocation peak stays a
+    # small multiple of the feature matrix
     import tracemalloc
     from kanagg.harness import RunSpec, execute_run
     n_instances, n_features = 20000, 30
@@ -438,6 +439,19 @@ def test_run_memory_is_bounded_by_its_dataset():
         tracemalloc.stop()
     assert record["status"] == "ok"
     assert peak <= 2.6 * n_instances * n_features * 8
+
+
+def test_serial_import_loads_no_process_pool():
+    # only an experiment with parallelism > 1 imports the pool's modules
+    import kanagg
+    src = str(Path(kanagg.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kanagg, kanagg.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestDeterminismAndFailures:

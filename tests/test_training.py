@@ -304,6 +304,7 @@ class TestLayerZeroBlock:
         (2000, (16, 6, 3), False, 80, 32),    # 512-row blocks, 1200 train rows
         (60, (4, 6, 3), False, 6, 50),        # batch larger than the train split
         (600, (4, 6, 5, 3), True, 40, 32),    # layer norm
+        (600, (4, 6, 3), False, 24, 32),      # ends exactly at the second epoch's end
     ])
     def test_matches_per_step_reference(self, n_instances, widths, layer_norm,
                                         iterations, batch):
@@ -345,6 +346,29 @@ class TestLayerZeroBlock:
         train(net, data, TrainConfig(iterations=40, batch_size=32, seed=0))
         assert evaluating
         assert calls == {"layer0": 4, "layer1": 40}
+
+    def test_training_holds_no_copy_of_the_train_split(self, monkeypatch):
+        # while training, a run holds one block of rows (features, labels and
+        # layer-0 basis) and one step's trace; a copy of the 12000-row train
+        # split alone would be 0.6x the feature matrix
+        import tracemalloc
+        data = synthetic_dataset("gaussian-blobs", 30, 20000, seed=3)
+        net = build_network((30, 10, 3), ("sum", "sum"), seed=1)
+        peaks = []
+        step = kanagg.training.adam_step
+
+        def measured(*args):
+            step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(kanagg.training, "adam_step", measured)
+        tracemalloc.start()
+        try:
+            train(net, data, TrainConfig(iterations=40, batch_size=32, seed=0))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 40
+        assert max(peaks) <= 0.5 * data.features.nbytes
 
 
 class TestEvaluate:
