@@ -61,6 +61,9 @@ def _experiment_config(mode: str, args) -> ExperimentConfig:
         if nulls:
             raise ValueError(f"config {args.config}: keys {nulls} are null; "
                              f"leave a key out for its default")
+        if settings.get("mode", mode) != mode:
+            raise ValueError(f"config {args.config}: mode {settings['mode']!r} is not "
+                             f"{mode!r}; the verb sets the mode")
     settings.update({k: v for k, v in vars(args).items()
                      if v is not None and k not in ("command", "config")})
     settings["mode"] = mode

@@ -38,7 +38,6 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from itertools import product
-from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -50,7 +49,7 @@ from .data import Dataset, DatasetManifest, load_manifest, load_table, preproces
     synthetic_dataset
 from .network import build_network
 from .stats import average_rank, rank_with_ties, wilcoxon_signed_rank
-from .training import TrainConfig, TrainingDiverged, train
+from .training import TrainConfig, TrainingDiverged, check_settings, train
 
 VARIANTS = {
     "kan": {"aggregator": "sum", "layer_norm": False},
@@ -85,20 +84,9 @@ class ExperimentConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        # settings from a JSON config file arrive with whatever type it gave
-        for name, least in INT_SETTINGS.items():
-            value = getattr(self, name)
-            if name == "runs" and value is None:    # the mode's default
-                continue
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if least is not None and value < least:
-                raise ValueError(f"{name} must be >= {least}")
-        # lr = 0 is legal: it must leave parameters bit-identical
-        lr = self.learning_rate
-        if not isinstance(lr, Real) or isinstance(lr, bool) or not (
-                math.isfinite(lr) and lr >= 0):
-            raise ValueError(f"learning_rate must be a finite number >= 0, got {lr!r}")
+        # runs None is the mode's default
+        check_settings(self, {name: least for name, least in INT_SETTINGS.items()
+                              if name != "runs" or self.runs is not None})
         if not isinstance(self.strict_replication, bool):
             raise ValueError("strict_replication must be true or false, got "
                              f"{self.strict_replication!r}")
@@ -218,11 +206,8 @@ def execute_run(spec: RunSpec) -> dict:
         record.update(
             vars(result),       # asdict would deep-copy the loss curve, float by float
             widths=list(widths),
-            n_features=data.n_features,
             n_classes=data.n_classes,
-            feature_scaling=scale_features,
             layer_norm=layer_norm,
-            final_loss=result.loss_curve[-1],
         )
     except (TrainingDiverged, ValueError, OSError) as exc:
         record["status"] = "failed"
@@ -304,7 +289,7 @@ def _cells(config: ExperimentConfig, datasets, runs) -> dict:
                 "std": float(np.std(ok)) if ok else None,   # population std
                 "n": len(ok),
             }
-    features = {ds: r["n_features"] for ds, per_label in runs.items()
+    features = {ds: r["widths"][0] for ds, per_label in runs.items()
                 for by_index in per_label.values() for r in by_index.values()}
     adherence = {}
     for ds in sorted(features, key=lambda ds: (features[ds], ds)):

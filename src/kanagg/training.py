@@ -13,7 +13,9 @@ its rows, and a step is one mini-batch slice of its block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,12 +26,28 @@ from .network import (ConfigError, ForwardTrace, Network, adherence_counts,
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-HEAD_SOFTMAX = "softmax"          # widths [.., C], cross-entropy over C logits
-HEAD_SCALAR_INDEX = "scalar-index"  # widths [.., 1], squared error on the label index
 
 
 class TrainingDiverged(RuntimeError):
     """Loss or parameters became non-finite; the run is reported as failed."""
+
+
+def check_settings(config, least: dict) -> None:
+    """Raise ConfigError unless each setting of config named in least is an
+    integer of at least its least value (None: any integer), and
+    config.learning_rate a finite number >= 0. Settings from a JSON config
+    file arrive with whatever type it gave."""
+    for name, lowest in least.items():
+        value = getattr(config, name)
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if lowest is not None and value < lowest:
+            raise ConfigError(f"{name} must be >= {lowest}")
+    # lr = 0 is legal: it must leave parameters bit-identical
+    lr = config.learning_rate
+    if not isinstance(lr, Real) or isinstance(lr, bool) or not (
+            math.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"learning_rate must be a finite number >= 0, got {lr!r}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +58,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        # lr = 0 is legal: it must leave parameters bit-identical
-        if self.iterations < 1 or self.batch_size < 1 or self.learning_rate < 0:
-            raise ConfigError(f"invalid training config: {self}")
+        check_settings(self, {"iterations": 1, "batch_size": 1, "seed": None})
 
 
 @dataclass
@@ -156,15 +172,16 @@ class TrainResult:
     train_accuracy: float
     val_accuracy: float
     test_accuracy: float
-    head: str
     adherence: list      # in-range share per hidden layer, pooled over the run
 
 
-def _head_mode(net: Network, n_classes: int) -> str:
+def _head_mode(net: Network, n_classes: int):
+    """The loss of the network's head: cross-entropy over widths [.., C],
+    squared error on the label index over widths [.., 1]."""
     if net.n_out == n_classes:
-        return HEAD_SOFTMAX
+        return softmax_cross_entropy
     if net.n_out == 1:
-        return HEAD_SCALAR_INDEX
+        return squared_error_on_index
     raise ConfigError(
         f"network output width {net.n_out} matches neither the class count "
         f"{n_classes} nor the 1-logit scalar head")
@@ -185,6 +202,8 @@ def evaluate(net: Network, features, labels, n_classes: int) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if features.shape[0] == 0:
         raise ValueError("evaluation set is empty")
+    if labels.shape != features.shape[:1]:
+        raise ValueError(f"{len(features)} samples but labels of shape {labels.shape}")
     return float((predict(net, features, n_classes) == labels).mean())
 
 
@@ -204,9 +223,7 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     if data.n_features != net.n_in:
         raise ConfigError(
             f"dataset has {data.n_features} features, network expects {net.n_in}")
-    head = _head_mode(net, data.n_classes)
-    loss_fn = (softmax_cross_entropy if head == HEAD_SOFTMAX
-               else squared_error_on_index)
+    loss_fn = _head_mode(net, data.n_classes)
 
     n_train = len(data.train_idx)
     rng = np.random.default_rng(cfg.seed)
@@ -266,6 +283,5 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
         train_accuracy=train_acc,
         val_accuracy=val_acc,
         test_accuracy=test_acc,
-        head=head,
         adherence=(inside / total).tolist(),
     )

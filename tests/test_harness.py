@@ -169,6 +169,22 @@ def test_sweep_and_compare_records_carry_adherence():
     assert all(r["adherence"] == [1.0] for r in compare if r["label"] == "kan-avg")
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_ok_record_holds_each_fact_once(strict):
+    # the feature count is widths[0], the final loss loss_curve[-1], and a
+    # strict-replication run's widths end in 1
+    config = quick_config("compare", variants=("kan",), runs=1, iterations=5,
+                          strict_replication=strict)
+    [record] = run_experiment(config)[1]
+    assert record["status"] == "ok"
+    assert set(record) == {
+        "adherence", "dataset", "error", "label", "layer_norm", "loss_curve",
+        "n_classes", "run_id", "run_index", "seed", "status", "test_accuracy",
+        "train_accuracy", "val_accuracy", "warnings", "widths"}
+    assert record["widths"][0] == 4
+    assert record["widths"][-1] == (1 if strict else record["n_classes"])
+
+
 class TestComparison:
     def test_structure_two_variants(self):
         config = quick_config("compare", variants=("kan", "kan-avg"), runs=3)
@@ -806,7 +822,7 @@ class TestCli:
         assert payload["config"]["runs"] == 2
         assert payload["config"]["strict_replication"] is False
         runs = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
-        assert {(r["head"], r["feature_scaling"]) for r in runs} == {("softmax", True)}
+        assert all(r["widths"][-1] == r["n_classes"] for r in runs)
 
     def test_adherence_verb(self, tmp_path):
         manifest = self._write_synth_manifest(tmp_path)
@@ -863,8 +879,6 @@ class TestCli:
         run = [json.loads(l) for l in
                (out / "runs.jsonl").read_text().splitlines()][0]
         assert run["widths"][-1] == 1
-        assert run["head"] == "scalar-index"
-        assert run["feature_scaling"] is False
 
     def test_malformed_manifest_is_one_line_error(self, tmp_path, capsys):
         manifest = tmp_path / "typo.json"
@@ -902,7 +916,7 @@ class TestCli:
         "number-dataset", "object-dataset", "list-variant", "list-aggregator",
         "string-missing-values", "number-out-dir", "out-under-a-file",
         "empty-variants", "empty-aggregators", "null-variants", "null-aggregators",
-        "null-out-dir"])
+        "null-out-dir", "other-mode"])
     def test_invalid_settings_are_one_line_errors(self, tmp_path, capsys, case):
         manifest = str(self._write_synth_manifest(tmp_path))
         na_manifest = tmp_path / "na.json"
@@ -973,6 +987,10 @@ class TestCli:
             "null-out-dir": ({"datasets": [manifest], "out_dir": None},
                              ["--runs", "1", "--iterations", "2"],
                              "keys ['out_dir'] are null"),
+            # a compare used to run, and exit 0
+            "other-mode": ({"datasets": [manifest], "mode": "sweep"},
+                           ["--runs", "1", "--iterations", "2"],
+                           "mode 'sweep' is not 'compare'; the verb sets the mode"),
         }[case]
         mode = "sweep" if case.endswith("-aggregators") else "compare"
         if settings is not None:

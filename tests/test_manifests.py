@@ -90,4 +90,4 @@ def test_synthetic_manifests_run_end_to_end(tmp_path):
                               seed=1)
     payload, records = run_experiment(config)
     assert not payload["failures"]
-    assert records[0]["n_features"] == 6
+    assert records[0]["widths"][0] == 6

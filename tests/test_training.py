@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,12 +184,23 @@ class TestAdam:
 
 
 class TestTrain:
+    @staticmethod
+    def _first_batch_loss(net, data, cfg, loss_fn):
+        """The mean loss_fn of the untrained net on train's first batch."""
+        order = np.random.default_rng(cfg.seed).permutation(len(data.train_idx))
+        rows = data.train_idx[order[:cfg.batch_size]]
+        losses, _ = loss_fn(forward(net, data.features[rows]), data.labels[rows])
+        return float(losses.mean())
+
     def test_xor_sanity(self):
         data = synthetic_dataset("xor", 2, 200, seed=3)
         net = build_network((2, 10, 2), ("mean", "mean"), seed=11)
-        res = train(net, data, TrainConfig(iterations=500, seed=7))
+        cfg = TrainConfig(iterations=500, seed=7)
+        # widths [.., C]: cross-entropy over the C logits
+        first = self._first_batch_loss(net, data, cfg, softmax_cross_entropy)
+        res = train(net, data, cfg)
         assert res.train_accuracy >= 0.95
-        assert res.head == "softmax"
+        assert res.loss_curve[0] == pytest.approx(first, rel=1e-12)
 
     def test_separable_blobs_sanity(self):
         data = synthetic_dataset("gaussian-blobs", 6, 400, seed=8, n_classes=3)
@@ -228,8 +240,11 @@ class TestTrain:
     def test_scalar_head_strict_mode(self):
         data = synthetic_dataset("gaussian-blobs", 4, 200, seed=6)
         net = build_network((4, 8, 1), ("mean", "mean"), seed=4)
-        res = train(net, data, TrainConfig(iterations=300, seed=1))
-        assert res.head == "scalar-index"
+        cfg = TrainConfig(iterations=300, seed=1)
+        # widths [.., 1]: squared error on the label index
+        first = self._first_batch_loss(net, data, cfg, squared_error_on_index)
+        res = train(net, data, cfg)
+        assert res.loss_curve[0] == pytest.approx(first, rel=1e-12)
         assert res.test_accuracy >= 0.5  # weak head, but must beat chance on blobs
 
     @staticmethod
@@ -285,6 +300,23 @@ class TestTrain:
         bad_head = build_network((4, 6, 2), ("mean", "mean"), seed=1)
         with pytest.raises(ConfigError):
             train(bad_head, data, TrainConfig(iterations=5))
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"learning_rate": math.nan},
+         "learning_rate must be a finite number >= 0, got nan"),
+        ({"learning_rate": math.inf},
+         "learning_rate must be a finite number >= 0, got inf"),
+        ({"iterations": 2.5}, "iterations must be an integer, got 2.5"),
+        ({"batch_size": True}, "batch_size must be an integer, got True")],
+        ids=["nan-learning-rate", "inf-learning-rate", "float-iterations",
+             "bool-batch-size"])
+    def test_invalid_config_rejected_before_any_step(self, monkeypatch, setting, message):
+        # the harness's messages, before any step
+        data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
+        net = build_network((4, 6, 3), ("sum", "sum"), seed=1)
+        monkeypatch.setattr(kanagg.training, "forward", None)    # no step may run
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            train(net, data, TrainConfig(**setting))
 
     def test_divergence_detected(self):
         # one step at this rate pushes w_spline * coeffs past float64 range
@@ -396,7 +428,13 @@ class TestEvaluate:
         net.layers[-1].w_spline[...] *= 3.0
         assert evaluate(net, x, labels, 4) == base
 
-    def test_empty_set_rejected(self):
+    @pytest.mark.parametrize("n_rows, n_labels, message", [
+        (0, 0, "evaluation set is empty"),
+        # a lone label used to broadcast over every row
+        (4, 1, "4 samples but labels of shape (1,)"),
+        (4, 3, "4 samples but labels of shape (3,)")],
+        ids=["empty", "one-label", "three-labels"])
+    def test_empty_set_rejected(self, n_rows, n_labels, message):
         net = build_network((2, 3, 2), ("sum", "sum"), seed=0)
-        with pytest.raises(ValueError):
-            evaluate(net, np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(net, np.zeros((n_rows, 2)), np.ones(n_labels, dtype=int), 2)
