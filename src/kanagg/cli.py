@@ -42,7 +42,8 @@ def _add_run_flags(p: argparse.ArgumentParser, mode: str):
     p.add_argument(f"--{plans}", nargs="+", default=None, choices=known,
                    help=f"the {plans} a {mode} runs")
     p.add_argument("--strict-replication", action="store_true", default=None,
-                   help="[n_in,10,1] head, squared-error loss, no feature scaling")
+                   help="one output node (widths [n_in, hidden_width, 1]), "
+                        "squared-error loss, no feature scaling")
     p.add_argument("--out", dest="out_dir", default=None, metavar="OUT",
                    help=f"output dir (default {DEFAULT_OUT})")
     p.add_argument("--parallelism", type=int, default=None,

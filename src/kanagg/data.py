@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-TRAIN_FRACTION, VAL_FRACTION, TEST_FRACTION = 0.6, 0.2, 0.2
+VAL_FRACTION, TEST_FRACTION = 0.2, 0.2     # train holds the rest
 # a manifest's "synthetic" spec: the keyword arguments it may pass to
 # synthetic_dataset, with their types; synthetic_dataset owns the defaults
 SYNTHETIC_TYPES = {"kind": str, "n_features": int, "n_instances": int,
@@ -110,6 +110,11 @@ class DatasetManifest:
         if self.synthetic is not None:
             self._validate_synthetic()
             return
+        names = [c.name for c in self.columns]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise IngestionError(
+                    f"manifest {self.name!r} declares two columns named {name!r}")
         self.target_column()
         n_features = len(self.feature_columns())
         if not n_features:
@@ -339,16 +344,18 @@ def _scale_columns(matrix: np.ndarray, train_rows):
 
 def _encode_labels(codes: np.ndarray, values: tuple, name):
     """Class indices from a coded target column. The vocabulary is in numeric
-    order when every label parses as a number (labels that parse to the same
-    number, such as "1" and "1.0", in string order), else in string order."""
+    order when every label parses as a number other than NaN (labels that
+    parse to the same number, such as "1" and "1.0", in string order), else
+    in string order: NaN has no place in the numeric order."""
     if np.any(codes < 0):
         raise PreprocessError(f"{name}: target column has missing values")
     if len(values) < 2:
         raise PreprocessError(f"{name}: target has a single class")
     try:
-        vocab = sorted(values, key=lambda v: (float(v), v))
+        numeric = not any(math.isnan(float(v)) for v in values)
     except ValueError:
-        vocab = sorted(values)
+        numeric = False
+    vocab = sorted(values, key=lambda v: (float(v), v)) if numeric else sorted(values)
     rank = {v: i for i, v in enumerate(vocab)}
     return np.array([rank[v] for v in values], dtype=np.int64)[codes], len(vocab)
 

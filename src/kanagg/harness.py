@@ -180,7 +180,6 @@ def execute_run(spec: RunSpec) -> dict:
     """Train one network; never raises, failures become failed records."""
     cfg, name = spec.config, spec.manifest.name
     base_seed = derive_seed(cfg.seed, name, spec.label, spec.run_index)
-    aggregators, layer_norm = _run_plan(cfg)[spec.label]
     record = {
         "run_id": f"{name}{COMBO_SEP}{spec.label}{COMBO_SEP}{spec.run_index}",
         "dataset": name,
@@ -191,6 +190,10 @@ def execute_run(spec: RunSpec) -> dict:
         "error": None,
     }
     try:
+        plan = _run_plan(cfg)
+        if spec.label not in plan:
+            raise ValueError(f"run label {spec.label!r} is not planned by its config")
+        aggregators, layer_norm = plan[spec.label]
         data_seed = derive_seed(base_seed, "data")
         net_seed = derive_seed(base_seed, "net")
         train_seed = derive_seed(base_seed, "train")
@@ -342,12 +345,7 @@ def _compare_report(config: ExperimentConfig, cells, runs) -> dict:
                 a = [ra[k]["test_accuracy"] for k in pair_idx]
                 b = [rb[k]["test_accuracy"] for k in pair_idx]
                 res = wilcoxon_signed_rank(a, b)
-                tests[ds][key] = {
-                    "w_plus": res.w_plus, "w_minus": res.w_minus,
-                    "n_effective": res.n_effective, "p_value": res.p_value,
-                    "method": res.method, "degenerate": res.degenerate,
-                    "significant": res.significant,
-                }
+                tests[ds][key] = {**asdict(res), "significant": res.significant}
                 if res.significant:
                     ma, mb = float(np.mean(a)), float(np.mean(b))
                     winner, loser = (va, vb) if ma > mb else (vb, va)

@@ -13,7 +13,7 @@ An edge w_base * silu(x) + w_spline * sum_i c_i B_i(x) is the dot product of
 the extended basis [B_1(x), ..., B_n(x), silu(x)], built by splines.py in one
 buffer, with the folded coefficients [w_spline * c, w_base]; a layer is one
 (batch x n_basis+1) by (n_basis+1 x n_out) matrix product per input.
-Untraced forward passes (evaluation and prediction) run in blocks of
+Untraced forward passes (evaluation) run in blocks of
 block_rows(net) rows, a fixed number of layer-0 points each, so a wide input
 gets shorter blocks; traced passes keep every intermediate that backward
 reads.

@@ -19,6 +19,7 @@ stacked and evaluates them for a whole batch at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -62,6 +63,9 @@ def make_grid(range_lo: float = -1.0, range_hi: float = 1.0,
     _require_finite([range_lo, range_hi], "grid range")
     if not range_lo < range_hi:
         raise ValueError(f"range_lo must be < range_hi, got [{range_lo}, {range_hi}]")
+    for name, value in (("grid_size", grid_size), ("degree", degree)):
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     if degree < 0:

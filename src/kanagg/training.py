@@ -91,13 +91,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 def softmax_cross_entropy(logits, label):
     """Stabilized -log softmax(logits)[label] of (batch, C) logits and a
     label vector; returns per-sample (losses, d_logits), not averaged.
-    Non-finite logits are the caller's to reject."""
+    Finite logits and labels in [0, C) are the caller's to check."""
     z = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(label, dtype=np.int64)
     if z.ndim != 2:
         raise ValueError("logits must be a (batch, classes) array")
-    if np.any(labels < 0) or np.any(labels >= z.shape[1]):
-        raise ValueError(f"label out of range for {z.shape[1]} logits")
     shifted = z - z.max(axis=1, keepdims=True)
     d = np.exp(shifted)
     total = d.sum(axis=1, keepdims=True)
@@ -175,36 +173,30 @@ class TrainResult:
     adherence: list      # in-range share per hidden layer, pooled over the run
 
 
-def _head_mode(net: Network, n_classes: int):
-    """The loss of the network's head: cross-entropy over widths [.., C],
-    squared error on the label index over widths [.., 1]."""
+def _head(net: Network, n_classes: int):
+    """The network's head as (loss, prediction rule from logits): over widths
+    [.., C], cross-entropy and argmax; over widths [.., 1], squared error on
+    the label index and the rounded logit clipped to [0, C)."""
     if net.n_out == n_classes:
-        return softmax_cross_entropy
+        return softmax_cross_entropy, lambda logits: logits.argmax(axis=1)
     if net.n_out == 1:
-        return squared_error_on_index
+        return squared_error_on_index, lambda logits: np.clip(
+            np.rint(logits[:, 0]), 0, n_classes - 1).astype(np.int64)
     raise ConfigError(
         f"network output width {net.n_out} matches neither the class count "
         f"{n_classes} nor the 1-logit scalar head")
 
 
-def predict(net: Network, features, n_classes: int):
-    """Class predictions; argmax for the softmax head, rounded and clipped
-    logit for the 1-logit head."""
-    logits = forward(net, features)
-    if net.n_out == 1:
-        return np.clip(np.rint(logits[:, 0]), 0, n_classes - 1).astype(np.int64)
-    return logits.argmax(axis=1)
-
-
 def evaluate(net: Network, features, labels, n_classes: int) -> float:
-    """Fraction of samples whose prediction equals the label."""
+    """Fraction of samples whose head prediction equals the label."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.shape[0] == 0:
         raise ValueError("evaluation set is empty")
     if labels.shape != features.shape[:1]:
         raise ValueError(f"{len(features)} samples but labels of shape {labels.shape}")
-    return float((predict(net, features, n_classes) == labels).mean())
+    _, predict = _head(net, n_classes)
+    return float((predict(forward(net, features)) == labels).mean())
 
 
 def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
@@ -214,16 +206,21 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     block_rows(net) rows in whole batches; layer 0's grid is fixed, so its
     basis of a block's rows holds for every step of the block. Every step
     also counts the hidden values inside the range of the grid that reads
-    them, pooled into TrainResult.adherence. Raises TrainingDiverged as
-    soon as the batch loss stops being finite. Besides the dataset, training
-    holds one block and one step's trace; evaluation copies one split at a
-    time.
+    them, pooled into TrainResult.adherence. Raises ConfigError before the
+    first step for a label outside [0, data.n_classes), which the loss does
+    not check, and TrainingDiverged as soon as the batch loss stops being
+    finite. Besides the dataset, training holds one block and one step's
+    trace; evaluation copies one split at a time.
     """
     cfg.validate()
     if data.n_features != net.n_in:
         raise ConfigError(
             f"dataset has {data.n_features} features, network expects {net.n_in}")
-    loss_fn = _head_mode(net, data.n_classes)
+    loss_fn, _ = _head(net, data.n_classes)
+    outside = (data.labels < 0) | (data.labels >= data.n_classes)
+    if outside.any():
+        raise ConfigError(f"label {data.labels[outside][0]} lies outside "
+                          f"[0, {data.n_classes})")
 
     n_train = len(data.train_idx)
     rng = np.random.default_rng(cfg.seed)

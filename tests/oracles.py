@@ -205,8 +205,13 @@ def naive_preprocess(cells, manifest, seed, scale_features=True):
     train = splits[0]
     target = cells[manifest.target_column().name]
     try:
-        vocab = sorted(set(target), key=lambda v: (float(v), v))
+        keys = {v: (float(v), v) for v in set(target)}
     except ValueError:
+        keys = {}
+    # numeric order needs every label a number, and NaN is not ordered
+    if keys and all(x == x for x, _ in keys.values()):
+        vocab = sorted(keys, key=keys.get)
+    else:
         vocab = sorted(set(target))
     labels = [vocab.index(v) for v in target]
 

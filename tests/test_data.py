@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -100,7 +101,7 @@ def small_tables(draw):
     for name in ("x1", "x2"):
         cells[name] = column(draw(st.lists(st.floats(-1e6, 1e6), min_size=1,
                                            max_size=5)))
-    cells["label"] = draw(st.lists(st.sampled_from(["0", "1", "1.0", "b"]),
+    cells["label"] = draw(st.lists(st.sampled_from(["0", "1", "1.0", "nan", "b"]),
                                    min_size=n, max_size=n))
     return cells
 
@@ -422,6 +423,17 @@ class TestPreprocess:
         rank = {"+1": 0, "01": 1, "1": 2, "1.0": 3, "1.00": 4, "1e0": 5, "2": 6}
         assert outputs == {f"{[rank[labels[i % 7]] for i in range(28)]}\n"}
 
+    def test_nan_label_orders_as_a_string_in_any_row_order(self):
+        # "nan" parses as a number but has no numeric place: ("nan", "1", "0")
+        # used to map to 0, 2, 1 and ("1", "nan", "0") to 0, 1, 2
+        manifest = manifest_for([ColumnSpec("x", "feature", "numeric"),
+                                 ColumnSpec("label", "target", "categorical")])
+        for order in itertools.permutations(("1", "nan", "0")):
+            raw = table_from_cells(manifest, x=[1.0, 2.0, 3.0], label=list(order))
+            data = preprocess(raw, manifest, seed=0)
+            assert dict(zip(order, data.labels.tolist())) == \
+                {"0": 0, "1": 1, "nan": 2}, order
+
     def test_expected_count_warnings(self, tmp_path):
         m = manifest_for(MIXED.columns, expected_instances=99, expected_classes=3)
         raw = load_table(write(tmp_path, "red,1,a\nblue,2,b\nred,3,a\n"), m)
@@ -649,6 +661,20 @@ class TestManifestChecks:
         columns = tuple(ColumnSpec(**c) for c in COLUMNS)
         with pytest.raises(IngestionError, match=re.escape(message)):
             DatasetManifest(name="m", path="m.csv", columns=columns, **{key: value})
+
+    def test_repeated_column_name_rejected(self, tmp_path):
+        # load_table kept only the last of two columns named "x": both
+        # features read it
+        columns = [{"name": "x"}, {"name": "x"}, COLUMNS[1]]
+        mp = tmp_path / "twice.json"
+        mp.write_text(json.dumps({"name": "m", "path": "m.csv", "columns": columns}))
+        message = "manifest 'm' declares two columns named 'x'"
+        with pytest.raises(IngestionError,
+                           match=r"twice\.json: " + re.escape(message)):
+            load_manifest(mp)
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            DatasetManifest(name="m", path="m.csv",
+                            columns=tuple(ColumnSpec(**c) for c in columns))
 
     def test_unknown_column_role_rejected(self, tmp_path):
         # "featuer" used to drop the column from the features without a word

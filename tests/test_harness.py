@@ -506,6 +506,31 @@ class TestDeterminismAndFailures:
             ds = payload["datasets"][0]
             assert payload["accuracy"][ds]["kan"]["mean"] is None
 
+    def test_unplanned_label_is_a_failed_record(self):
+        # execute_run never raises: it used to raise KeyError: 'bogus'
+        from kanagg.harness import RunSpec, execute_run
+        config = quick_config("compare", variants=("kan",), runs=1)
+        record = execute_run(RunSpec(blob_manifest(), "bogus", 0, config))
+        assert (record["status"], record["error"]) == (
+            "failed", "ValueError: run label 'bogus' is not planned by its config")
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["softmax", "scalar"])
+    def test_out_of_range_label_is_one_failed_record(self, monkeypatch, strict):
+        import kanagg.harness as harness
+        load_dataset = harness.load_dataset
+
+        def one_bad_label(*args, **kwargs):
+            data = load_dataset(*args, **kwargs)
+            data.labels[data.val_idx[0]] = data.n_classes
+            return data
+
+        monkeypatch.setattr(harness, "load_dataset", one_bad_label)
+        payload, records = run_experiment(quick_config(
+            "compare", variants=("kan",), runs=1, strict_replication=strict))
+        assert [(r["status"], r["error"]) for r in records] == [
+            ("failed", "ConfigError: label 2 lies outside [0, 2)")]
+        assert payload["failures"] == records
+
     def test_sweep_with_unreadable_dataset(self):
         broken = DatasetManifest(
             name="gone", path="/nonexistent/gone.csv",

@@ -7,7 +7,7 @@ from kanagg.aggregators import AGGREGATOR_NAMES
 from kanagg.network import (FORWARD_BLOCK_POINTS, LayerNormParams, _layer_norm,
                             adherence_counts, block_rows, input_basis)
 from kanagg.splines import make_grid
-from kanagg.training import backward, predict, softmax_cross_entropy
+from kanagg.training import backward, softmax_cross_entropy
 
 from oracles import naive_edge, naive_network
 
@@ -290,8 +290,9 @@ class TestBlockedForward:
     def test_predict_same_in_one_call_or_row_by_row(self, agg):
         net = small_net(aggs=(agg, agg), widths=(5, 6, 3), seed=33, layer_norm=True)
         x = np.random.default_rng(34).uniform(-1.5, 1.5, (block_rows(net) + 40, 5))
-        together = predict(net, x, 3)
-        one_by_one = np.concatenate([predict(net, row[np.newaxis], 3) for row in x])
+        together = forward(net, x).argmax(axis=1)
+        one_by_one = np.concatenate([forward(net, row[np.newaxis]).argmax(axis=1)
+                                     for row in x])
         np.testing.assert_array_equal(together, one_by_one)
 
     @pytest.mark.parametrize("n_in", [3, 14, 30])

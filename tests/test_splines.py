@@ -40,6 +40,9 @@ class TestMakeGrid:
     @pytest.mark.parametrize("args", [
         (1.0, -1.0, 3, 3), (0.0, 0.0, 3, 3), (-1.0, 1.0, 0, 3),
         (-1.0, 1.0, 3, -1), (float("nan"), 1.0, 3, 3), (-np.inf, 1.0, 3, 3),
+        # a fractional size built knots spaced 0.8 on a grid reporting 1.0
+        (-1.0, 1.0, 2.5, 3), (-1.0, 1.0, 3.0, 3), (-1.0, 1.0, 3, 2.0),
+        (-1.0, 1.0, True, 3), (-1.0, 1.0, 3, False),
     ])
     def test_invalid_arguments(self, args):
         with pytest.raises(ValueError):

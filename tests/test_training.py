@@ -49,12 +49,6 @@ class TestSoftmaxCrossEntropy:
                       - softmax_cross_entropy(zm, label)[0][0]) / (2 * step)
                 assert abs(d[0, i] - fd) < 1e-6
 
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros((1, 3)), [3])
-        with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros((1, 3)), [-1])
-
     def test_one_sample_is_a_batch_of_one(self):
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros(3), 0)
@@ -318,6 +312,19 @@ class TestTrain:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             train(net, data, TrainConfig(**setting))
 
+    @pytest.mark.parametrize("head", [3, 1], ids=["softmax", "scalar"])
+    @pytest.mark.parametrize("label", [3, -1], ids=["n-classes", "negative"])
+    def test_out_of_range_label_rejected_before_any_step(self, monkeypatch, head,
+                                                         label):
+        # the loss does not check labels; train checks them once, for either head
+        data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
+        data.labels[data.test_idx[0]] = label
+        net = build_network((4, 6, head), ("sum", "sum"), seed=1)
+        monkeypatch.setattr(kanagg.training, "forward", None)    # no step may run
+        with pytest.raises(ConfigError, match=re.escape(
+                f"label {label} lies outside [0, 3)")):
+            train(net, data, TrainConfig(iterations=5))
+
     def test_divergence_detected(self):
         # one step at this rate pushes w_spline * coeffs past float64 range
         data = synthetic_dataset("gaussian-blobs", 4, 120, seed=2)
@@ -417,6 +424,16 @@ class TestEvaluate:
             layer.w_spline[...] = 0.0
         balanced = np.array([0, 1] * 20)
         assert evaluate(net, x, balanced, 2) == 0.5  # argmax ties -> class 0
+
+    def test_scalar_head_scores_its_rounded_clipped_logit(self):
+        net = build_network((2, 4, 1), ("mean", "mean"), seed=0)
+        x = np.random.default_rng(0).uniform(-1, 1, (40, 2))
+        net.layers[-1].w_base[...] *= 40.0
+        logits = forward(net, x)[:, 0]
+        assert logits.min() < -0.5 and logits.max() > 2.5    # both ends clip
+        labels = np.array([min(max(round(z), 0), 2) for z in logits.tolist()])
+        assert evaluate(net, x, labels, 3) == 1.0
+        assert evaluate(net, x, (labels + 1) % 3, 3) == 0.0
 
     def test_invariant_to_positive_rescaling(self):
         net = build_network((3, 5, 4), ("sum", "sum"), seed=2)
