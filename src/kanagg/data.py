@@ -60,13 +60,17 @@ class PreprocessError(ValueError):
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One column of a file-backed dataset; checks its role and type when built."""
+    """One column of a file-backed dataset; checks its name, role and type
+    when built."""
 
     name: str
     role: str = "feature"    # feature | target | ignore
     type: str = "numeric"    # numeric | categorical
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise IngestionError(
+                f"column name must be a non-empty string, got {self.name!r}")
         for attr, allowed in (("role", COLUMN_ROLES), ("type", COLUMN_TYPES)):
             value = getattr(self, attr)
             if value not in allowed:

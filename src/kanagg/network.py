@@ -15,8 +15,9 @@ buffer, with the folded coefficients [w_spline * c, w_base]; a layer is one
 (batch x n_basis+1) by (n_basis+1 x n_out) matrix product per input.
 Untraced forward passes (evaluation) run in blocks of
 block_rows(net) rows, a fixed number of layer-0 points each, so a wide input
-gets shorter blocks; traced passes keep every intermediate that backward
-reads.
+gets shorter blocks, and may read a split of a dataset as its row indices,
+one block of rows at a time; traced passes keep every intermediate that
+backward reads.
 
 A Network is its parameters and its layers. Every trainable value lives in
 one float64 vector, Network.params, laid out layer by layer as each layer's
@@ -253,37 +254,49 @@ def _forward_rows(net: Network, x: np.ndarray, t: ForwardTrace | None,
     return x
 
 
-def forward(net: Network, x, trace: bool = False, basis0=None):
-    """Run the network on a (batch, n_in) array.
+def forward(net: Network, x, trace: bool = False, basis0=None, rows=None):
+    """Run the network on a (batch, n_in) array, or on its rows x[rows].
 
     Returns (batch, n_out) logits, or (logits, ForwardTrace) when trace=True.
     Every step is row-wise, so the untraced pass runs block_rows(net) rows at
     a time, FORWARD_BLOCK_POINTS layer-0 points: besides the input and the
-    logits it holds one block's bases and edge outputs, whatever the batch
-    or the input width. The traced pass keeps the whole batch's
-    intermediates for backward. A traced pass may take layer 0's basis from
-    the caller as basis0 = input_basis(net, x), for example a slice of one
-    built for many batches at once; it then builds the basis of layers 1
-    and up only. An untraced pass ignores basis0.
+    logits it holds one block's rows, bases and edge outputs, whatever the
+    batch or the input width. Given rows, an index array, it gathers each
+    block x[rows[block]] itself, so a split of a dataset is read without a
+    copy of it; only the rows it reads must be finite. The traced pass keeps
+    the whole batch's intermediates for backward. A traced pass may take
+    layer 0's basis from the caller as basis0 = input_basis(net, x), for
+    example a slice of one built for many batches at once; it then builds
+    the basis of layers 1 and up only. An untraced pass ignores basis0, and
+    a traced one takes no rows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.n_in:
         raise ValueError(f"input shape {x.shape} does not match n_in={net.n_in}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite")
 
     if trace:
+        if rows is not None:
+            raise ValueError("a traced pass takes its batch as x, not as rows")
+        _require_finite(x)
         if basis0 is not None and basis0.shape[:2] != x.shape:
             raise ValueError(f"basis0 shape {basis0.shape} does not match the "
                              f"input {x.shape}")
         t = ForwardTrace(network=net)
         return _forward_rows(net, x, t, basis0), t
-    logits = np.empty((x.shape[0], net.n_out))
+    n = x.shape[0] if rows is None else len(rows)
+    logits = np.empty((n, net.n_out))
     step = block_rows(net)
-    for start in range(0, x.shape[0], step):
-        rows = slice(start, start + step)
-        logits[rows] = _forward_rows(net, x[rows], None)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        xb = x[block] if rows is None else x[rows[block]]
+        _require_finite(xb)
+        logits[block] = _forward_rows(net, xb, None)
     return logits
+
+
+def _require_finite(x: np.ndarray):
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input must be finite")
 
 
 def mean_to_scaled_sum(net: Network) -> Network:

@@ -121,7 +121,10 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
     values from grid.poly (grid.deriv_poly) by Horner's rule at the point's
     position in the span, and they are scattered into a dense buffer whose
     spare column then takes silu. Points outside the extended knot span, and
-    non-finite points, give all-zero B-spline columns.
+    non-finite points, give all-zero B-spline columns. Every per-point
+    temporary but silu and the local values is freed before the dense
+    buffer, the largest allocation, is built: in an untraced forward pass
+    this call sets the peak of a block.
     """
     x = np.asarray(x, dtype=np.float64)
     t = grid.knots
@@ -139,8 +142,10 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
         # mixed signs (e <= 1, and a nan stays a nan)
         e = np.exp(np.minimum(flat, -flat))
         sig = np.maximum(e, flat >= 0) / (1.0 + e)
+        del e
         silu = flat * sig
         silu_grad = sig * (1.0 + flat * (1.0 - sig)) if derivs else None
+        del sig
     # settle the span against the stored knots, so that a point one ulp from
     # a knot falls in the interval whose bounds it satisfies; a point past
     # either end may step off the spans and is clamped back
@@ -150,7 +155,7 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
     valid = (t[0] <= flat) & (flat < t[-1])
     # position inside the span in units of the knot spacing, 0 when invalid
     f = np.where(valid, u - s, 0.0)
-    shape = x.shape + (grid.n_basis + 1,)
+    del u
     # k spill columns on each side of the dense buffer take basis columns
     # past either end; the first right one then takes silu (at k = 0 one
     # column is added for it). Point i's k+1 local values go to the flat
@@ -159,12 +164,18 @@ def basis_matrix(x: np.ndarray, grid: KnotGrid, derivs: bool = True):
     width = n + k + max(k, 1)
     start = np.arange(0, s.size * width, width)
     start += s
-    values = _scatter(_horner(grid.poly, f, valid), start, silu, width, k, n)
+    del s
+    local = _horner(grid.poly, f, valid)
+    local_deriv = _horner(grid.deriv_poly, f, valid) if derivs else None
+    # free every per-point temporary before the dense buffers, the largest
+    # allocations, are built
+    del f, valid
+    shape = x.shape + (n + 1,)
+    values = _scatter(local, start, silu, width, k, n).reshape(shape)
     if not derivs:
-        return values.reshape(shape), None
-    db = _horner(grid.deriv_poly, f, valid)
-    return (values.reshape(shape),
-            _scatter(db, start, silu_grad, width, k, n).reshape(shape))
+        return values, None
+    del local, silu
+    return values, _scatter(local_deriv, start, silu_grad, width, k, n).reshape(shape)
 
 
 def _scatter(local, start, last, width, k, n):

@@ -8,7 +8,9 @@ gradient by field into a KANLayer of Network.views of one gradient vector,
 so it never sees the vector's layout; Adam updates that whole vector in one
 pass. train runs epochs of blocks of steps: an epoch is one seeded shuffle
 of the train split, a block holds the features, labels and layer-0 basis of
-its rows, and a step is one mini-batch slice of its block.
+its rows, and a step is one mini-batch slice of its block. Evaluation hands
+forward the whole feature matrix and a split's row indices, so neither
+training nor evaluation copies a split.
 """
 
 from __future__ import annotations
@@ -187,16 +189,20 @@ def _head(net: Network, n_classes: int):
         f"{n_classes} nor the 1-logit scalar head")
 
 
-def evaluate(net: Network, features, labels, n_classes: int) -> float:
-    """Fraction of samples whose head prediction equals the label."""
+def evaluate(net: Network, features, labels, n_classes: int, rows=None) -> float:
+    """Fraction of samples whose head prediction equals the label; given
+    rows, an index array, of the samples features[rows], which forward reads
+    one block of rows at a time, so no copy of them is made."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if features.shape[0] == 0:
+    if features.shape[0] == 0 or rows is not None and len(rows) == 0:
         raise ValueError("evaluation set is empty")
     if labels.shape != features.shape[:1]:
         raise ValueError(f"{len(features)} samples but labels of shape {labels.shape}")
     _, predict = _head(net, n_classes)
-    return float((predict(forward(net, features)) == labels).mean())
+    predictions = predict(forward(net, features, rows=rows))
+    # the split's labels are taken after the pass, so they add nothing to its peak
+    return float((predictions == (labels if rows is None else labels[rows])).mean())
 
 
 def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
@@ -210,7 +216,8 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
     first step for a label outside [0, data.n_classes), which the loss does
     not check, and TrainingDiverged as soon as the batch loss stops being
     finite. Besides the dataset, training holds one block and one step's
-    trace; evaluation copies one split at a time.
+    trace, and evaluation scores each split by its row indices, one block of
+    rows at a time: a run holds no copy of a split.
     """
     cfg.validate()
     if data.n_features != net.n_in:
@@ -273,7 +280,7 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainResult:
         raise TrainingDiverged("non-finite parameters after update")
 
     train_acc, val_acc, test_acc = (
-        evaluate(net, data.features[idx], data.labels[idx], data.n_classes)
+        evaluate(net, data.features, data.labels, data.n_classes, idx)
         for idx in (data.train_idx, data.val_idx, data.test_idx))
     return TrainResult(
         loss_curve=losses,

@@ -676,6 +676,27 @@ class TestManifestChecks:
             DatasetManifest(name="m", path="m.csv",
                             columns=tuple(ColumnSpec(**c) for c in columns))
 
+    @pytest.mark.parametrize("name", [["a"], 3, "", None],
+                             ids=["list", "number", "empty", "null"])
+    def test_column_name_must_be_a_non_empty_string(self, tmp_path, capsys, name):
+        # a list name loaded, and the experiment then died with a traceback,
+        # "TypeError: unhashable type: 'list'", when it hashed the manifest
+        columns = [{"name": name}, COLUMNS[1]]
+        mp = tmp_path / "named.json"
+        mp.write_text(json.dumps({"name": "m", "path": "m.csv", "columns": columns}))
+        message = f"column name must be a non-empty string, got {name!r}"
+        with pytest.raises(IngestionError,
+                           match=r"^manifest .*named\.json: " + re.escape(message) + "$"):
+            load_manifest(mp)
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            DatasetManifest(name="m", path="m.csv",
+                            columns=tuple(ColumnSpec(**c) for c in columns))
+        assert cli_main(["compare", "--dataset", str(mp), "--out",
+                         str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_column_role_rejected(self, tmp_path):
         # "featuer" used to drop the column from the features without a word
         mp = tmp_path / "roles.json"

@@ -307,6 +307,44 @@ class TestBlockedForward:
         np.testing.assert_allclose(forward(net, x), one_by_one, rtol=1e-12, atol=1e-12)
 
 
+class TestRowIndexedForward:
+    """Untraced forward given rows reads x[rows] one block at a time; it must
+    equal the pass on the gathered matrix, and read no other row."""
+
+    @pytest.mark.parametrize("case", ["shuffled-blocks", "single-row", "repeated-row"])
+    def test_rows_equal_the_gathered_matrix(self, case):
+        net = small_net(aggs=("median", "mean"), widths=(30, 6, 3), seed=40,
+                        layer_norm=True)
+        b = block_rows(net)
+        x = np.random.default_rng(41).uniform(-1.5, 1.5, (3 * b, 30))
+        rows = {
+            # two whole blocks and part of a third, in shuffled order
+            "shuffled-blocks": np.random.default_rng(42).permutation(3 * b)[:2 * b + 5],
+            "single-row": np.array([b + 3]),
+            "repeated-row": np.array([7, 7, 2, 7]),
+        }[case]
+        logits = forward(net, x, rows=rows)
+        assert logits.shape == (len(rows), 3)
+        np.testing.assert_array_equal(logits, forward(net, x[rows]))
+
+    def test_only_the_indexed_rows_must_be_finite(self):
+        net = small_net(widths=(4, 5, 2), seed=43)
+        x = np.random.default_rng(44).uniform(-1, 1, (2 * block_rows(net) + 10, 4))
+        x[5, 2] = np.nan
+        x[-1, 0] = np.inf
+        rows = np.delete(np.arange(len(x)), [5, len(x) - 1])
+        np.testing.assert_array_equal(forward(net, x, rows=rows), forward(net, x[rows]))
+        for bad in (5, len(x) - 1):
+            with pytest.raises(ValueError, match="^input must be finite$"):
+                forward(net, x, rows=np.append(rows, bad))
+
+    def test_traced_pass_takes_no_rows(self):
+        net = small_net(widths=(4, 5, 2), seed=45)
+        x = np.zeros((3, 4))
+        with pytest.raises(ValueError, match="traced pass"):
+            forward(net, x, trace=True, rows=np.arange(3))
+
+
 class TestCallerLayerZeroBasis:
     """A traced forward may take layer 0's basis as a row slice of
     input_basis over more rows; it must equal the pass that builds it."""

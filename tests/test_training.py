@@ -411,6 +411,28 @@ class TestLayerZeroBlock:
 
 
 class TestEvaluate:
+    def test_evaluation_holds_no_copy_of_a_split(self):
+        # evaluate reads the 12000-row train split by its row indices, one
+        # block of rows at a time; a copy of the split alone would be 0.6x
+        # the feature matrix
+        import tracemalloc
+        data = synthetic_dataset("gaussian-blobs", 30, 20000, seed=3)
+        net = build_network((30, 10, 3), ("sum", "sum"), seed=1)
+        assert len(data.train_idx) == 12000
+        args = (net, data.features, data.labels, data.n_classes, data.train_idx)
+        expected = evaluate(*args)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            accuracy = evaluate(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert accuracy == expected == evaluate(
+            net, data.features[data.train_idx], data.labels[data.train_idx],
+            data.n_classes)
+        assert peak - start <= 0.4 * data.features.nbytes
+
     def test_perfect_and_constant_predictors(self):
         net = build_network((2, 4, 2), ("mean", "mean"), seed=0)
         x = np.random.default_rng(0).uniform(-1, 1, (40, 2))
